@@ -121,7 +121,8 @@ class LookupTable:
 
     Column arrays are index-aligned: entry i pairs target ``target_ids[i]``
     with its similarity against the fixed candidate, its optimal half-angle
-    and the gain that angle achieves.
+    and the gain that angle achieves. Construction rejects columns that are
+    not in (F, target id) order, since the nearest-F lookup relies on it.
     """
 
     target_ids: np.ndarray
@@ -134,6 +135,14 @@ class LookupTable:
     candidate: ChainSpec
     n_sites: int
     coupling: float
+    # Runs of equal F: their F, first row and that row's (smallest) target id.
+    _run_f: np.ndarray = field(init=False, repr=False)
+    _run_row: np.ndarray = field(init=False, repr=False)
+    _run_id: np.ndarray = field(init=False, repr=False)
+    # Below this |q|, rounding |q - F| (relative error 2^-53, no overflow)
+    # cannot close the smallest gap between distinct F values, with a 2^4
+    # margin, so no query ties beyond the two runs around it.
+    _tie_free: float = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("target_ids", "f", "chi", "delta_f", "sum_sin", "degenerate"):
@@ -145,6 +154,21 @@ class LookupTable:
             raise ValidationError("table columns differ in length")
         if len(self.f) == 0:
             raise ValidationError("table is empty")
+        if not np.all(np.isfinite(self.f)):
+            raise ValidationError("table F values must be finite")
+        step_f = np.diff(self.f)
+        step_id = np.diff(self.target_ids)
+        if not np.all((step_f > 0) | ((step_f == 0) & (step_id > 0))):
+            raise ValidationError("table rows must be sorted by (F, target id)")
+        first = np.flatnonzero(np.r_[True, step_f != 0])
+        run_f = self.f[first]
+        gap = float(np.diff(run_f).min(initial=np.inf))
+        object.__setattr__(self, "_run_f", run_f)
+        object.__setattr__(self, "_run_row", first)
+        object.__setattr__(self, "_run_id", self.target_ids[first])
+        object.__setattr__(
+            self, "_tie_free", min(gap * 2.0**48, 2.0**1000) - np.abs(run_f).max()
+        )
 
     def __len__(self) -> int:
         return len(self.f)
@@ -168,42 +192,52 @@ def build_table(
     """Precompute (F, χ_opt, ΔF) for every target on the grid.
 
     Needs no black-box access: target ground states are solved exactly and
-    compared against the fixed candidate ground state. Work is data-parallel
-    over targets and the result does not depend on the thread count.
+    compared against the fixed candidate ground state. Site k's Bloch
+    direction depends on its own field alone (X_k + b_k Y_k is a z-rotation
+    by atan b_k of a transverse-field Ising term), so the statistics are a
+    function of the multiset of (candidate field, target field) site pairs.
+    One representative per multiset, the smallest target id, is solved and
+    its values are copied to every member: tied rows are bit-equal. Work is
+    data-parallel over representatives and does not depend on the thread
+    count.
     """
     cand_state = ground_state(candidate).state
-    targets = list(enumerate_targets(grid, candidate.n_sites, coupling=coupling))
+    ids = []
+    group_of_target = []
+    group_of_key: dict[tuple, int] = {}
+    representatives = []
+    for target_id, spec in enumerate_targets(grid, candidate.n_sites, coupling=coupling):
+        key = tuple(sorted(zip(candidate.fields, spec.fields)))
+        group = group_of_key.setdefault(key, len(representatives))
+        if group == len(representatives):
+            representatives.append(spec)
+        ids.append(target_id)
+        group_of_target.append(group)
 
-    def solve(item: tuple[int, ChainSpec]):
-        target_id, spec = item
+    def solve(spec: ChainSpec):
         gs = ground_state(spec)
         f, profile = similarity_chain(gs.state, cand_state)
         chi = chi_opt(profile)
-        return (
-            target_id,
-            f,
-            chi,
-            delta_f_planar(profile.thetas, chi),
-            profile.sum_sin,
-            gs.degenerate,
-        )
+        return f, chi, delta_f_planar(profile.thetas, chi), profile.sum_sin, gs.degenerate
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(solve, targets, chunksize=32))
+            rows = list(pool.map(solve, representatives, chunksize=32))
     else:
-        rows = [solve(item) for item in targets]
+        rows = [solve(spec) for spec in representatives]
 
-    ids = np.array([r[0] for r in rows], dtype=np.int64)
-    f = np.array([r[1] for r in rows])
+    ids = np.array(ids, dtype=np.int64)
+    group = np.array(group_of_target, dtype=np.int64)
+    f, chi, delta_f, sum_sin = np.array([r[:4] for r in rows])[group].T
+    degenerate = np.array([r[4] for r in rows], dtype=bool)[group]
     order = np.lexsort((ids, f))
     return LookupTable(
         target_ids=ids[order],
         f=f[order],
-        chi=np.array([r[2] for r in rows])[order],
-        delta_f=np.array([r[3] for r in rows])[order],
-        sum_sin=np.array([r[4] for r in rows])[order],
-        degenerate=np.array([r[5] for r in rows], dtype=bool)[order],
+        chi=chi[order],
+        delta_f=delta_f[order],
+        sum_sin=sum_sin[order],
+        degenerate=degenerate[order],
         grid=grid,
         candidate=candidate,
         n_sites=candidate.n_sites,
@@ -212,15 +246,45 @@ def build_table(
 
 
 def _nearest_rows(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
-    """Row index of the entry nearest in F to each query; ties -> smallest target id."""
-    d = np.abs(table.f[None, :] - np.asarray(f_queries, dtype=float)[:, None])
-    d_min = d.min(axis=1, keepdims=True)
-    big = len(table) + int(table.target_ids.max()) + 1
-    tid_or_big = np.where(d == d_min, table.target_ids[None, :], big)
-    chosen_tid = tid_or_big.min(axis=1)
-    row_of_tid = np.empty(int(table.target_ids.max()) + 1, dtype=np.int64)
-    row_of_tid[table.target_ids] = np.arange(len(table))
-    return row_of_tid[chosen_tid]
+    """Row index of the entry nearest in F to each 1-D query; ties -> smallest target id.
+
+    Distances are the float values |F_i - q|, and among all rows at the
+    minimal distance (exact midpoints included) the smallest target id wins.
+    A binary search over the distinct F values finds the runs of equal F
+    just below and at or above q, in O(log T) per query and O(Q) memory;
+    the first row of a run carries its smallest id. Float subtraction is
+    monotone, so the rows at minimal distance are one contiguous range that
+    contains one of these two runs. It reaches a further run only when the
+    rounding error of |q| + max|F| covers the smallest gap between distinct
+    F values (see ``_tie_free``); such queries fall back to a full scan.
+    """
+    q = np.asarray(f_queries, dtype=float)
+    if not np.isfinite(q).all():
+        raise ValidationError("F queries must be finite")
+    run_f, run_id = table._run_f, table._run_id
+    pos = np.searchsorted(run_f, q)
+    # Runs pos - 1 and pos. Off either end of the column, clipping makes both
+    # the end run, and a tie with itself goes to pos.
+    below = pos - 1
+    d_below = np.abs(run_f.take(below, mode="clip") - q)
+    d_above = np.abs(run_f.take(pos, mode="clip") - q)
+    take_below = (d_below < d_above) | (
+        (d_below == d_above)
+        & (run_id.take(below, mode="clip") < run_id.take(pos, mode="clip"))
+    )
+    rows = table._run_row.take(np.where(take_below, below, pos), mode="clip")
+    if np.abs(q).max(initial=0.0) >= table._tie_free:
+        d_min = np.minimum(d_below, d_above)
+        wide = (
+            (pos >= 2) & (np.abs(run_f.take(pos - 2, mode="clip") - q) == d_min)
+        ) | (
+            (pos < len(run_f) - 1) & (np.abs(run_f.take(pos + 1, mode="clip") - q) == d_min)
+        )
+        for i in np.flatnonzero(wide):
+            d = np.abs(table.f - q[i])
+            tied = np.flatnonzero(d == d.min())
+            rows[i] = tied[np.argmin(table.target_ids[tied])]
+    return rows
 
 
 def lookup_chi(table: LookupTable, f_query: float) -> float:
