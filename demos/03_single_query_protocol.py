@@ -41,7 +41,7 @@ def main():
     oracle = make_oracle(hidden, OracleKind.EXACT, budget=1, seed=0)
     report = run_protocol(CANDIDATE, oracle, table)
     print(f"similarity from the single query: F = {report.f_before:.6f}")
-    print(f"applied rotation half-angle:      chi = {report.chi_applied:.6f}")
+    print(f"applied rotation half-angle:      chi = {report.chi:.6f}")
     print(f"similarity afterwards (diagnostic query): {report.f_after:.6f}")
     print(f"gain: {report.delta_f_actual:.6f} "
           f"(table prediction {report.delta_f_analytic:.6f})")

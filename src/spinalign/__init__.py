@@ -39,7 +39,6 @@ from .hilbert import (
     partial_trace,
     product_state,
     site_operator,
-    sites_from_mask,
 )
 from .oracle import (
     MeasurementRecord,
@@ -52,9 +51,7 @@ from .oracle import (
 )
 from .protocol import (
     LookupTable,
-    ProtocolConfig,
     ProtocolReport,
-    RotationParams,
     build_table,
     chi_opt,
     delta_f_general,

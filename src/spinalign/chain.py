@@ -47,6 +47,8 @@ class ChainSpec:
             raise ValidationError(
                 f"expected {self.n_sites} field values, got {len(self.fields)}"
             )
+        if not math.isfinite(self.coupling) or not all(map(math.isfinite, self.fields)):
+            raise ValidationError("coupling and fields must be finite")
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,9 @@ class ParameterGrid:
     def __post_init__(self):
         if self.levels < 1:
             raise ValidationError("grid needs at least one level")
+        # Also rejects a span b_max - b_min that overflows to inf.
+        if not math.isfinite(self.b_max - self.b_min):
+            raise ValidationError("grid bounds and their span must be finite")
         if self.levels > 1 and not self.b_min < self.b_max:
             raise ValidationError("grid requires b_min < b_max")
 
@@ -115,6 +120,21 @@ def target_fields(target_id: int, grid: ParameterGrid, n_sites: int) -> tuple[fl
     return tuple(float(values[(target_id // d**i) % d]) for i in range(n_sites))
 
 
+def target_field_array(
+    grid: ParameterGrid, n_sites: int, budget: int = DEFAULT_SWEEP_BUDGET
+) -> np.ndarray:
+    """Fields of every target as a (D^N, N) array, row = target id (see target_fields).
+
+    Raises CapacityError before allocating when D^N exceeds ``budget``.
+    """
+    d = grid.levels
+    count = d**n_sites
+    if count > budget:
+        raise CapacityError(f"sweep of {count} targets exceeds budget {budget}")
+    digits = np.arange(count)[:, None] // d ** np.arange(n_sites) % d
+    return grid.values[digits]
+
+
 def enumerate_targets(
     grid: ParameterGrid,
     n_sites: int,
@@ -122,12 +142,5 @@ def enumerate_targets(
     budget: int = DEFAULT_SWEEP_BUDGET,
 ) -> Iterator[tuple[int, ChainSpec]]:
     """Yield (target_id, ChainSpec) for every grid assignment, id ascending."""
-    count = grid.levels**n_sites
-    if count > budget:
-        raise CapacityError(f"sweep of {count} targets exceeds budget {budget}")
-    for target_id in range(count):
-        yield target_id, ChainSpec(
-            n_sites=n_sites,
-            coupling=coupling,
-            fields=target_fields(target_id, grid, n_sites),
-        )
+    for target_id, fields in enumerate(target_field_array(grid, n_sites, budget)):
+        yield target_id, ChainSpec(n_sites=n_sites, coupling=coupling, fields=fields)

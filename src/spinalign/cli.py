@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 
@@ -29,7 +28,7 @@ import numpy as np
 from .chain import ChainSpec, ParameterGrid, enumerate_targets, ground_state
 from .errors import SpinAlignError, ValidationError
 from .oracle import OracleKind, make_oracle, query_measured
-from .protocol import ProtocolConfig, build_table, lookup_chi_batch, run_protocol
+from .protocol import build_table, lookup_chi_batch, run_protocol
 from .similarity import similarity_chain
 
 THREADS_ENV_VAR = "SPINALIGN_THREADS"
@@ -68,21 +67,46 @@ class RunConfig:
         return all(getattr(self, k) == v for k, v in REFERENCE_KEYS.items())
 
 
+# The JSON types each config-file key accepts.
+_NUMBER = (int, float)
+_FILE_TYPES = {
+    "n": (int,), "j": _NUMBER, "bmin": _NUMBER, "bmax": _NUMBER, "d": (int,),
+    "seed": (int,), "eps": (list, str), "trials": (int, type(None)), "out": (str,),
+    "threads": (int,), "check": (bool,),
+}
+
+
 def _parse_eps(raw) -> tuple[float, ...]:
-    if isinstance(raw, (list, tuple)):
-        return tuple(float(e) for e in raw)
-    return tuple(float(part) for part in str(raw).split(",") if part.strip() != "")
+    parts = raw if isinstance(raw, list) else [e for e in raw.split(",") if e.strip()]
+    try:
+        eps = tuple(float(e) for e in parts)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"--eps must be a list of numbers: {exc}") from None
+    # Each noise draw spans 2·eps, which must be a finite width.
+    if not all(e >= 0.0 and math.isfinite(2.0 * e) for e in eps):
+        raise ValidationError("--eps values must be finite and non-negative")
+    return eps
 
 
 def _load_config_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # malformed JSON or text that is not UTF-8
+            raise ValidationError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValidationError("config file must hold a flat JSON object")
-    known = {f.name for f in dataclass_fields(RunConfig)}
-    unknown = set(data) - known
+    unknown = set(data) - set(_FILE_TYPES)
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in data.items():
+        if type(value) not in _FILE_TYPES[key]:
+            raise ValidationError(f"config value for {key!r} has the wrong type: {value!r}")
+        if _FILE_TYPES[key] is _NUMBER:
+            try:
+                data[key] = float(value)
+            except OverflowError:
+                raise ValidationError(f"config value for {key!r} is out of range") from None
     return data
 
 
@@ -90,7 +114,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config-file values and explicit flags (flags win)."""
     cfg = RunConfig()
     if os.environ.get(THREADS_ENV_VAR):
-        cfg = replace(cfg, threads=int(os.environ[THREADS_ENV_VAR]))
+        try:
+            cfg = replace(cfg, threads=int(os.environ[THREADS_ENV_VAR]))
+        except ValueError:
+            raise ValidationError(f"${THREADS_ENV_VAR} must be an integer") from None
     if getattr(args, "config", None):
         file_values = _load_config_file(args.config)
         if "eps" in file_values:
@@ -109,14 +136,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ValidationError("--d must be at least 1")
     if cfg.threads < 1:
         raise ValidationError("--threads must be at least 1")
+    if cfg.seed < 0:
+        raise ValidationError("--seed must be non-negative")
     return cfg
-
-
-def _parallel_map(fn, items, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items, chunksize=16))
-    return [fn(item) for item in items]
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -155,7 +177,7 @@ def _gate(ok: bool, label: str, failures: list[str]) -> None:
 # --- subcommands -------------------------------------------------------------
 
 def cmd_table(cfg: RunConfig) -> None:
-    table = build_table(cfg.grid(), cfg.candidate(), cfg.j, threads=cfg.threads)
+    table = build_table(cfg.grid(), cfg.candidate(), cfg.j)
     out = Path(cfg.out) / "fig2.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -184,16 +206,12 @@ def cmd_table(cfg: RunConfig) -> None:
 
 def cmd_sweep(cfg: RunConfig) -> None:
     candidate = cfg.candidate()
-    table = build_table(cfg.grid(), candidate, cfg.j, threads=cfg.threads)
-    targets = list(enumerate_targets(cfg.grid(), cfg.n, coupling=cfg.j))
-
-    def run_one(item):
-        target_id, spec = item
+    table = build_table(cfg.grid(), candidate, cfg.j)
+    rows = []
+    for target_id, spec in enumerate_targets(cfg.grid(), cfg.n, coupling=cfg.j):
         oracle = make_oracle(spec, OracleKind.EXACT, budget=1, seed=[cfg.seed, target_id])
-        report = run_protocol(candidate, oracle, table, ProtocolConfig())
-        return target_id, report.f_before, report.delta_f_actual
-
-    rows = _parallel_map(run_one, targets, cfg.threads)
+        report = run_protocol(candidate, oracle, table)
+        rows.append((target_id, report.f_before, report.delta_f_actual))
     out = Path(cfg.out) / "fig3.csv"
     _write_csv(out, "target_id,F,delta_F", rows)
     deltas = np.array([r[2] for r in rows])
@@ -221,7 +239,7 @@ def cmd_noise(cfg: RunConfig) -> None:
     trials = cfg.trials if cfg.trials is not None else 200
     if trials < 1:
         raise ValidationError("--trials must be at least 1")
-    table = build_table(cfg.grid(), cfg.candidate(), cfg.j, threads=cfg.threads)
+    table = build_table(cfg.grid(), cfg.candidate(), cfg.j)
     n_targets = len(table)
     # chi/F/sum_sin keyed by target id for per-target truth values.
     chi_true = np.empty(n_targets)
@@ -233,24 +251,21 @@ def cmd_noise(cfg: RunConfig) -> None:
 
     rows = []
     for eps_index, eps in enumerate(cfg.eps):
-        def trial_block(target_id: int):
+        errors = np.empty(n_targets)
+        gains = np.empty(n_targets)
+        for target_id in range(n_targets):
             rng = np.random.default_rng([cfg.seed, eps_index, target_id])
             queries = f_true[target_id] + rng.uniform(-eps, eps, size=trials)
             chi_hat = lookup_chi_batch(table, queries)
             # Gain at the looked-up angle needs only (sum_sin, F) of the truth:
             # dF(chi) = 2 sin(chi) (S cos(chi) - F sin(chi)).
-            gains = 2.0 * np.sin(chi_hat) * (
+            gains[target_id] = np.mean(2.0 * np.sin(chi_hat) * (
                 s_true[target_id] * np.cos(chi_hat)
                 - f_true[target_id] * np.sin(chi_hat)
-            )
-            errors = np.abs(chi_hat - chi_true[target_id])
-            return errors.mean(), gains.mean()
-
-        stats = _parallel_map(trial_block, range(n_targets), cfg.threads)
+            ))
+            errors[target_id] = np.abs(chi_hat - chi_true[target_id]).mean()
         # Reported on the Bloch rotation-angle scale: twice the half-angle chi.
-        mean_rotation_error = 2.0 * float(np.mean([s[0] for s in stats]))
-        mean_gain = float(np.mean([s[1] for s in stats]))
-        rows.append((eps, mean_rotation_error, mean_gain))
+        rows.append((eps, 2.0 * float(errors.mean()), float(gains.mean())))
 
     out = Path(cfg.out) / "noise.csv"
     _write_csv(out, "epsilon,mean_abs_chi_error,mean_delta_f", rows)
@@ -291,10 +306,8 @@ def cmd_measure(cfg: RunConfig) -> None:
     if trials < 1:
         raise ValidationError("--trials must be at least 1")
     candidate_state = ground_state(cfg.candidate()).state
-    targets = list(enumerate_targets(cfg.grid(), cfg.n, coupling=cfg.j))
-
-    def sample_one(item):
-        target_id, spec = item
+    rows = []
+    for target_id, spec in enumerate_targets(cfg.grid(), cfg.n, coupling=cfg.j):
         target_state = ground_state(spec).state
         f_exact, profile = similarity_chain(target_state, candidate_state)
         probs = (np.cos(profile.thetas) + 1.0) / 2.0
@@ -306,9 +319,7 @@ def cmd_measure(cfg: RunConfig) -> None:
         for shot in range(trials):
             estimates[shot], _ = query_measured(oracle, candidate_state)
         est_std = float(estimates.std(ddof=1)) if trials > 1 else 0.0
-        return target_id, f_exact, float(estimates.mean()), est_std, binomial_std
-
-    rows = _parallel_map(sample_one, targets, cfg.threads)
+        rows.append((target_id, f_exact, float(estimates.mean()), est_std, binomial_std))
     out = Path(cfg.out) / "measure.csv"
     _write_csv(out, "target_id,F_exact,F_est_mean,F_est_std,binomial_std", rows)
     worst = max(rows, key=lambda r: abs(r[3] - r[4]))

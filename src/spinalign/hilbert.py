@@ -94,9 +94,6 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def __matmul__(self, other: "Operator") -> "Operator":
-        return Operator(self.entries @ other.entries)
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -148,10 +145,6 @@ def mask_from_sites(sites: Iterable[int], n_sites: int) -> int:
             raise ValidationError(f"site index {k} outside 1..{n_sites}")
         mask |= 1 << (k - 1)
     return mask
-
-
-def sites_from_mask(mask: int, n_sites: int) -> tuple[int, ...]:
-    return tuple(k for k in range(1, n_sites + 1) if mask >> (k - 1) & 1)
 
 
 # --- operations -------------------------------------------------------------

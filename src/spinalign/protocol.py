@@ -15,13 +15,13 @@ A lookup table over all discrete targets maps an observed similarity F to
 from __future__ import annotations
 
 import io
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, ParameterGrid, enumerate_targets, ground_state
+from .chain import ChainSpec, ParameterGrid, ground_state, target_field_array
 from .errors import (
     CapacityError,
     IndeterminateOptimumError,
@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .hilbert import DENSE_SITE_CAP, Operator, apply_unitary
-from .similarity import AngleProfile, BlochVector, Z_AXIS, similarity_chain
+from .similarity import AngleProfile, BlochVector
 
 # Below this resultant length the gain is flat in χ and no optimum exists.
 _RESULTANT_FLOOR = 1e-12
@@ -38,18 +38,6 @@ _RESULTANT_FLOOR = 1e-12
 _PREFACTOR_FLOOR = 1e-12
 
 CSV_HEADER = "target_id,F,chi_opt,delta_F,sum_sin"
-
-
-@dataclass(frozen=True)
-class RotationParams:
-    """Rotation generator parameters: unit axis and half-angle χ (Bloch angle 2χ)."""
-
-    axis: BlochVector
-    chi: float
-
-    def __post_init__(self):
-        if abs(self.axis.norm - 1.0) > 1e-12:
-            raise ValidationError("rotation axis must be a unit vector")
 
 
 def global_rotation(chi: float, n_sites: int) -> Operator:
@@ -104,15 +92,20 @@ def delta_f_general(
     return float(2.0 * np.sin(chi) * total)
 
 
-def chi_opt(profile: AngleProfile) -> float:
-    """Circular-mean optimal half-angle χ = atan2(Σ sin θ, Σ cos θ)/2 in (-π/2, π/2]."""
-    s, c = profile.sum_sin, profile.sum_cos
-    if s * s + c * c < _RESULTANT_FLOOR**2:
+def _half_angle(sum_sin, sum_cos) -> np.ndarray:
+    """atan2(Σ sin θ, Σ cos θ)/2 in (-π/2, π/2], elementwise; rejects a vanishing resultant."""
+    s, c = np.asarray(sum_sin, dtype=float), np.asarray(sum_cos, dtype=float)
+    if np.any(s * s + c * c < _RESULTANT_FLOOR**2):
         raise IndeterminateOptimumError(
             "sum of sines and cosines both vanish; every angle is stationary"
         )
     chi = 0.5 * np.arctan2(s, c)
-    return float(np.pi / 2 if chi <= -np.pi / 2 else chi)
+    return np.where(chi <= -np.pi / 2, np.pi / 2, chi)
+
+
+def chi_opt(profile: AngleProfile) -> float:
+    """Circular-mean optimal half-angle χ = atan2(Σ sin θ, Σ cos θ)/2 in (-π/2, π/2]."""
+    return float(_half_angle(profile.sum_sin, profile.sum_cos))
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +123,6 @@ class LookupTable:
     chi: np.ndarray
     delta_f: np.ndarray
     sum_sin: np.ndarray
-    degenerate: np.ndarray
     grid: ParameterGrid
     candidate: ChainSpec
     n_sites: int
@@ -144,13 +136,16 @@ class LookupTable:
     # margin, so no query ties beyond the two runs around it.
     _tie_free: float = field(init=False, repr=False)
 
+    # Differences of finite F values may overflow to inf, which still orders
+    # correctly; here and in _nearest_rows the overflow is expected.
+    @np.errstate(over="ignore")
     def __post_init__(self):
-        for name in ("target_ids", "f", "chi", "delta_f", "sum_sin", "degenerate"):
+        for name in ("target_ids", "f", "chi", "delta_f", "sum_sin"):
             arr = np.array(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if not (len(self.target_ids) == len(self.f) == len(self.chi)
-                == len(self.delta_f) == len(self.sum_sin) == len(self.degenerate)):
+                == len(self.delta_f) == len(self.sum_sin)):
             raise ValidationError("table columns differ in length")
         if len(self.f) == 0:
             raise ValidationError("table is empty")
@@ -183,61 +178,37 @@ class LookupTable:
             )
 
 
-def build_table(
-    grid: ParameterGrid,
-    candidate: ChainSpec,
-    coupling: float,
-    threads: int = 1,
-) -> LookupTable:
-    """Precompute (F, χ_opt, ΔF) for every target on the grid.
+def build_table(grid: ParameterGrid, candidate: ChainSpec, coupling: float) -> LookupTable:
+    """Precompute (F, χ_opt, ΔF) for every target on the grid, in closed form.
 
-    Needs no black-box access: target ground states are solved exactly and
-    compared against the fixed candidate ground state. Site k's Bloch
-    direction depends on its own field alone (X_k + b_k Y_k is a z-rotation
-    by atan b_k of a transverse-field Ising term), so the statistics are a
-    function of the multiset of (candidate field, target field) site pairs.
-    One representative per multiset, the smallest target id, is solved and
-    its values are copied to every member: tied rows are bit-equal. Work is
-    data-parallel over representatives and does not depend on the thread
-    count.
+    Needs no black-box access and no eigensolve. X_k + b_k Y_k is
+    sqrt(1+b_k²) times X_k turned about z by atan b_k, and Z_k Z_{k+1}
+    commutes with z-rotations, so each chain is a transverse-field Ising
+    chain (unique ground state for every J) conjugated by site-wise
+    z-rotations. Site k's Bloch vector therefore lies in the xy plane at
+    angle π + atan b_k, and the signed candidate-to-target angle is
+    θ_k = atan b_t,k - atan b_c,k, which lies in (-π, π) for every N and J.
+    Each row's terms are summed in sorted order of θ, so targets with the
+    same multiset of (candidate field, target field) site pairs get
+    bit-equal rows. The statistics do not depend on ``coupling``, which is
+    only recorded on the table. Raises CapacityError before allocating when
+    the grid has more than DEFAULT_SWEEP_BUDGET targets.
     """
-    cand_state = ground_state(candidate).state
-    ids = []
-    group_of_target = []
-    group_of_key: dict[tuple, int] = {}
-    representatives = []
-    for target_id, spec in enumerate_targets(grid, candidate.n_sites, coupling=coupling):
-        key = tuple(sorted(zip(candidate.fields, spec.fields)))
-        group = group_of_key.setdefault(key, len(representatives))
-        if group == len(representatives):
-            representatives.append(spec)
-        ids.append(target_id)
-        group_of_target.append(group)
-
-    def solve(spec: ChainSpec):
-        gs = ground_state(spec)
-        f, profile = similarity_chain(gs.state, cand_state)
-        chi = chi_opt(profile)
-        return f, chi, delta_f_planar(profile.thetas, chi), profile.sum_sin, gs.degenerate
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(solve, representatives, chunksize=32))
-    else:
-        rows = [solve(spec) for spec in representatives]
-
-    ids = np.array(ids, dtype=np.int64)
-    group = np.array(group_of_target, dtype=np.int64)
-    f, chi, delta_f, sum_sin = np.array([r[:4] for r in rows])[group].T
-    degenerate = np.array([r[4] for r in rows], dtype=bool)[group]
-    order = np.lexsort((ids, f))
+    if not math.isfinite(coupling):
+        raise ValidationError("coupling must be finite")
+    fields = target_field_array(grid, candidate.n_sites)
+    thetas = np.sort(np.arctan(fields) - np.arctan(candidate.fields), axis=1)
+    f = np.cos(thetas).sum(axis=1)
+    sum_sin = np.sin(thetas).sum(axis=1)
+    chi = _half_angle(sum_sin, f)
+    delta_f = 2.0 * np.sin(chi) * np.sin(thetas - chi[:, None]).sum(axis=1)
+    order = np.lexsort((np.arange(len(f)), f))
     return LookupTable(
-        target_ids=ids[order],
+        target_ids=order,
         f=f[order],
         chi=chi[order],
         delta_f=delta_f[order],
         sum_sin=sum_sin[order],
-        degenerate=degenerate[order],
         grid=grid,
         candidate=candidate,
         n_sites=candidate.n_sites,
@@ -245,6 +216,7 @@ def build_table(
     )
 
 
+@np.errstate(over="ignore")
 def _nearest_rows(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
     """Row index of the entry nearest in F to each 1-D query; ties -> smallest target id.
 
@@ -256,7 +228,8 @@ def _nearest_rows(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
     monotone, so the rows at minimal distance are one contiguous range that
     contains one of these two runs. It reaches a further run only when the
     rounding error of |q| + max|F| covers the smallest gap between distinct
-    F values (see ``_tie_free``); such queries fall back to a full scan.
+    F values (see ``_tie_free``) or a distance overflows to inf; such
+    queries fall back to a full scan.
     """
     q = np.asarray(f_queries, dtype=float)
     if not np.isfinite(q).all():
@@ -298,29 +271,11 @@ def lookup_chi_batch(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ProtocolConfig:
-    """Runner knobs: query budget M, rotation axis (±z only), noise and seeding."""
-
-    max_queries: int = 1
-    axis: BlochVector = field(default_factory=lambda: Z_AXIS)
-    oracle_kind: str = "exact"
-    epsilon: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_queries < 1:
-            raise ValidationError("max_queries must be at least 1")
-        a = self.axis
-        if abs(a.x) > 1e-12 or abs(a.y) > 1e-12 or abs(abs(a.z) - 1.0) > 1e-12:
-            raise ValidationError("only the ±z rotation axis is supported")
-
-
-@dataclass(frozen=True)
 class ProtocolReport:
     """Outcome of one protocol run; delta_f_actual is exactly f_after - f_before."""
 
     f_before: float
-    chi_applied: float
+    chi: float
     f_after: float
     delta_f_analytic: float
     delta_f_actual: float
@@ -331,7 +286,6 @@ def run_protocol(
     candidate: ChainSpec,
     oracle,
     table: LookupTable,
-    config: ProtocolConfig = ProtocolConfig(),
 ) -> ProtocolReport:
     """Single-query strategy: ask for F, look up χ_opt, rotate, report.
 
@@ -345,13 +299,11 @@ def run_protocol(
     f_before = float(oracle.query(cand_state))
     row = int(_nearest_rows(table, np.array([f_before]))[0])
     chi = float(table.chi[row])
-    # Rotating about -z by -chi realizes the same Bloch rotation as +z by chi.
-    chi_applied = chi if config.axis.z > 0 else -chi
     rotated = apply_unitary(global_rotation(chi, candidate.n_sites), cand_state)
     f_after = float(oracle.verification_query(rotated))
     return ProtocolReport(
         f_before=f_before,
-        chi_applied=chi_applied,
+        chi=chi,
         f_after=f_after,
         delta_f_analytic=float(table.delta_f[row]),
         delta_f_actual=f_after - f_before,

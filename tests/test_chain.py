@@ -165,6 +165,22 @@ class TestSpecsAndGrids:
         with pytest.raises(ValidationError):
             ParameterGrid(0.5, -0.5, 5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coupling_and_fields_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            ChainSpec(2, bad, (0.0, 0.0))
+        with pytest.raises(ValidationError):
+            ChainSpec(2, 1.0, (0.0, bad))
+
+    @pytest.mark.parametrize(
+        "b_min, b_max, levels",
+        [(np.nan, 0.5, 1), (-0.5, np.nan, 5), (-np.inf, 0.5, 5), (-0.5, np.inf, 5),
+         (-1.7e308, 1.7e308, 5)],
+    )
+    def test_non_finite_grid_rejected(self, b_min, b_max, levels):
+        with pytest.raises(ValidationError):
+            ParameterGrid(b_min, b_max, levels)
+
 
 def test_sweep_eigen_residuals(study):
     assert np.max(study.residuals) < 1e-9

@@ -1,7 +1,16 @@
+import contextlib
+import dataclasses
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinalign.cli import (
     RunConfig,
@@ -161,3 +170,61 @@ class TestExitCodes:
         code = main(["measure", "--n", "2", "--d", "2", "--trials", "30",
                      "--seed", "0", "--check", "--out", str(tmp_path)])
         assert code == 3
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+class TestInvalidInputEndsInOneErrorLine:
+    @pytest.mark.parametrize(
+        "argv, env, config",
+        [
+            (["table", "--j", "nan"], {}, None),
+            (["table", "--j", "inf"], {}, None),
+            (["table", "--bmin", "nan", "--d", "1"], {}, None),
+            (["noise", "--eps", "abc"], {}, None),
+            (["table"], {THREADS_ENV_VAR: "abc"}, None),
+            (["table"], {}, '{"n": "4"}'),
+            (["table"], {}, '{"threads": "x"}'),
+            (["table"], {}, '{"n": 4'),
+        ],
+        ids=["j-nan", "j-inf", "bmin-nan", "eps-abc", "env-threads-abc",
+             "config-n-str", "config-threads-str", "config-malformed"],
+    )
+    def test_exits_one_without_traceback(self, tmp_path, argv, env, config):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config)
+            argv = argv + ["--config", str(tmp_path / "cfg.json")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinalign", *argv, "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(SRC), **env},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert not (tmp_path / "out").exists()
+
+
+_JSON_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)
+)
+_JSON_VALUE = st.one_of(_JSON_SCALAR, st.lists(_JSON_SCALAR, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.dictionaries(
+    st.sampled_from([f.name for f in dataclasses.fields(RunConfig)]), _JSON_VALUE,
+    max_size=4,
+))
+def test_fuzz_config_file_values(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_file = Path(tmp) / "cfg.json"
+        cfg_file.write_text(json.dumps(values))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["table", "--n", "2", "--d", "2", "--out", str(Path(tmp) / "out"),
+                         "--config", str(cfg_file)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in stderr.getvalue()

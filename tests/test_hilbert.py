@@ -51,7 +51,7 @@ class TestSiteOperator:
 
     def test_involution(self):
         z2 = site_operator("Z", 2, 2)
-        assert np.allclose((z2 @ z2).entries, np.eye(4))
+        assert np.allclose(z2.entries @ z2.entries, np.eye(4))
 
     def test_traceless(self):
         assert abs(np.trace(site_operator("Y", 3, 4).entries)) == 0

@@ -1,15 +1,18 @@
 """Nearest-F lookup and the lookup table's canonical ties.
 
 The binary-search lookup is tied to the original Q×T brute-force search,
-kept here as the oracle, and the one-solve-per-multiset table is tied to
-per-target exact diagonalization.
+kept here as the oracle, and the closed-form table is tied to per-target
+exact diagonalization.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinalign import (
+    CapacityError,
     ChainSpec,
     LookupTable,
     ParameterGrid,
@@ -31,7 +34,8 @@ from conftest import CANDIDATE, GRID
 
 def brute_force_nearest_rows(table: LookupTable, f_queries) -> np.ndarray:
     """Q×T reference: all distances, then the smallest id at the minimum."""
-    d = np.abs(table.f[None, :] - np.asarray(f_queries, dtype=float)[:, None])
+    with np.errstate(over="ignore"):  # distances between finite floats may be inf
+        d = np.abs(table.f[None, :] - np.asarray(f_queries, dtype=float)[:, None])
     d_min = d.min(axis=1, keepdims=True)
     big = len(table) + int(table.target_ids.max()) + 1
     tid_or_big = np.where(d == d_min, table.target_ids[None, :], big)
@@ -49,7 +53,6 @@ def _table(f, ids) -> LookupTable:
         chi=np.arange(n) / 10.0,
         delta_f=np.zeros(n),
         sum_sin=np.zeros(n),
-        degenerate=np.zeros(n, dtype=bool),
         grid=ParameterGrid(-0.5, 0.5, 3),
         candidate=ChainSpec(2, 1.0, (-0.5, -0.5)),
         n_sites=2,
@@ -118,9 +121,16 @@ class TestMatchesBruteForce:
         # Both distances overflow to inf although the gap between the runs
         # is far above any rounding error.
         toy = _table([-1.7e308, -1e308], [0, 1])
-        with np.errstate(over="ignore"):
-            rows = protocol._nearest_rows(toy, np.array([1.7e308]))
+        rows = protocol._nearest_rows(toy, np.array([1.7e308]))
         assert list(toy.target_ids[rows]) == [0]
+
+    def test_overflow_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            toy = _table([-1e308, 1e308], [1, 0])
+            queries = np.array([-1.7e308, np.nextafter(-1.7e308, 0.0)])
+            rows = protocol._nearest_rows(toy, queries)
+        assert list(toy.target_ids[rows]) == [1, 1]
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
@@ -168,7 +178,7 @@ class TestCanonicalTies:
 
         monkeypatch.setattr(protocol, "ground_state", counting)
         build_table(GRID, CANDIDATE, 1.0)
-        assert len(calls) <= 71  # 70 representatives plus the candidate
+        assert calls == []  # the closed form needs no eigensolve at all
 
     @pytest.mark.parametrize(
         "candidate, grid",
@@ -197,6 +207,36 @@ class TestCanonicalTies:
                 delta_f_planar(profile.thetas, chi), abs=1e-12
             )
             assert table.sum_sin[row] == pytest.approx(profile.sum_sin, abs=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_property_closed_form_matches_exact_diagonalization(self, data):
+        n = data.draw(st.integers(2, 6), label="n")
+        coupling = data.draw(st.floats(-5.0, 5.0), label="J")
+        field = st.floats(-3.0, 3.0)
+        candidate = ChainSpec(n, coupling, data.draw(st.lists(field, min_size=n, max_size=n)))
+        b_min, b_max = sorted(data.draw(st.lists(field, min_size=2, max_size=2)))
+        levels = data.draw(st.integers(1, 3 if n <= 3 else 2), label="levels")
+        grid = ParameterGrid(b_min, b_max, levels if b_min < b_max else 1)
+        table = build_table(grid, candidate, coupling)
+        cand_state = ground_state(candidate).state
+        row_of = {int(t): i for i, t in enumerate(table.target_ids)}
+        for tid, spec in enumerate_targets(grid, n, coupling=coupling):
+            f, profile = similarity_chain(ground_state(spec).state, cand_state)
+            chi = chi_opt(profile)
+            row = row_of[tid]
+            got = (table.f[row], table.delta_f[row], table.sum_sin[row])
+            want = (f, delta_f_planar(profile.thetas, chi), profile.sum_sin)
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-12, (tid, got, want)
+            # χ and χ - π give the same rotation. Where Σ sin θ = 0 and
+            # Σ cos θ < 0, rounding can put the eigensolver's χ just above
+            # -π/2 while the closed form gives π/2.
+            chi_gap = (table.chi[row] - chi + np.pi / 2) % np.pi - np.pi / 2
+            assert abs(chi_gap) <= 1e-12, (tid, table.chi[row], chi)
+
+    def test_over_budget_grid_rejected(self):
+        with pytest.raises(CapacityError):
+            build_table(ParameterGrid(0.0, 1.0, 10), ChainSpec(7, 1.0, (0.0,) * 7), 1.0)
 
     def test_noise_at_zero_epsilon_is_exactly_zero(self, tmp_path):
         assert main(["noise", "--eps", "0", "--trials", "3", "--out", str(tmp_path)]) == 0
