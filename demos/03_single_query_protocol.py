@@ -27,8 +27,8 @@ def main():
     print("=" * 64)
     print("1. Precomputing the lookup table (no black-box resources)")
     print("=" * 64)
-    table = build_table(GRID, CANDIDATE, coupling=1.0)
-    print(f"{len(table)} targets solved; columns sorted by F")
+    table = build_table(GRID, CANDIDATE)
+    print(f"{len(table)} targets tabulated; columns sorted by F")
     print("   F            chi_opt       dF at chi_opt")
     for i in range(0, len(table), 125):
         print(f"  {table.f[i]:.6f}     {table.chi[i]:.6f}      {table.delta_f[i]:.6f}")

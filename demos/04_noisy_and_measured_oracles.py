@@ -27,7 +27,7 @@ CANDIDATE = ChainSpec(4, 1.0, (-0.5,) * 4)
 
 
 def main():
-    table = build_table(GRID, CANDIDATE, coupling=1.0)
+    table = build_table(GRID, CANDIDATE)
     chi_by_tid = np.empty(len(table))
     chi_by_tid[table.target_ids] = table.chi
     f_by_tid = np.empty(len(table))

@@ -60,6 +60,7 @@ from .protocol import (
     lookup_chi,
     lookup_chi_batch,
     run_protocol,
+    target_angles,
 )
 from .similarity import (
     AngleProfile,

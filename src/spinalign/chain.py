@@ -104,8 +104,8 @@ def ground_state(spec: ChainSpec) -> GroundState:
 def product_ground_bloch(b: float) -> BlochVector:
     """Ground-state Bloch vector -(1, b, 0)/sqrt(1+b²) of a single site X + bY.
 
-    This is the J -> 0 limit in which the chain ground state factorizes into
-    single-site ground states.
+    Its direction is exact for site k of a chain at every J (see
+    ``protocol.target_angles``); only the unit length is the J -> 0 value.
     """
     s = math.sqrt(1.0 + b * b)
     return BlochVector(-1.0 / s, -b / s, 0.0)

@@ -25,11 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import ChainSpec, ParameterGrid, enumerate_targets, ground_state
+from .chain import (DEFAULT_SWEEP_BUDGET, ChainSpec, ParameterGrid, enumerate_targets,
+                    ground_state)
 from .errors import SpinAlignError, ValidationError
 from .oracle import OracleKind, make_oracle, query_measured
-from .protocol import build_table, lookup_chi_batch, run_protocol
-from .similarity import similarity_chain
+from .protocol import build_table, lookup_chi_batch, run_protocol, target_angles
 
 THREADS_ENV_VAR = "SPINALIGN_THREADS"
 
@@ -130,8 +130,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             overrides[f.name] = _parse_eps(value) if f.name == "eps" else value
     if overrides:
         cfg = replace(cfg, **overrides)
-    if cfg.n < 2:
-        raise ValidationError("--n must be at least 2")
+    # A chain holds n field values, so n beyond the sweep budget cannot be built.
+    if not 2 <= cfg.n <= DEFAULT_SWEEP_BUDGET:
+        raise ValidationError(f"--n must be between 2 and {DEFAULT_SWEEP_BUDGET}")
     if cfg.d < 1:
         raise ValidationError("--d must be at least 1")
     if cfg.threads < 1:
@@ -177,7 +178,7 @@ def _gate(ok: bool, label: str, failures: list[str]) -> None:
 # --- subcommands -------------------------------------------------------------
 
 def cmd_table(cfg: RunConfig) -> None:
-    table = build_table(cfg.grid(), cfg.candidate(), cfg.j)
+    table = build_table(cfg.grid(), cfg.candidate())
     out = Path(cfg.out) / "fig2.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -206,7 +207,7 @@ def cmd_table(cfg: RunConfig) -> None:
 
 def cmd_sweep(cfg: RunConfig) -> None:
     candidate = cfg.candidate()
-    table = build_table(cfg.grid(), candidate, cfg.j)
+    table = build_table(cfg.grid(), candidate)
     rows = []
     for target_id, spec in enumerate_targets(cfg.grid(), cfg.n, coupling=cfg.j):
         oracle = make_oracle(spec, OracleKind.EXACT, budget=1, seed=[cfg.seed, target_id])
@@ -239,7 +240,7 @@ def cmd_noise(cfg: RunConfig) -> None:
     trials = cfg.trials if cfg.trials is not None else 200
     if trials < 1:
         raise ValidationError("--trials must be at least 1")
-    table = build_table(cfg.grid(), cfg.candidate(), cfg.j)
+    table = build_table(cfg.grid(), cfg.candidate())
     n_targets = len(table)
     # chi/F/sum_sin keyed by target id for per-target truth values.
     chi_true = np.empty(n_targets)
@@ -306,12 +307,12 @@ def cmd_measure(cfg: RunConfig) -> None:
     if trials < 1:
         raise ValidationError("--trials must be at least 1")
     candidate_state = ground_state(cfg.candidate()).state
+    cos_thetas = np.cos(target_angles(cfg.grid(), cfg.candidate()))
+    f_exact = cos_thetas.sum(axis=1)
+    probs = (cos_thetas + 1.0) / 2.0
+    binomial_std = 2.0 * np.sqrt(np.sum(probs * (1.0 - probs), axis=1))
     rows = []
     for target_id, spec in enumerate_targets(cfg.grid(), cfg.n, coupling=cfg.j):
-        target_state = ground_state(spec).state
-        f_exact, profile = similarity_chain(target_state, candidate_state)
-        probs = (np.cos(profile.thetas) + 1.0) / 2.0
-        binomial_std = 2.0 * math.sqrt(float(np.sum(probs * (1.0 - probs))))
         oracle = make_oracle(
             spec, OracleKind.MEASURED, budget=trials, seed=[cfg.seed, target_id]
         )
@@ -319,7 +320,8 @@ def cmd_measure(cfg: RunConfig) -> None:
         for shot in range(trials):
             estimates[shot], _ = query_measured(oracle, candidate_state)
         est_std = float(estimates.std(ddof=1)) if trials > 1 else 0.0
-        rows.append((target_id, f_exact, float(estimates.mean()), est_std, binomial_std))
+        rows.append((target_id, f_exact[target_id], float(estimates.mean()), est_std,
+                     binomial_std[target_id]))
     out = Path(cfg.out) / "measure.csv"
     _write_csv(out, "target_id,F_exact,F_est_mean,F_est_std,binomial_std", rows)
     worst = max(rows, key=lambda r: abs(r[3] - r[4]))

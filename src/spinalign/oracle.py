@@ -1,11 +1,11 @@
 """Black-box similarity oracles with strict information hiding.
 
-An oracle is constructed from a target chain spec, solves the target ground
-state once, and afterwards answers only similarity queries: the exact value,
-a bounded uniformly-noisy value, or a single-shot projective-measurement
-estimate. The hidden state and field values are never exposed; the public
-surface is the behavior kind, the remaining budget, a fingerprint of the
-construction parameters, and the query operations.
+An oracle is constructed from a target chain spec, stores each site's
+closed-form target Bloch direction, and afterwards answers only similarity
+queries: the exact value, a bounded uniformly-noisy value, or a single-shot
+projective-measurement estimate. The target's fields are never exposed;
+the public surface is the behavior kind, the remaining budget, a
+fingerprint of the construction parameters, and the query operations.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, ground_state
+from .chain import ChainSpec, product_ground_bloch
 from .errors import QueryBudgetError, ValidationError
-from .hilbert import StateVector, partial_trace
+from .hilbert import PAULI, DensityMatrix, StateVector, partial_trace
 from .similarity import cos_theta
 
 
@@ -53,9 +53,10 @@ class Oracle:
         self._epsilon = float(epsilon)
         self._budget = int(budget)
         self._rng = np.random.default_rng(seed)
-        gs = ground_state(target)
+        # Pure states along the site directions; cos_theta ignores the Bloch length.
         self._target_rhos = tuple(
-            partial_trace(gs.state, 1 << k) for k in range(target.n_sites)
+            DensityMatrix((PAULI["I"] + v.x * PAULI["X"] + v.y * PAULI["Y"]) / 2.0)
+            for v in map(product_ground_bloch, target.fields)
         )
         self._n_sites = target.n_sites
         # Per-site Bernoulli probabilities are cached per candidate object so
@@ -170,5 +171,5 @@ def make_oracle(
     seed: int = 0,
     epsilon: float = 0.0,
 ) -> Oracle:
-    """Program a target into a fresh black box; the state is solved once here."""
+    """Program a target into a fresh black box; its site directions are fixed here."""
     return Oracle(target, kind, budget, seed, epsilon)

@@ -15,7 +15,6 @@ A lookup table over all discrete targets maps an observed similarity F to
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -123,10 +122,7 @@ class LookupTable:
     chi: np.ndarray
     delta_f: np.ndarray
     sum_sin: np.ndarray
-    grid: ParameterGrid
     candidate: ChainSpec
-    n_sites: int
-    coupling: float
     # Runs of equal F: their F, first row and that row's (smallest) target id.
     _run_f: np.ndarray = field(init=False, repr=False)
     _run_row: np.ndarray = field(init=False, repr=False)
@@ -178,26 +174,28 @@ class LookupTable:
             )
 
 
-def build_table(grid: ParameterGrid, candidate: ChainSpec, coupling: float) -> LookupTable:
-    """Precompute (F, χ_opt, ΔF) for every target on the grid, in closed form.
+def target_angles(grid: ParameterGrid, candidate: ChainSpec) -> np.ndarray:
+    """Signed candidate-to-target angles θ of every target, shape (D^N, N), row = target id.
 
-    Needs no black-box access and no eigensolve. X_k + b_k Y_k is
-    sqrt(1+b_k²) times X_k turned about z by atan b_k, and Z_k Z_{k+1}
-    commutes with z-rotations, so each chain is a transverse-field Ising
-    chain (unique ground state for every J) conjugated by site-wise
+    X_k + b_k Y_k is sqrt(1+b_k²) times X_k turned about z by atan b_k, and
+    Z_k Z_{k+1} commutes with z-rotations, so each chain is a transverse-field
+    Ising chain (unique ground state for every J) conjugated by site-wise
     z-rotations. Site k's Bloch vector therefore lies in the xy plane at
-    angle π + atan b_k, and the signed candidate-to-target angle is
-    θ_k = atan b_t,k - atan b_c,k, which lies in (-π, π) for every N and J.
-    Each row's terms are summed in sorted order of θ, so targets with the
-    same multiset of (candidate field, target field) site pairs get
-    bit-equal rows. The statistics do not depend on ``coupling``, which is
-    only recorded on the table. Raises CapacityError before allocating when
-    the grid has more than DEFAULT_SWEEP_BUDGET targets.
+    angle π + atan b_k, and θ_k = atan b_t,k - atan b_c,k lies in (-π, π)
+    for every N and J, with no eigensolve. Raises CapacityError before
+    allocating when the grid has more than DEFAULT_SWEEP_BUDGET targets.
     """
-    if not math.isfinite(coupling):
-        raise ValidationError("coupling must be finite")
     fields = target_field_array(grid, candidate.n_sites)
-    thetas = np.sort(np.arctan(fields) - np.arctan(candidate.fields), axis=1)
+    return np.arctan(fields) - np.arctan(candidate.fields)
+
+
+def build_table(grid: ParameterGrid, candidate: ChainSpec) -> LookupTable:
+    """Precompute (F, χ_opt, ΔF) for every target on the grid from :func:`target_angles`.
+
+    Rows are summed in sorted θ order, so targets with the same multiset of
+    (candidate field, target field) site pairs get bit-equal rows.
+    """
+    thetas = np.sort(target_angles(grid, candidate), axis=1)
     f = np.cos(thetas).sum(axis=1)
     sum_sin = np.sin(thetas).sum(axis=1)
     chi = _half_angle(sum_sin, f)
@@ -209,10 +207,7 @@ def build_table(grid: ParameterGrid, candidate: ChainSpec, coupling: float) -> L
         chi=chi[order],
         delta_f=delta_f[order],
         sum_sin=sum_sin[order],
-        grid=grid,
         candidate=candidate,
-        n_sites=candidate.n_sites,
-        coupling=coupling,
     )
 
 

@@ -45,13 +45,13 @@ def candidate_state():
 
 @pytest.fixture(scope="session")
 def table():
-    return build_table(GRID, CANDIDATE, COUPLING)
+    return build_table(GRID, CANDIDATE)
 
 
 @pytest.fixture(scope="session")
 def table_j0():
     candidate = ChainSpec(N_SITES, 0.0, (-0.5,) * N_SITES)
-    return build_table(GRID, candidate, 0.0)
+    return build_table(GRID, candidate)
 
 
 @pytest.fixture(scope="session")

@@ -44,7 +44,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_mean_gain_and_runtime():
     t0 = time.perf_counter()
-    table = build_table(GRID, CANDIDATE, COUPLING)
+    table = build_table(GRID, CANDIDATE)
     deltas = []
     for target_id, spec in enumerate_targets(GRID, N_SITES, coupling=COUPLING):
         oracle = make_oracle(spec, OracleKind.EXACT, budget=1, seed=[DEFAULT_SEED, target_id])

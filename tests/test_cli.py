@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinalign import cli
 from spinalign.cli import (
     RunConfig,
     THREADS_ENV_VAR,
@@ -148,6 +149,19 @@ class TestMeasureCommand:
         b = (tmp_path / "b" / "measure.csv").read_bytes()
         assert a == b
 
+    def test_solves_only_the_candidate(self, tmp_path, monkeypatch):
+        solved = []
+        original = cli.ground_state
+
+        def counting(spec):
+            solved.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(cli, "ground_state", counting)
+        args = ["measure", "--n", "3", "--d", "2", "--trials", "5", "--out", str(tmp_path)]
+        assert main(args) == 0
+        assert solved == [RunConfig(n=3, d=2).candidate()]
+
 
 class TestExitCodes:
     def test_validation_error_is_one(self, tmp_path):
@@ -187,9 +201,10 @@ class TestInvalidInputEndsInOneErrorLine:
             (["table"], {}, '{"n": "4"}'),
             (["table"], {}, '{"threads": "x"}'),
             (["table"], {}, '{"n": 4'),
+            (["table", "--n", "100000000000000000000"], {}, None),
         ],
         ids=["j-nan", "j-inf", "bmin-nan", "eps-abc", "env-threads-abc",
-             "config-n-str", "config-threads-str", "config-malformed"],
+             "config-n-str", "config-threads-str", "config-malformed", "n-huge"],
     )
     def test_exits_one_without_traceback(self, tmp_path, argv, env, config):
         if config is not None:

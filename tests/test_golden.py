@@ -1,12 +1,15 @@
 """Golden outputs of the reference study.
 
-``tests/golden/`` holds ``fig2.csv`` (the reference table) and ``noise.csv``
-(seed 30, eps 0,0.05,0.1, 200 trials). A run must reproduce the header and
-the key column row for row, and every value at 1e-12 absolute. Regenerate
-the files only for a change meant to alter the outputs:
+``tests/golden/`` holds ``fig2.csv`` (the reference table), ``fig3.csv``
+(the reference sweep), ``noise.csv`` (seed 30, eps 0,0.05,0.1, 200 trials)
+and ``measure.csv`` (seed 30, 300 shots per target). A run must reproduce
+the header and the key column row for row, and every value at 1e-12
+absolute. Regenerate the files only for a change meant to alter the outputs:
 
     spinalign table --out tests/golden
+    spinalign sweep --out tests/golden
     spinalign noise --out tests/golden --eps 0,0.05,0.1 --trials 200 --seed 30
+    spinalign measure --out tests/golden --trials 300 --seed 30
 """
 
 from pathlib import Path
@@ -29,6 +32,8 @@ def _read(path: Path):
     [
         (["table"], "fig2.csv"),
         (["noise", "--eps", "0,0.05,0.1", "--trials", "200", "--seed", "30"], "noise.csv"),
+        (["sweep"], "fig3.csv"),
+        (["measure", "--trials", "300", "--seed", "30"], "measure.csv"),
     ],
 )
 def test_reference_output_matches_golden(tmp_path, argv, name):

@@ -53,10 +53,7 @@ def _table(f, ids) -> LookupTable:
         chi=np.arange(n) / 10.0,
         delta_f=np.zeros(n),
         sum_sin=np.zeros(n),
-        grid=ParameterGrid(-0.5, 0.5, 3),
         candidate=ChainSpec(2, 1.0, (-0.5, -0.5)),
-        n_sites=2,
-        coupling=1.0,
     )
 
 
@@ -177,7 +174,7 @@ class TestCanonicalTies:
             return ground_state(spec)
 
         monkeypatch.setattr(protocol, "ground_state", counting)
-        build_table(GRID, CANDIDATE, 1.0)
+        build_table(GRID, CANDIDATE)
         assert calls == []  # the closed form needs no eigensolve at all
 
     @pytest.mark.parametrize(
@@ -194,7 +191,7 @@ class TestCanonicalTies:
     )
     def test_matches_per_target_exact_diagonalization(self, candidate, grid):
         coupling = candidate.coupling
-        table = build_table(grid, candidate, coupling)
+        table = build_table(grid, candidate)
         cand_state = ground_state(candidate).state
         row_of = {int(t): i for i, t in enumerate(table.target_ids)}
         for tid, spec in enumerate_targets(grid, candidate.n_sites, coupling=coupling):
@@ -218,7 +215,7 @@ class TestCanonicalTies:
         b_min, b_max = sorted(data.draw(st.lists(field, min_size=2, max_size=2)))
         levels = data.draw(st.integers(1, 3 if n <= 3 else 2), label="levels")
         grid = ParameterGrid(b_min, b_max, levels if b_min < b_max else 1)
-        table = build_table(grid, candidate, coupling)
+        table = build_table(grid, candidate)
         cand_state = ground_state(candidate).state
         row_of = {int(t): i for i, t in enumerate(table.target_ids)}
         for tid, spec in enumerate_targets(grid, n, coupling=coupling):
@@ -236,7 +233,7 @@ class TestCanonicalTies:
 
     def test_over_budget_grid_rejected(self):
         with pytest.raises(CapacityError):
-            build_table(ParameterGrid(0.0, 1.0, 10), ChainSpec(7, 1.0, (0.0,) * 7), 1.0)
+            build_table(ParameterGrid(0.0, 1.0, 10), ChainSpec(7, 1.0, (0.0,) * 7))
 
     def test_noise_at_zero_epsilon_is_exactly_zero(self, tmp_path):
         assert main(["noise", "--eps", "0", "--trials", "3", "--out", str(tmp_path)]) == 0

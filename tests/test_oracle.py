@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinalign import (
     ChainSpec,
@@ -7,12 +8,15 @@ from spinalign import (
     OracleKind,
     QueryBudgetError,
     ValidationError,
+    apply_unitary,
+    global_rotation,
     ground_state,
     make_oracle,
     product_state,
     query_exact,
     query_measured,
     query_noisy,
+    similarity_chain,
 )
 
 TARGET = ChainSpec(4, 1.0, (0.5,) * 4)
@@ -181,3 +185,31 @@ def test_make_oracle_validates_inputs():
         make_oracle(TARGET, OracleKind.EXACT, budget=-1)
     with pytest.raises(ValidationError):
         make_oracle(TARGET, OracleKind.NOISY, budget=1, epsilon=-0.1)
+
+
+class TestClosedFormTarget:
+    def test_oracle_makes_no_eigensolve(self, candidate_j1, monkeypatch):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("the oracle must not diagonalize the target")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        oracle = make_oracle(TARGET, OracleKind.MEASURED, budget=1, seed=0)
+        oracle.verification_query(candidate_j1)
+        query_measured(oracle, candidate_j1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_property_matches_exact_diagonalization(self, data):
+        n = data.draw(st.integers(2, 6), label="n")
+        coupling = st.floats(-5.0, 5.0)
+        fields = st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)
+        target = ChainSpec(n, data.draw(coupling, label="J"), data.draw(fields, label="b_t"))
+        candidate = ground_state(
+            ChainSpec(n, data.draw(coupling, label="J_c"), data.draw(fields, label="b_c"))
+        ).state
+        chi = data.draw(st.floats(-np.pi, np.pi), label="chi")
+        oracle = make_oracle(target)
+        target_state = ground_state(target).state
+        for c in (candidate, apply_unitary(global_rotation(chi, n), candidate)):
+            want = similarity_chain(target_state, c)[0]
+            assert abs(oracle.verification_query(c) - want) <= 1e-12

@@ -11,7 +11,6 @@ from spinalign import (
     IndeterminateOptimumError,
     LookupTable,
     OracleKind,
-    ParameterGrid,
     QueryBudgetError,
     StateVector,
     ValidationError,
@@ -242,10 +241,7 @@ def _toy_table():
         chi=np.array([0.1, 0.2, 0.3]),
         delta_f=np.zeros(3),
         sum_sin=np.zeros(3),
-        grid=ParameterGrid(-0.5, 0.5, 3),
         candidate=ChainSpec(2, 1.0, (-0.5, -0.5)),
-        n_sites=2,
-        coupling=1.0,
     )
 
 
