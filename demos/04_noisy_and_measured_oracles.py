@@ -5,7 +5,8 @@ A noisy box replies F' = F + u with u uniform on (-eps, eps); the lookup
 then lands on a nearby table entry and the applied rotation angle is
 slightly wrong. A measurement box replies with one projective shot per
 site, F_est = 2 sum(m_k) - N, an unbiased estimate whose spread follows the
-binomial formula and stays below sqrt(N).
+binomial formula and stays below sqrt(N). `Oracle.sample` draws many such
+shots in one call, on the same random stream as shot-by-shot queries.
 """
 
 import numpy as np
@@ -58,10 +59,11 @@ def main():
     shots = 4000
     oracle = make_oracle(hidden, OracleKind.MEASURED, budget=shots, seed=7)
     estimates = np.empty(shots)
-    for i in range(shots):
+    for i in range(3):
         estimates[i], record = query_measured(oracle, candidate_state)
-        if i < 3:
-            print(f"  shot {i}: outcomes m = {record.bits}  ->  F_est = {record.f_estimate:+.0f}")
+        print(f"  shot {i}: outcomes m = {record.bits}  ->  F_est = {record.f_estimate:+.0f}")
+    # The rest in one draw: the same stream, so the same values as more shot-by-shot queries.
+    estimates[3:] = oracle.sample(candidate_state, shots - 3)
 
     f_exact, profile = similarity_chain(ground_state(hidden).state, candidate_state)
     probs = (np.cos(profile.thetas) + 1.0) / 2.0

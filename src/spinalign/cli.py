@@ -28,7 +28,7 @@ import numpy as np
 from .chain import (DEFAULT_SWEEP_BUDGET, ChainSpec, ParameterGrid, enumerate_targets,
                     ground_state)
 from .errors import SpinAlignError, ValidationError
-from .oracle import OracleKind, make_oracle, query_measured
+from .oracle import OracleKind, make_oracle
 from .protocol import build_table, lookup_chi_batch, run_protocol, target_angles
 
 THREADS_ENV_VAR = "SPINALIGN_THREADS"
@@ -316,9 +316,7 @@ def cmd_measure(cfg: RunConfig) -> None:
         oracle = make_oracle(
             spec, OracleKind.MEASURED, budget=trials, seed=[cfg.seed, target_id]
         )
-        estimates = np.empty(trials)
-        for shot in range(trials):
-            estimates[shot], _ = query_measured(oracle, candidate_state)
+        estimates = oracle.sample(candidate_state, trials)
         est_std = float(estimates.std(ddof=1)) if trials > 1 else 0.0
         rows.append((target_id, f_exact[target_id], float(estimates.mean()), est_std,
                      binomial_std[target_id]))

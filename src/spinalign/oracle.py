@@ -59,8 +59,6 @@ class Oracle:
             for v in map(product_ground_bloch, target.fields)
         )
         self._n_sites = target.n_sites
-        # Per-site Bernoulli probabilities are cached per candidate object so
-        # repeated shots against the same state stay cheap.
         self._cached_state: StateVector | None = None
         self._cached_probs: np.ndarray | None = None
         digest = hashlib.sha256(
@@ -86,10 +84,12 @@ class Oracle:
         """Hash of the construction parameters; reveals nothing about the target."""
         return self._fingerprint
 
-    def _charge(self) -> None:
-        if self._budget < 1:
-            raise QueryBudgetError("oracle query budget exhausted")
-        self._budget -= 1
+    def _charge(self, count: int = 1) -> None:
+        if self._budget < count:
+            raise QueryBudgetError(
+                f"oracle query budget exhausted: {count} requested, {self._budget} left"
+            )
+        self._budget -= count
 
     def _validate_candidate(self, candidate: StateVector) -> None:
         if candidate.n_sites != self._n_sites:
@@ -118,6 +118,34 @@ class Oracle:
     def verification_query(self, candidate: StateVector) -> float:
         """Diagnostic exact similarity; unbudgeted, for reporting only."""
         return self._exact_f(candidate)
+
+    def sample(self, candidate: StateVector, shots: int) -> np.ndarray:
+        """F estimates of ``shots`` consecutive :func:`query_measured` calls, in one draw.
+
+        The whole count is charged at once; a count above the remaining
+        budget is rejected before anything is charged or drawn.
+        """
+        if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 0:
+            raise ValidationError(f"shots must be a non-negative integer, got {shots!r}")
+        bits = self._measure(candidate, int(shots))
+        return (2 * bits.sum(axis=1) - self._n_sites).astype(float)
+
+    def _measure(self, candidate: StateVector, shots: int) -> np.ndarray:
+        """Boolean (shots, N) outcomes m_k ~ Bernoulli((cos θ_k + 1)/2); the one sampling path.
+
+        One rng.random((shots, N)) draw consumes the stream exactly as
+        ``shots`` successive rng.random(N) draws do.
+        """
+        if self._kind is not OracleKind.MEASURED:
+            raise ValidationError(f"oracle kind is {self._kind.value}, not measured")
+        self._validate_candidate(candidate)
+        self._charge(shots)
+        # Per-site probabilities are cached per candidate object so repeated
+        # shots against the same state stay cheap.
+        if self._cached_state is not candidate:
+            self._cached_probs = (self._cos_thetas(candidate) + 1.0) / 2.0
+            self._cached_state = candidate
+        return self._rng.random((shots, self._n_sites)) < self._cached_probs
 
 
 def query_exact(oracle: Oracle, candidate: StateVector) -> float:
@@ -148,17 +176,7 @@ def query_measured(oracle: Oracle, candidate: StateVector) -> tuple[float, Measu
     coincide with physical single-copy measurement statistics in the weakly
     coupled limit where the chain state factorizes.
     """
-    if oracle.kind is not OracleKind.MEASURED:
-        raise ValidationError(f"oracle kind is {oracle.kind.value}, not measured")
-    oracle._validate_candidate(candidate)
-    oracle._charge()
-    if oracle._cached_state is candidate:
-        probs = oracle._cached_probs
-    else:
-        probs = (oracle._cos_thetas(candidate) + 1.0) / 2.0
-        oracle._cached_state = candidate
-        oracle._cached_probs = probs
-    bits = oracle._rng.random(oracle.n_sites) < probs
+    bits = oracle._measure(candidate, 1)[0]
     m = int(bits.sum())
     f_est = float(2 * m - oracle.n_sites)
     return f_est, MeasurementRecord(tuple(int(b) for b in bits), f_est)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import (
     UndefinedDirectionError,
     ValidationError,
 )
-from .hilbert import DENSE_SITE_CAP, Operator, apply_unitary
+from .hilbert import DENSE_SITE_CAP, Operator, StateVector, apply_unitary
 from .similarity import AngleProfile, BlochVector
 
 # Below this resultant length the gain is flat in χ and no optimum exists.
@@ -164,6 +165,11 @@ class LookupTable:
     def __len__(self) -> int:
         return len(self.f)
 
+    @cached_property
+    def candidate_state(self) -> StateVector:
+        """Ground state of ``candidate``, solved on first use and kept with the table."""
+        return ground_state(self.candidate).state
+
     def to_csv(self, stream: io.TextIOBase) -> None:
         """Serialize as CSV, one row per entry, floats at 13 significant digits."""
         stream.write(CSV_HEADER + "\n")
@@ -290,7 +296,7 @@ def run_protocol(
     """
     if candidate != table.candidate:
         raise ValidationError("candidate spec does not match the lookup table")
-    cand_state = ground_state(candidate).state
+    cand_state = table.candidate_state
     f_before = float(oracle.query(cand_state))
     row = int(_nearest_rows(table, np.array([f_before]))[0])
     chi = float(table.chi[row])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinalign import cli
+from spinalign import cli, protocol
 from spinalign.cli import (
     RunConfig,
     THREADS_ENV_VAR,
@@ -110,6 +110,20 @@ class TestSweepCommand:
         assert len(rows) == 9
         assert [int(r[0]) for r in rows] == list(range(9))
         assert all(float(r[2]) >= -1e-9 for r in rows)
+
+    def test_solves_the_candidate_once(self, tmp_path, monkeypatch):
+        solved = []
+        original = protocol.ground_state
+
+        def counting(spec):
+            solved.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(protocol, "ground_state", counting)
+        assert main(["sweep", "--out", str(tmp_path)]) == 0
+        _, rows = _read_csv(tmp_path / "fig3.csv")
+        assert len(rows) == 625
+        assert solved == [RunConfig().candidate()]
 
 
 class TestNoiseCommand:

@@ -149,7 +149,7 @@ class TestOracleSurface:
         public = {name for name in dir(oracle) if not name.startswith("_")}
         assert public == {
             "kind", "n_sites", "remaining_budget", "fingerprint",
-            "query", "verification_query",
+            "query", "verification_query", "sample",
         }
         assert isinstance(oracle.fingerprint, str)
         # none of the public values resembles the hidden field assignment
@@ -171,6 +171,67 @@ class TestOracleSurface:
         with pytest.raises(ValidationError):
             oracle.query(small)
         assert oracle.remaining_budget == 1
+
+
+class TestSample:
+    def test_kind_checked(self, candidate_j1):
+        for kind in (OracleKind.EXACT, OracleKind.NOISY):
+            oracle = make_oracle(TARGET, kind, budget=5, seed=1)
+            with pytest.raises(ValidationError):
+                oracle.sample(candidate_j1, 1)
+            assert oracle.remaining_budget == 5
+
+    def test_site_count_checked(self):
+        oracle = make_oracle(TARGET, OracleKind.MEASURED, budget=5, seed=1)
+        small = ground_state(ChainSpec(2, 0.0, (0.0, 0.0))).state
+        with pytest.raises(ValidationError):
+            oracle.sample(small, 1)
+        assert oracle.remaining_budget == 5
+
+    @pytest.mark.parametrize("shots", [-1, 2.0, True, "3", None])
+    def test_shots_must_be_a_non_negative_integer(self, candidate_j1, shots):
+        oracle = make_oracle(TARGET, OracleKind.MEASURED, budget=5, seed=1)
+        with pytest.raises(ValidationError):
+            oracle.sample(candidate_j1, shots)
+        assert oracle.remaining_budget == 5
+
+    def test_over_budget_leaves_budget_and_stream_unchanged(self, candidate_j1):
+        oracle = make_oracle(TARGET, OracleKind.MEASURED, budget=5, seed=8)
+        twin = make_oracle(TARGET, OracleKind.MEASURED, budget=5, seed=8)
+        with pytest.raises(QueryBudgetError):
+            oracle.sample(candidate_j1, 6)
+        assert oracle.remaining_budget == 5
+        assert np.array_equal(oracle.sample(candidate_j1, 5), twin.sample(candidate_j1, 5))
+
+    def test_zero_shots(self, candidate_j1):
+        oracle = make_oracle(TARGET, OracleKind.MEASURED, budget=0, seed=1)
+        out = oracle.sample(candidate_j1, 0)
+        assert out.shape == (0,) and out.dtype == float
+        assert oracle.remaining_budget == 0
+
+    def test_charges_exactly_the_shots(self, candidate_j1):
+        oracle = make_oracle(TARGET, OracleKind.MEASURED, budget=100, seed=1)
+        assert len(oracle.sample(candidate_j1, 37)) == 37
+        assert oracle.remaining_budget == 63
+        oracle.sample(candidate_j1, np.int64(63))
+        assert oracle.remaining_budget == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_property_equals_per_shot_queries(self, data):
+        n = data.draw(st.integers(2, 6), label="n")
+        fields = st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)
+        target = ChainSpec(n, 1.0, data.draw(fields, label="b_t"))
+        candidate = ground_state(ChainSpec(n, 1.0, data.draw(fields, label="b_c"))).state
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        shots = data.draw(st.integers(0, 2000), label="shots")
+        batched = make_oracle(target, OracleKind.MEASURED, budget=shots + 1, seed=seed)
+        looped = make_oracle(target, OracleKind.MEASURED, budget=shots + 1, seed=seed)
+        got = batched.sample(candidate, shots)
+        want = [query_measured(looped, candidate)[0] for _ in range(shots)]
+        assert got.tolist() == want
+        # The stream continues where the batch left off.
+        assert query_measured(batched, candidate) == query_measured(looped, candidate)
 
 
 class TestMeasurementRecord:
