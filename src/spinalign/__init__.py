@@ -8,13 +8,11 @@ oracles (exact, noisy, measurement-sampled) that keep the target hidden.
 
 from .chain import (
     ChainSpec,
-    DEFAULT_GRID,
     ParameterGrid,
     build_hamiltonian,
     enumerate_targets,
     ground_state,
     product_ground_bloch,
-    target_fields,
 )
 from .errors import (
     CapacityError,
@@ -32,12 +30,9 @@ from .hilbert import (
     PAULI,
     StateVector,
     apply_unitary,
-    basis_state,
     hermitian_ground_state,
-    kron,
     mask_from_sites,
     partial_trace,
-    product_state,
     site_operator,
 )
 from .oracle import (
@@ -54,10 +49,8 @@ from .protocol import (
     ProtocolReport,
     build_table,
     chi_opt,
-    delta_f_general,
     delta_f_planar,
     global_rotation,
-    lookup_chi,
     lookup_chi_batch,
     run_protocol,
     target_angles,
@@ -74,6 +67,7 @@ from .similarity import (
     signed_theta,
     similarity_chain,
     similarity_general,
+    site_cosines,
 )
 
 __version__ = "0.1.0"

@@ -79,9 +79,6 @@ class ParameterGrid:
         return np.linspace(self.b_min, self.b_max, self.levels)
 
 
-DEFAULT_GRID = ParameterGrid(-0.5, 0.5, 5)
-
-
 def build_hamiltonian(spec: ChainSpec) -> Operator:
     """Dense chain Hamiltonian Σ_k (X_k + b_k Y_k + J Z_k Z_{k+1}), periodic."""
     n = spec.n_sites
@@ -92,7 +89,7 @@ def build_hamiltonian(spec: ChainSpec) -> Operator:
     for k in range(1, n + 1):
         h += site_operator("X", k, n).entries
         h += spec.fields[k - 1] * site_operator("Y", k, n).entries
-        h += spec.coupling * (z_ops[k - 1] @ z_ops[k % n])
+        h += spec.coupling * (z_ops[k - 1] * z_ops[k % n])  # diagonal, so elementwise
     return Operator(h, hermitian_hint=True)
 
 
@@ -111,21 +108,13 @@ def product_ground_bloch(b: float) -> BlochVector:
     return BlochVector(-1.0 / s, -b / s, 0.0)
 
 
-def target_fields(target_id: int, grid: ParameterGrid, n_sites: int) -> tuple[float, ...]:
-    """Decode a target id to field values, base-D with site 1 least significant."""
-    d = grid.levels
-    if not 0 <= target_id < d**n_sites:
-        raise ValidationError(f"target id {target_id} outside [0, {d**n_sites})")
-    values = grid.values
-    return tuple(float(values[(target_id // d**i) % d]) for i in range(n_sites))
-
-
 def target_field_array(
     grid: ParameterGrid, n_sites: int, budget: int = DEFAULT_SWEEP_BUDGET
 ) -> np.ndarray:
-    """Fields of every target as a (D^N, N) array, row = target id (see target_fields).
+    """Fields of every target as a (D^N, N) array, row = target id.
 
-    Raises CapacityError before allocating when D^N exceeds ``budget``.
+    Ids are base-D with site 1 in the least significant digit. Raises
+    CapacityError before allocating when D^N exceeds ``budget``.
     """
     d = grid.levels
     count = d**n_sites

@@ -10,7 +10,7 @@ Four subcommands emit analysis-ready CSV:
 Defaults reproduce the N=4, J=1, five-level field grid study with the
 candidate prepared at the lowest field value. ``--check`` turns the
 documented reference values into pass/fail gates (exit code 3 on failure).
-Exit codes: 0 ok, 1 invalid input, 2 I/O failure, 3 failed check.
+Exit codes: 0 ok, 1 invalid input or out of memory, 2 I/O error, 3 failed check.
 """
 
 from __future__ import annotations
@@ -399,8 +399,8 @@ def main(argv: list[str] | None = None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, SpinAlignError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SpinAlignError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

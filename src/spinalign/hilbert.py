@@ -1,14 +1,18 @@
 """Dense complex linear algebra for small qubit registers.
 
 Operators, state vectors, ground-state eigensolving and partial traces for
-up to ``DENSE_SITE_CAP`` spin-1/2 sites. Everything is a plain dense numpy
-array under the hood; all values are immutable after construction and safe
-to share across threads.
+up to ``DENSE_SITE_CAP`` spin-1/2 sites. Chain similarity and oracle replies
+read a state through its cached per-site Bloch vectors (``StateVector.bloch``),
+taken straight from the amplitudes; ``partial_trace`` and ``DensityMatrix``
+are the trace-form reference. Everything is a plain dense numpy array under
+the hood; all values are immutable after construction and safe to share
+across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -73,6 +77,23 @@ class StateVector:
     @property
     def dim(self) -> int:
         return len(self.amplitudes)
+
+    @cached_property
+    def bloch(self) -> np.ndarray:
+        """Read-only (N, 3) per-site Bloch vectors; row k-1 is site k's (tr ρX, tr ρY, tr ρZ).
+
+        Matches ``bloch_vector(partial_trace(state, 1 << (k-1)))`` to rounding,
+        from one pass over the amplitudes per site and no density matrix.
+        """
+        out = np.empty((self.n_sites, 3))
+        for k in range(self.n_sites):
+            pair = self.amplitudes.reshape(2**k, 2, -1)
+            up, down = pair[:, 0], pair[:, 1]
+            rho01 = np.vdot(down, up)
+            out[k] = (2.0 * rho01.real, -2.0 * rho01.imag,
+                      np.vdot(up, up).real - np.vdot(down, down).real)
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,15 +170,6 @@ def mask_from_sites(sites: Iterable[int], n_sites: int) -> int:
 
 # --- operations -------------------------------------------------------------
 
-def kron(a: Operator, b: Operator) -> Operator:
-    """Kronecker product a ⊗ b (a's index is the slow/leftmost one)."""
-    dim = a.dim * b.dim
-    if dim > 2**DENSE_SITE_CAP:
-        raise CapacityError(f"kron result dimension {dim} exceeds 2^{DENSE_SITE_CAP}")
-    return Operator(np.kron(a.entries, b.entries),
-                    hermitian_hint=a.hermitian_hint and b.hermitian_hint)
-
-
 def site_operator(pauli: str, site: int, n_sites: int) -> Operator:
     """Single-site Pauli embedded at ``site`` (1-based) in an ``n_sites`` register."""
     if pauli not in PAULI:
@@ -230,19 +242,3 @@ def apply_unitary(u: Operator, state: StateVector) -> StateVector:
         raise ValidationError(f"operator is not unitary: max |U†U - I| = {dev:g}")
     return StateVector(m @ state.amplitudes, state.n_sites)
 
-
-def basis_state(n_sites: int, index: int) -> StateVector:
-    """Computational basis state |index⟩ (site 1 = most significant bit)."""
-    amps = np.zeros(2**n_sites, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(amps, n_sites)
-
-
-def product_state(single_site_states: Iterable[np.ndarray]) -> StateVector:
-    """Tensor product of normalized single-qubit amplitude pairs."""
-    out = np.array([1.0 + 0j])
-    count = 0
-    for s in single_site_states:
-        out = np.kron(out, np.asarray(s, dtype=complex))
-        count += 1
-    return StateVector(out, count)

@@ -1,9 +1,10 @@
 """Black-box similarity oracles with strict information hiding.
 
 An oracle is constructed from a target chain spec, stores each site's
-closed-form target Bloch direction, and afterwards answers only similarity
-queries: the exact value, a bounded uniformly-noisy value, or a single-shot
-projective-measurement estimate. The target's fields are never exposed;
+closed-form unit target Bloch direction as one row of an (N, 3) array, and
+afterwards answers only similarity queries against the candidate's cached
+per-site Bloch vectors: the exact value, a bounded uniformly-noisy value, or
+a single-shot projective-measurement estimate. The target's fields are never exposed;
 the public surface is the behavior kind, the remaining budget, a
 fingerprint of the construction parameters, and the query operations.
 """
@@ -18,8 +19,8 @@ import numpy as np
 
 from .chain import ChainSpec, product_ground_bloch
 from .errors import QueryBudgetError, ValidationError
-from .hilbert import PAULI, DensityMatrix, StateVector, partial_trace
-from .similarity import cos_theta
+from .hilbert import StateVector
+from .similarity import site_cosines
 
 
 class OracleKind(enum.Enum):
@@ -53,11 +54,9 @@ class Oracle:
         self._epsilon = float(epsilon)
         self._budget = int(budget)
         self._rng = np.random.default_rng(seed)
-        # Pure states along the site directions; cos_theta ignores the Bloch length.
-        self._target_rhos = tuple(
-            DensityMatrix((PAULI["I"] + v.x * PAULI["X"] + v.y * PAULI["Y"]) / 2.0)
-            for v in map(product_ground_bloch, target.fields)
-        )
+        # Unit site directions; site_cosines ignores the Bloch length.
+        self._target_bloch = np.array([product_ground_bloch(b).as_array()
+                                       for b in target.fields])
         self._n_sites = target.n_sites
         self._cached_state: StateVector | None = None
         self._cached_probs: np.ndarray | None = None
@@ -99,10 +98,7 @@ class Oracle:
 
     def _cos_thetas(self, candidate: StateVector) -> np.ndarray:
         self._validate_candidate(candidate)
-        return np.array([
-            cos_theta(rho_t, partial_trace(candidate, 1 << k))
-            for k, rho_t in enumerate(self._target_rhos)
-        ])
+        return site_cosines(self._target_bloch, candidate.bloch)
 
     def _exact_f(self, candidate: StateVector) -> float:
         return float(self._cos_thetas(candidate).sum())

@@ -17,79 +17,38 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
 from .chain import ChainSpec, ParameterGrid, ground_state, target_field_array
-from .errors import (
-    CapacityError,
-    IndeterminateOptimumError,
-    UndefinedDirectionError,
-    ValidationError,
-)
-from .hilbert import DENSE_SITE_CAP, Operator, StateVector, apply_unitary
-from .similarity import AngleProfile, BlochVector
+from .errors import CapacityError, IndeterminateOptimumError, ValidationError
+from .hilbert import DENSE_SITE_CAP, Operator, StateVector
+from .similarity import AngleProfile
 
 # Below this resultant length the gain is flat in χ and no optimum exists.
 _RESULTANT_FLOOR = 1e-12
-# A site whose in-plane weight falls below this contributes nothing to the
-# general gain formula and its orientation angle is left unevaluated.
-_PREFACTOR_FLOOR = 1e-12
 
 CSV_HEADER = "target_id,F,chi_opt,delta_F,sum_sin"
+
+
+def _z_phases(chi: float, n_sites: int) -> np.ndarray:
+    """Diagonal of exp(-i χ Σ_k Z_k): exp(-iχ(N - 2·popcount)) per basis state."""
+    # bitwise_count returns uint8; the float factor keeps N - 2·popcount signed.
+    weights = np.bitwise_count(np.arange(2**n_sites))
+    return np.exp(-1j * chi * (n_sites - 2.0 * weights))
 
 
 def global_rotation(chi: float, n_sites: int) -> Operator:
     """U = exp(-i χ Σ_k Z_k): every Bloch vector rotates by +2χ about +z."""
     if n_sites > DENSE_SITE_CAP:
         raise CapacityError(f"n_sites {n_sites} exceeds dense cap {DENSE_SITE_CAP}")
-    weights = np.array([i.bit_count() for i in range(2**n_sites)])
-    phases = np.exp(-1j * chi * (n_sites - 2 * weights))
-    return Operator(np.diag(phases))
+    return Operator(np.diag(_z_phases(chi, n_sites)))
 
 
 def delta_f_planar(thetas, chi: float) -> float:
     """Similarity gain 2 sin χ Σ_k sin(θ_k - χ) for in-plane Bloch vectors."""
     th = np.asarray(thetas, dtype=float)
     return float(2.0 * np.sin(chi) * np.sum(np.sin(th - chi)))
-
-
-def delta_f_general(
-    c_list: Sequence[BlochVector],
-    r_list: Sequence[BlochVector],
-    axis: BlochVector,
-    chi: float,
-) -> float:
-    """Similarity gain for a rotation about an arbitrary unit axis.
-
-    Per site the gain is 2 sin χ · w_k · sin(χ + γ_k), where w_k is the
-    geometric mean of the in-plane weights of both unit vectors and γ_k their
-    relative orientation. γ_k is recovered with atan2 so its sign follows the
-    handedness of (c, r) about the axis; with both vectors orthogonal to the
-    axis this reduces exactly to the planar formula on signed angles.
-    """
-    if abs(axis.norm - 1.0) > 1e-12:
-        raise ValidationError("rotation axis must be a unit vector")
-    if len(c_list) != len(r_list):
-        raise ValidationError("candidate and target Bloch lists differ in length")
-    av = axis.as_array()
-    total = 0.0
-    for c, r in zip(c_list, r_list):
-        cn, rn = c.norm, r.norm
-        if cn < 1e-6 or rn < 1e-6:
-            raise UndefinedDirectionError("Bloch norm below direction floor")
-        cu = c.as_array() / cn
-        ru = r.as_array() / rn
-        ca, ra = float(cu @ av), float(ru @ av)
-        w2 = (1.0 - ca**2) * (1.0 - ra**2)
-        if w2 < _PREFACTOR_FLOOR**2:
-            continue
-        cos_part = ca * ra - float(cu @ ru)
-        sin_part = float(av @ np.cross(cu, ru))
-        gamma = np.arctan2(sin_part, cos_part)
-        total += np.sqrt(w2) * np.sin(chi + gamma)
-    return float(2.0 * np.sin(chi) * total)
 
 
 def _half_angle(sum_sin, sum_cos) -> np.ndarray:
@@ -261,13 +220,12 @@ def _nearest_rows(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
     return rows
 
 
-def lookup_chi(table: LookupTable, f_query: float) -> float:
-    """χ_opt of the table entry whose F is nearest to the queried similarity."""
-    return float(table.chi[_nearest_rows(table, np.array([f_query]))[0]])
-
-
 def lookup_chi_batch(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
-    """Vectorized lookup_chi with identical nearest/tie semantics."""
+    """χ_opt of the table entry nearest in F to each queried similarity.
+
+    Ties (equal F, or a query midway between two F values) go to the
+    smallest target id; see :func:`_nearest_rows`.
+    """
     return table.chi[_nearest_rows(table, f_queries)]
 
 
@@ -300,7 +258,8 @@ def run_protocol(
     f_before = float(oracle.query(cand_state))
     row = int(_nearest_rows(table, np.array([f_before]))[0])
     chi = float(table.chi[row])
-    rotated = apply_unitary(global_rotation(chi, candidate.n_sites), cand_state)
+    rotated = StateVector(_z_phases(chi, candidate.n_sites) * cand_state.amplitudes,
+                          candidate.n_sites)
     f_after = float(oracle.verification_query(rotated))
     return ProtocolReport(
         f_before=f_before,

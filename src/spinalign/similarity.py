@@ -85,6 +85,24 @@ class SubsetFunctionKind(enum.Enum):
     PURITY = "purity"
 
 
+def _require_directions(norms2: np.ndarray) -> None:
+    """Reject any squared Bloch length below DIRECTION_FLOOR²: its angle is undefined."""
+    if np.any(norms2 < DIRECTION_FLOOR**2):
+        raise UndefinedDirectionError(
+            "Bloch norm below direction floor; angle undefined for a maximally mixed site"
+        )
+
+
+def site_cosines(bloch_t: np.ndarray, bloch_c: np.ndarray) -> np.ndarray:
+    """Per-site cos θ_k = r_k·c_k/(|r_k| |c_k|) between two (N, 3) arrays of Bloch vectors."""
+    if np.shape(bloch_t) != np.shape(bloch_c):
+        raise ValidationError(f"Bloch arrays differ: {np.shape(bloch_t)} vs {np.shape(bloch_c)}")
+    nt2 = np.einsum("ij,ij->i", bloch_t, bloch_t)
+    nc2 = np.einsum("ij,ij->i", bloch_c, bloch_c)
+    _require_directions(np.concatenate([nt2, nc2]))
+    return np.einsum("ij,ij->i", bloch_t, bloch_c) / np.sqrt(nt2) / np.sqrt(nc2)
+
+
 def bloch_vector(rho: DensityMatrix) -> BlochVector:
     """Bloch vector (tr ρX, tr ρY, tr ρZ) of a single-qubit density matrix."""
     if rho.dim != 2:
@@ -108,10 +126,7 @@ def cos_theta(rho_t: DensityMatrix, rho_c: DensityMatrix) -> float:
         raise ValidationError("cos_theta is defined for single-qubit density matrices")
     nt2 = 2.0 * rho_t.purity - 1.0
     nc2 = 2.0 * rho_c.purity - 1.0
-    if nt2 < DIRECTION_FLOOR**2 or nc2 < DIRECTION_FLOOR**2:
-        raise UndefinedDirectionError(
-            "Bloch norm below direction floor; angle undefined for a maximally mixed site"
-        )
+    _require_directions(np.array([nt2, nc2]))
     overlap = 2.0 * float(np.trace(rho_t.entries @ rho_c.entries).real) - 1.0
     return overlap / math.sqrt(nt2) / math.sqrt(nc2)
 
@@ -136,19 +151,17 @@ def signed_theta(c: BlochVector, r: BlochVector, axis: BlochVector) -> float:
 
 
 def similarity_chain(state_t: StateVector, state_c: StateVector) -> tuple[float, AngleProfile]:
-    """Chain similarity F = Σ_k cos θ_k plus the signed angle profile about +z."""
+    """Chain similarity F = Σ_k cos θ_k plus the signed angle profile about +z.
+
+    Both come from the states' cached per-site Bloch vectors.
+    """
     if state_t.n_sites != state_c.n_sites:
         raise ValidationError(
             f"chains differ in length: {state_t.n_sites} vs {state_c.n_sites}"
         )
-    f = 0.0
-    thetas = []
-    for k in range(1, state_t.n_sites + 1):
-        mask = 1 << (k - 1)
-        rho_t = partial_trace(state_t, mask)
-        rho_c = partial_trace(state_c, mask)
-        f += cos_theta(rho_t, rho_c)
-        thetas.append(signed_theta(bloch_vector(rho_c), bloch_vector(rho_t), Z_AXIS))
+    bt, bc = state_t.bloch, state_c.bloch
+    f = float(site_cosines(bt, bc).sum())
+    thetas = [signed_theta(BlochVector(*c), BlochVector(*r), Z_AXIS) for c, r in zip(bc, bt)]
     return f, AngleProfile(tuple(thetas))
 
 

@@ -1,13 +1,17 @@
-"""Shared fixtures: the reference study configuration and its per-target data."""
+"""Shared fixtures: the reference study configuration and its per-target data,
+plus plain-numpy builders of test inputs and of an independent Hamiltonian."""
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from spinalign import (
+    PAULI,
     ChainSpec,
     ParameterGrid,
+    StateVector,
     build_hamiltonian,
     build_table,
     chi_opt,
@@ -21,6 +25,38 @@ N_SITES = 4
 COUPLING = 1.0
 GRID = ParameterGrid(-0.5, 0.5, 5)
 CANDIDATE = ChainSpec(N_SITES, COUPLING, (-0.5,) * N_SITES)
+
+
+def kron_all(*factors) -> np.ndarray:
+    """Kronecker product of the factors, the first being the slow (leftmost) index."""
+    return reduce(np.kron, factors)
+
+
+def basis_state(n_sites: int, index: int) -> StateVector:
+    """Computational basis state |index>, site 1 the most significant bit."""
+    amps = np.zeros(2**n_sites, dtype=complex)
+    amps[index] = 1.0
+    return StateVector(amps, n_sites)
+
+
+def product_state(singles) -> StateVector:
+    """Tensor product of normalized single-qubit amplitude pairs, site 1 first."""
+    return StateVector(kron_all(*singles), len(singles))
+
+
+def kron_hamiltonian(spec: ChainSpec) -> np.ndarray:
+    """Σ_k (X_k + b_k Y_k + J Z_k Z_{k+1}) built term by term from np.kron, periodic."""
+    n = spec.n_sites
+
+    def site(pauli: str, k: int) -> np.ndarray:
+        return kron_all(*(PAULI[pauli] if j == k else PAULI["I"] for j in range(n)))
+
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    for k in range(n):
+        h += site("X", k)
+        h += spec.fields[k] * site("Y", k)
+        h += spec.coupling * (site("Z", k) @ site("Z", (k + 1) % n))
+    return h
 
 
 @dataclass(frozen=True)

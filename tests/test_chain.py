@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinalign import (
     CapacityError,
@@ -15,10 +16,11 @@ from spinalign import (
     partial_trace,
     product_ground_bloch,
     site_operator,
-    target_fields,
     Operator,
     PAULI,
 )
+
+from conftest import kron_hamiltonian
 
 
 def test_hamiltonian_decoupled_two_sites():
@@ -40,6 +42,15 @@ def test_hamiltonian_traceless_and_hermitian():
     h = build_hamiltonian(spec)
     assert abs(np.trace(h.entries)) < 1e-12
     assert np.max(np.abs(h.entries - h.entries.conj().T)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_property_hamiltonian_equals_kron_sum(data):
+    n = data.draw(st.integers(2, 6), label="n")
+    fields = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n), label="b")
+    spec = ChainSpec(n, data.draw(st.floats(-5.0, 5.0), label="J"), fields)
+    assert np.array_equal(build_hamiltonian(spec).entries, kron_hamiltonian(spec))
 
 
 def test_hamiltonian_capacity_cap():
@@ -138,10 +149,6 @@ class TestTargetEnumeration:
     def test_budget_capacity(self):
         with pytest.raises(CapacityError):
             list(enumerate_targets(ParameterGrid(0, 1, 10), 4, budget=100))
-
-    def test_target_fields_range_check(self):
-        with pytest.raises(ValidationError):
-            target_fields(625, ParameterGrid(-0.5, 0.5, 5), 4)
 
 
 class TestSpecsAndGrids:

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -201,33 +202,47 @@ class TestExitCodes:
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# Keeps BLAS thread buffers out of a child's address-space limit on many-core hosts.
+_ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
 class TestInvalidInputEndsInOneErrorLine:
     @pytest.mark.parametrize(
-        "argv, env, config",
+        "argv, env, config, memory_limit",
         [
-            (["table", "--j", "nan"], {}, None),
-            (["table", "--j", "inf"], {}, None),
-            (["table", "--bmin", "nan", "--d", "1"], {}, None),
-            (["noise", "--eps", "abc"], {}, None),
-            (["table"], {THREADS_ENV_VAR: "abc"}, None),
-            (["table"], {}, '{"n": "4"}'),
-            (["table"], {}, '{"threads": "x"}'),
-            (["table"], {}, '{"n": 4'),
-            (["table", "--n", "100000000000000000000"], {}, None),
+            (["table", "--j", "nan"], {}, None, None),
+            (["table", "--j", "inf"], {}, None, None),
+            (["table", "--bmin", "nan", "--d", "1"], {}, None, None),
+            (["noise", "--eps", "abc"], {}, None, None),
+            (["table"], {THREADS_ENV_VAR: "abc"}, None, None),
+            (["table"], {}, '{"n": "4"}', None),
+            (["table"], {}, '{"threads": "x"}', None),
+            (["table"], {}, '{"n": 4', None),
+            (["table", "--n", "100000000000000000000"], {}, None, None),
+            # Shot and noise arrays of 8-16 GB: the allocation fails under the
+            # 1 GiB address-space limit set on the child, before any memory is used.
+            (["measure", "--n", "2", "--d", "1", "--trials", "1000000000"], _ONE_BLAS_THREAD,
+             None, 1 << 30),
+            (["noise", "--n", "2", "--d", "1", "--trials", "1000000000"], _ONE_BLAS_THREAD,
+             None, 1 << 30),
         ],
         ids=["j-nan", "j-inf", "bmin-nan", "eps-abc", "env-threads-abc",
-             "config-n-str", "config-threads-str", "config-malformed", "n-huge"],
+             "config-n-str", "config-threads-str", "config-malformed", "n-huge",
+             "measure-out-of-memory", "noise-out-of-memory"],
     )
-    def test_exits_one_without_traceback(self, tmp_path, argv, env, config):
+    def test_exits_one_without_traceback(self, tmp_path, argv, env, config, memory_limit):
         if config is not None:
             (tmp_path / "cfg.json").write_text(config)
             argv = argv + ["--config", str(tmp_path / "cfg.json")]
+
+        def limit_child():
+            if memory_limit is not None:
+                resource.setrlimit(resource.RLIMIT_AS, (memory_limit, memory_limit))
+
         proc = subprocess.run(
             [sys.executable, "-m", "spinalign", *argv, "--out", str(tmp_path / "out")],
             env={**os.environ, "PYTHONPATH": str(SRC), **env},
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, preexec_fn=limit_child,
         )
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr

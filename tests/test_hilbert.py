@@ -1,48 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinalign import (
-    CapacityError,
     DensityMatrix,
     Operator,
     PAULI,
     StateVector,
     ValidationError,
     apply_unitary,
-    basis_state,
+    bloch_vector,
+    global_rotation,
     hermitian_ground_state,
-    kron,
     mask_from_sites,
     partial_trace,
-    product_state,
     site_operator,
 )
+from spinalign.protocol import _z_phases
+
+from conftest import basis_state, product_state
 
 I2 = Operator(PAULI["I"], hermitian_hint=True)
 X = Operator(PAULI["X"], hermitian_hint=True)
-Y = Operator(PAULI["Y"], hermitian_hint=True)
 Z = Operator(PAULI["Z"], hermitian_hint=True)
-
-
-class TestKron:
-    def test_identity_case(self):
-        assert np.allclose(kron(I2, I2).entries, np.eye(4))
-
-    def test_pauli_zz(self):
-        assert np.allclose(kron(Z, Z).entries, np.diag([1, -1, -1, 1]))
-
-    def test_xy_corner_element(self):
-        # hand expansion of the 2x2 blocks: (X otimes Y)[0, 3] = X[0,1] Y[0,1]
-        assert kron(X, Y).entries[0, 3] == -1j
-
-    def test_hermitian_hint_propagates(self):
-        assert kron(X, Z).hermitian_hint
-        assert not kron(X, Operator(PAULI["Z"])).hermitian_hint
-
-    def test_capacity_error(self):
-        big = Operator(np.eye(2**6))
-        with pytest.raises(CapacityError):
-            kron(kron(big, big), Operator(np.eye(2)))
 
 
 class TestSiteOperator:
@@ -186,10 +166,11 @@ class TestPartialTrace:
 class TestApplyUnitary:
     def test_identity(self):
         psi = basis_state(2, 1)
-        assert np.array_equal(apply_unitary(kron(I2, I2), psi).amplitudes, psi.amplitudes)
+        assert np.array_equal(apply_unitary(Operator(np.eye(4)), psi).amplitudes,
+                              psi.amplitudes)
 
     def test_bit_flip(self):
-        out = apply_unitary(kron(X, I2), basis_state(2, 0b00))
+        out = apply_unitary(Operator(np.kron(PAULI["X"], PAULI["I"])), basis_state(2, 0b00))
         assert np.allclose(out.amplitudes, basis_state(2, 0b10).amplitudes)
 
     def test_norm_preserved(self):
@@ -225,3 +206,39 @@ class TestDomainTypes:
     def test_density_matrix_rejects_bad_trace(self):
         with pytest.raises(ValidationError):
             DensityMatrix(np.diag([0.7, 0.7]))
+
+
+def _random_state(data, n_min: int, n_max: int) -> StateVector:
+    n = data.draw(st.integers(n_min, n_max), label="n")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return StateVector(v / np.linalg.norm(v), n)
+
+
+class TestBlochFastPath:
+    """The per-site Bloch vectors and the phase rotation against the dense reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_property_bloch_matches_partial_trace(self, data):
+        state = _random_state(data, 1, 8)
+        assert state.bloch.shape == (state.n_sites, 3)
+        for k in range(state.n_sites):
+            want = bloch_vector(partial_trace(state, 1 << k)).as_array()
+            assert np.max(np.abs(state.bloch[k] - want)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), chi=st.floats(-2 * np.pi, 2 * np.pi))
+    def test_property_phase_rotation_matches_global_rotation(self, data, chi):
+        state = _random_state(data, 1, 8)
+        fast = _z_phases(chi, state.n_sites) * state.amplitudes
+        dense = apply_unitary(global_rotation(chi, state.n_sites), state).amplitudes
+        assert np.max(np.abs(fast - dense)) <= 1e-12
+
+    def test_bloch_is_cached_and_read_only(self):
+        state = basis_state(3, 0b010)
+        assert state.bloch is state.bloch
+        assert np.array_equal(state.bloch, [[0, 0, 1], [0, 0, -1], [0, 0, 1]])
+        with pytest.raises(ValueError):
+            state.bloch[0, 0] = 1.0

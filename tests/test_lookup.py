@@ -22,7 +22,6 @@ from spinalign import (
     delta_f_planar,
     enumerate_targets,
     ground_state,
-    lookup_chi,
     lookup_chi_batch,
     similarity_chain,
 )
@@ -61,7 +60,7 @@ class TestBoundaryValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_scalar_query_rejected(self, table, bad):
         with pytest.raises(ValidationError):
-            lookup_chi(table, bad)
+            lookup_chi_batch(table, np.array([bad]))[0]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_batch_query_rejected(self, table, bad):
@@ -86,8 +85,8 @@ class TestBoundaryValidation:
 
     def test_hand_built_sorted_table_accepted(self):
         toy = _table([1.0, 1.0, 3.0], [4, 7, 2])
-        assert lookup_chi(toy, 2.0) == 0.2  # |1-2| == |3-2|, id 2 wins
-        assert lookup_chi(toy, 0.0) == 0.0  # run of F=1 -> id 4
+        assert lookup_chi_batch(toy, np.array([2.0]))[0] == 0.2  # |1-2| == |3-2|, id 2 wins
+        assert lookup_chi_batch(toy, np.array([0.0]))[0] == 0.0  # run of F=1 -> id 4
 
 
 class TestMatchesBruteForce:

@@ -9,15 +9,17 @@ from spinalign import (
     QueryBudgetError,
     ValidationError,
     apply_unitary,
+    cos_theta,
     global_rotation,
     ground_state,
     make_oracle,
-    product_state,
+    partial_trace,
     query_exact,
     query_measured,
     query_noisy,
-    similarity_chain,
 )
+
+from conftest import product_state
 
 TARGET = ChainSpec(4, 1.0, (0.5,) * 4)
 CANDIDATE_SPEC = ChainSpec(4, 1.0, (-0.5,) * 4)
@@ -271,6 +273,9 @@ class TestClosedFormTarget:
         chi = data.draw(st.floats(-np.pi, np.pi), label="chi")
         oracle = make_oracle(target)
         target_state = ground_state(target).state
+        # The trace-form reference: no Bloch vectors on this side.
+        rhos_t = [partial_trace(target_state, 1 << k) for k in range(n)]
         for c in (candidate, apply_unitary(global_rotation(chi, n), candidate)):
-            want = similarity_chain(target_state, c)[0]
+            want = sum(cos_theta(rho_t, partial_trace(c, 1 << k))
+                       for k, rho_t in enumerate(rhos_t))
             assert abs(oracle.verification_query(c) - want) <= 1e-12

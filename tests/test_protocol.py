@@ -6,7 +6,6 @@ import pytest
 
 from spinalign import (
     AngleProfile,
-    BlochVector,
     ChainSpec,
     IndeterminateOptimumError,
     LookupTable,
@@ -14,21 +13,19 @@ from spinalign import (
     QueryBudgetError,
     StateVector,
     ValidationError,
-    Z_AXIS,
     apply_unitary,
     bloch_vector,
     chi_opt,
-    delta_f_general,
     delta_f_planar,
     global_rotation,
     ground_state,
-    lookup_chi,
     lookup_chi_batch,
     make_oracle,
     partial_trace,
     run_protocol,
     similarity_chain,
 )
+from spinalign.chain import target_field_array
 
 from conftest import CANDIDATE, GRID
 
@@ -80,68 +77,6 @@ class TestDeltaFPlanar:
             direct = delta_f_planar(th, chi)
             expanded = float(np.sum(np.cos(th - 2 * chi) - np.cos(th)))
             assert abs(direct - expanded) < 1e-12
-
-
-def _rodrigues(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
-    return (v * np.cos(angle) + np.cross(axis, v) * np.sin(angle)
-            + axis * (axis @ v) * (1 - np.cos(angle)))
-
-
-class TestDeltaFGeneral:
-    def test_zero_chi(self):
-        c = [BlochVector(1, 0, 0)]
-        r = [BlochVector(0, 1, 0)]
-        assert delta_f_general(c, r, Z_AXIS, 0.0) == 0.0
-
-    def test_reduces_to_planar_for_in_plane_vectors(self):
-        rng = np.random.default_rng(16)
-        for _ in range(50):
-            phis_c = rng.uniform(-np.pi, np.pi, size=4)
-            phis_r = rng.uniform(-np.pi, np.pi, size=4)
-            rad_c = rng.uniform(0.2, 1.0, size=4)
-            rad_r = rng.uniform(0.2, 1.0, size=4)
-            c = [BlochVector(rc * np.cos(p), rc * np.sin(p), 0.0)
-                 for rc, p in zip(rad_c, phis_c)]
-            r = [BlochVector(rr * np.cos(p), rr * np.sin(p), 0.0)
-                 for rr, p in zip(rad_r, phis_r)]
-            thetas = [((pr - pc + np.pi) % (2 * np.pi)) - np.pi
-                      for pc, pr in zip(phis_c, phis_r)]
-            chi = rng.uniform(-np.pi, np.pi)
-            assert delta_f_general(c, r, Z_AXIS, chi) == pytest.approx(
-                delta_f_planar(thetas, chi), abs=1e-10
-            )
-
-    def test_site_parallel_to_axis_contributes_nothing(self):
-        c = [BlochVector(0, 0, 1.0), BlochVector(1.0, 0, 0)]
-        r = [BlochVector(0.5, 0.5, 0), BlochVector(0, 1.0, 0)]
-        only_second = delta_f_general(c[1:], r[1:], Z_AXIS, 0.6)
-        assert delta_f_general(c, r, Z_AXIS, 0.6) == pytest.approx(only_second, abs=1e-12)
-
-    def test_matches_brute_force_rotation_any_axis(self):
-        rng = np.random.default_rng(17)
-        for _ in range(50):
-            n = rng.integers(1, 5)
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            cs, rs = [], []
-            for _ in range(n):
-                u = rng.normal(size=3)
-                u *= rng.uniform(0.2, 1.0) / np.linalg.norm(u)
-                w = rng.normal(size=3)
-                w *= rng.uniform(0.2, 1.0) / np.linalg.norm(w)
-                cs.append(u)
-                rs.append(w)
-            chi = rng.uniform(-np.pi, np.pi)
-            predicted = delta_f_general(
-                [BlochVector(*v) for v in cs], [BlochVector(*v) for v in rs],
-                BlochVector(*axis), chi,
-            )
-            actual = 0.0
-            for u, w in zip(cs, rs):
-                u2 = _rodrigues(u, axis, 2 * chi)
-                actual += (u2 @ w) / (np.linalg.norm(u2) * np.linalg.norm(w))
-                actual -= (u @ w) / (np.linalg.norm(u) * np.linalg.norm(w))
-            assert predicted == pytest.approx(actual, abs=1e-10)
 
 
 class TestChiOpt:
@@ -210,12 +145,11 @@ class TestLookupTable:
         assert np.all(table.chi <= np.pi / 2)
 
     def test_entries_match_direct_recomputation(self, table, candidate_state):
-        from spinalign import target_fields
-
+        fields = target_field_array(GRID, 4)
         rng = np.random.default_rng(20)
         for tid in rng.choice(625, size=5, replace=False):
             row = int(np.nonzero(table.target_ids == tid)[0][0])
-            spec = ChainSpec(4, 1.0, target_fields(int(tid), GRID, 4))
+            spec = ChainSpec(4, 1.0, fields[tid])
             f, profile = similarity_chain(ground_state(spec).state, candidate_state)
             assert table.f[row] == pytest.approx(f, abs=1e-12)
             assert table.chi[row] == pytest.approx(chi_opt(profile), abs=1e-12)
@@ -253,29 +187,31 @@ class TestLookup:
             # target id among the exact ties wins
             tied = np.nonzero(table.f == table.f[row])[0]
             winner = tied[np.argmin(table.target_ids[tied])]
-            assert lookup_chi(table, float(table.f[row])) == table.chi[winner]
+            assert lookup_chi_batch(table, table.f[row:row + 1])[0] == table.chi[winner]
 
     def test_perfect_similarity_maps_to_zero(self, table):
-        assert lookup_chi(table, 4.0) == 0.0
+        assert lookup_chi_batch(table, np.array([4.0]))[0] == 0.0
 
     def test_out_of_range_clamps(self, table):
-        assert lookup_chi(table, 10.0) == lookup_chi(table, float(table.f.max()))
-        assert lookup_chi(table, -10.0) == lookup_chi(table, float(table.f.min()))
+        clamped = lookup_chi_batch(table, np.array([10.0, -10.0]))
+        assert clamped.tolist() == lookup_chi_batch(table, table.f[[-1, 0]]).tolist()
 
     def test_duplicate_f_tie_breaks_by_target_id(self):
         toy = _toy_table()
-        assert lookup_chi(toy, 1.0) == 0.1
+        assert lookup_chi_batch(toy, np.array([1.0]))[0] == 0.1
 
     def test_equidistant_tie_breaks_by_target_id(self):
         toy = _toy_table()
-        assert lookup_chi(toy, 2.0) == 0.1  # |1-2| == |3-2|, smallest id wins
+        # |1-2| == |3-2|, smallest id wins
+        assert lookup_chi_batch(toy, np.array([2.0]))[0] == 0.1
 
     def test_batch_matches_scalar(self, table):
+        # The tie fix-up is gated on the whole batch; one-query batches must agree.
         rng = np.random.default_rng(22)
         queries = rng.uniform(2.0, 4.2, size=200)
         batch = lookup_chi_batch(table, queries)
         for q, chi in zip(queries, batch):
-            assert lookup_chi(table, float(q)) == chi
+            assert lookup_chi_batch(table, np.array([q]))[0] == chi
 
 
 class _BlindDouble:
@@ -319,10 +255,9 @@ class TestRunProtocol:
         assert abs(report.delta_f_actual - (report.f_after - report.f_before)) < 1e-10
 
     def test_analytic_equals_actual_for_exact_oracle(self, table):
-        from spinalign import target_fields
-
+        fields = target_field_array(GRID, 4)
         for tid in (1, 17, 311, 624):
-            spec = ChainSpec(4, 1.0, target_fields(tid, GRID, 4))
+            spec = ChainSpec(4, 1.0, fields[tid])
             oracle = make_oracle(spec, OracleKind.EXACT, budget=1)
             report = run_protocol(CANDIDATE, oracle, table)
             assert report.delta_f_analytic == pytest.approx(report.delta_f_actual, abs=1e-9)
