@@ -24,7 +24,8 @@ def main():
     print("=" * 64)
     spec = ChainSpec(n_sites=4, coupling=1.0, fields=(0.5, -0.25, 0.0, 0.25))
     h = build_hamiltonian(spec)
-    print(f"Hamiltonian dimension: {h.dim} x {h.dim}, Hermitian: {h.hermitian_hint}")
+    dev = np.max(np.abs(h.entries - h.entries.conj().T))
+    print(f"Hamiltonian dimension: {h.dim} x {h.dim}, max |H - H†| = {dev:.1e}")
 
     gs = ground_state(spec)
     print(f"ground energy  E0  = {gs.energy:+.6f}")

@@ -19,13 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .hilbert import (
-    DENSE_SITE_CAP,
-    GroundState,
-    Operator,
-    hermitian_ground_state,
-    site_operator,
-)
+from .hilbert import DENSE_SITE_CAP, GroundState, Operator, hermitian_ground_state
 from .similarity import BlochVector
 
 DEFAULT_SWEEP_BUDGET = 1_000_000
@@ -80,17 +74,26 @@ class ParameterGrid:
 
 
 def build_hamiltonian(spec: ChainSpec) -> Operator:
-    """Dense chain Hamiltonian Σ_k (X_k + b_k Y_k + J Z_k Z_{k+1}), periodic."""
+    """Dense chain Hamiltonian Σ_k (X_k + b_k Y_k + J Z_k Z_{k+1}), periodic, from bit flips.
+
+    Site 1 is the most significant bit; s_k = ±1 is site k's Z eigenvalue in
+    basis state i. X_k + b_k Y_k maps |i> to (1 + i·b_k·s_k)|i with bit k
+    flipped>, and the ZZ terms form one real diagonal. Summing that diagonal
+    in site order k = 1..N keeps H bit-equal to the sum of ``site_operator``
+    kron terms.
+    """
     n = spec.n_sites
     if n > DENSE_SITE_CAP:
         raise CapacityError(f"n_sites {n} exceeds dense cap {DENSE_SITE_CAP}")
+    basis = np.arange(2**n)
+    spins = 1 - 2 * (basis >> np.arange(n - 1, -1, -1)[:, None] & 1)
     h = np.zeros((2**n, 2**n), dtype=complex)
-    z_ops = [site_operator("Z", k, n).entries for k in range(1, n + 1)]
-    for k in range(1, n + 1):
-        h += site_operator("X", k, n).entries
-        h += spec.fields[k - 1] * site_operator("Y", k, n).entries
-        h += spec.coupling * (z_ops[k - 1] * z_ops[k % n])  # diagonal, so elementwise
-    return Operator(h, hermitian_hint=True)
+    zz = np.zeros(2**n)
+    for k in range(n):
+        h[basis ^ (1 << (n - 1 - k)), basis] = 1 + 1j * spec.fields[k] * spins[k]
+        zz += spec.coupling * spins[k] * spins[(k + 1) % n]
+    h[basis, basis] = zz
+    return Operator(h)
 
 
 def ground_state(spec: ChainSpec) -> GroundState:

@@ -143,17 +143,19 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
+    """Write ``rows`` under ``header``: integers as is, other values at 13 significant digits.
+
+    Each column's format is fixed by its type in the first row.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
+        template = None
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.12e}"
+            if template is None:
+                template = ",".join("{}" if isinstance(v, (int, np.integer)) else "{:.12e}"
+                                    for v in row) + "\n"
+            fh.write(template.format(*row))
 
 
 def _require_reference(cfg: RunConfig, command: str) -> None:
@@ -180,9 +182,9 @@ def _gate(ok: bool, label: str, failures: list[str]) -> None:
 def cmd_table(cfg: RunConfig) -> None:
     table = build_table(cfg.grid(), cfg.candidate())
     out = Path(cfg.out) / "fig2.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        table.to_csv(fh)
+    _write_csv(out, "target_id,F,chi_opt,delta_F,sum_sin",
+               zip(*(col.tolist() for col in (table.target_ids, table.f, table.chi,
+                                              table.delta_f, table.sum_sin))))
     chi = table.chi
     print(
         f"table: {len(table)} entries -> {out} | chi_opt min {chi.min():.6f} "

@@ -98,18 +98,12 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Dense square matrix; ``hermitian_hint`` asserts A = A† to 1e-12."""
+    """Dense square matrix, stored read-only; :func:`hermitian_ground_state` checks A = A†."""
 
     entries: np.ndarray
-    hermitian_hint: bool = False
 
     def __post_init__(self):
-        m = _as_complex_matrix(self.entries)
-        object.__setattr__(self, "entries", m)
-        if self.hermitian_hint:
-            dev = np.max(np.abs(m - m.conj().T))
-            if dev >= HERMITIAN_TOL:
-                raise ValidationError(f"hermitian_hint set but max |A - A†| = {dev:g}")
+        object.__setattr__(self, "entries", _as_complex_matrix(self.entries))
 
     @property
     def dim(self) -> int:
@@ -181,7 +175,7 @@ def site_operator(pauli: str, site: int, n_sites: int) -> Operator:
     out = np.array([[1.0 + 0j]])
     for k in range(1, n_sites + 1):
         out = np.kron(out, PAULI[pauli] if k == site else _I2)
-    return Operator(out, hermitian_hint=True)
+    return Operator(out)
 
 
 def hermitian_ground_state(h: Operator) -> GroundState:

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,30 +43,41 @@ class MeasurementRecord:
             raise ValidationError("f_estimate must equal 2·Σm_k - N exactly")
 
 
+def _count(value, name: str) -> int:
+    """A non-negative integer count; bools, floats and other types are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 class Oracle:
     """Budgeted similarity black box; construct with :func:`make_oracle`."""
 
     def __init__(self, target: ChainSpec, kind: OracleKind, budget: int, seed: int,
                  epsilon: float):
-        if budget < 0:
-            raise ValidationError("budget must be non-negative")
-        if epsilon < 0:
-            raise ValidationError("epsilon must be non-negative")
+        if not isinstance(kind, OracleKind):
+            raise ValidationError(f"kind must be an OracleKind, got {kind!r}")
+        self._budget = _count(budget, "budget")
+        epsilon = float(epsilon)
+        # Each noise draw spans 2·ε, which must be a finite width.
+        if not (epsilon >= 0.0 and math.isfinite(2.0 * epsilon)):
+            raise ValidationError(f"epsilon must be finite and non-negative, got {epsilon!r}")
+        # Checks the seed now; the generator itself is made on the first draw.
+        try:
+            self._seed = np.random.SeedSequence(seed)
+        except (TypeError, ValueError):
+            raise ValidationError(f"seed must be a non-negative integer or a sequence "
+                                  f"of them, got {seed!r}") from None
         self._kind = kind
-        self._epsilon = float(epsilon)
-        self._budget = int(budget)
-        self._rng = np.random.default_rng(seed)
+        self._epsilon = epsilon
+        self._params = (target.n_sites, target.coupling, target.fields,
+                        kind.value, budget, seed, epsilon)
         # Unit site directions; site_cosines ignores the Bloch length.
         self._target_bloch = np.array([product_ground_bloch(b).as_array()
                                        for b in target.fields])
         self._n_sites = target.n_sites
         self._cached_state: StateVector | None = None
         self._cached_probs: np.ndarray | None = None
-        digest = hashlib.sha256(
-            repr((target.n_sites, target.coupling, target.fields,
-                  kind.value, budget, seed, float(epsilon))).encode()
-        )
-        self._fingerprint = digest.hexdigest()
 
     @property
     def kind(self) -> OracleKind:
@@ -78,30 +91,35 @@ class Oracle:
     def remaining_budget(self) -> int:
         return self._budget
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
         """Hash of the construction parameters; reveals nothing about the target."""
-        return self._fingerprint
+        return hashlib.sha256(repr(self._params).encode()).hexdigest()
 
-    def _charge(self, count: int = 1) -> None:
+    @cached_property
+    def _rng(self) -> np.random.Generator:
+        """The seeded stream, made on the first noisy or measured draw."""
+        return np.random.default_rng(self._seed)
+
+    def _check_sites(self, candidate: StateVector) -> None:
+        if candidate.n_sites != self._n_sites:
+            raise ValidationError(
+                f"candidate has {candidate.n_sites} sites, oracle target has {self._n_sites}"
+            )
+
+    def _admit(self, kind: OracleKind, candidate: StateVector, count: int = 1) -> None:
+        """Check kind, then site count, then budget; charge ``count`` only if all pass."""
+        if self._kind is not kind:
+            raise ValidationError(f"oracle kind is {self._kind.value}, not {kind.value}")
+        self._check_sites(candidate)
         if self._budget < count:
             raise QueryBudgetError(
                 f"oracle query budget exhausted: {count} requested, {self._budget} left"
             )
         self._budget -= count
 
-    def _validate_candidate(self, candidate: StateVector) -> None:
-        if candidate.n_sites != self._n_sites:
-            raise ValidationError(
-                f"candidate has {candidate.n_sites} sites, oracle target has {self._n_sites}"
-            )
-
-    def _cos_thetas(self, candidate: StateVector) -> np.ndarray:
-        self._validate_candidate(candidate)
-        return site_cosines(self._target_bloch, candidate.bloch)
-
     def _exact_f(self, candidate: StateVector) -> float:
-        return float(self._cos_thetas(candidate).sum())
+        return float(site_cosines(self._target_bloch, candidate.bloch).sum())
 
     def query(self, candidate: StateVector) -> float:
         """Budgeted similarity reply according to the oracle's behavior kind."""
@@ -113,6 +131,7 @@ class Oracle:
 
     def verification_query(self, candidate: StateVector) -> float:
         """Diagnostic exact similarity; unbudgeted, for reporting only."""
+        self._check_sites(candidate)
         return self._exact_f(candidate)
 
     def sample(self, candidate: StateVector, shots: int) -> np.ndarray:
@@ -121,9 +140,7 @@ class Oracle:
         The whole count is charged at once; a count above the remaining
         budget is rejected before anything is charged or drawn.
         """
-        if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 0:
-            raise ValidationError(f"shots must be a non-negative integer, got {shots!r}")
-        bits = self._measure(candidate, int(shots))
+        bits = self._measure(candidate, _count(shots, "shots"))
         return (2 * bits.sum(axis=1) - self._n_sites).astype(float)
 
     def _measure(self, candidate: StateVector, shots: int) -> np.ndarray:
@@ -132,33 +149,24 @@ class Oracle:
         One rng.random((shots, N)) draw consumes the stream exactly as
         ``shots`` successive rng.random(N) draws do.
         """
-        if self._kind is not OracleKind.MEASURED:
-            raise ValidationError(f"oracle kind is {self._kind.value}, not measured")
-        self._validate_candidate(candidate)
-        self._charge(shots)
+        self._admit(OracleKind.MEASURED, candidate, shots)
         # Per-site probabilities are cached per candidate object so repeated
         # shots against the same state stay cheap.
         if self._cached_state is not candidate:
-            self._cached_probs = (self._cos_thetas(candidate) + 1.0) / 2.0
+            self._cached_probs = (site_cosines(self._target_bloch, candidate.bloch) + 1.0) / 2.0
             self._cached_state = candidate
         return self._rng.random((shots, self._n_sites)) < self._cached_probs
 
 
 def query_exact(oracle: Oracle, candidate: StateVector) -> float:
     """Exact chain similarity between the hidden target and the candidate."""
-    if oracle.kind is not OracleKind.EXACT:
-        raise ValidationError(f"oracle kind is {oracle.kind.value}, not exact")
-    oracle._validate_candidate(candidate)
-    oracle._charge()
+    oracle._admit(OracleKind.EXACT, candidate)
     return oracle._exact_f(candidate)
 
 
 def query_noisy(oracle: Oracle, candidate: StateVector) -> float:
     """Similarity plus uniform noise on (-ε, ε) from the oracle's seeded stream."""
-    if oracle.kind is not OracleKind.NOISY:
-        raise ValidationError(f"oracle kind is {oracle.kind.value}, not noisy")
-    oracle._validate_candidate(candidate)
-    oracle._charge()
+    oracle._admit(OracleKind.NOISY, candidate)
     f = oracle._exact_f(candidate)
     if oracle._epsilon == 0.0:
         return f

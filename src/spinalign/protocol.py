@@ -14,7 +14,6 @@ A lookup table over all discrete targets maps an observed similarity F to
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -27,8 +26,6 @@ from .similarity import AngleProfile
 
 # Below this resultant length the gain is flat in χ and no optimum exists.
 _RESULTANT_FLOOR = 1e-12
-
-CSV_HEADER = "target_id,F,chi_opt,delta_F,sum_sin"
 
 
 def _z_phases(chi: float, n_sites: int) -> np.ndarray:
@@ -128,15 +125,6 @@ class LookupTable:
     def candidate_state(self) -> StateVector:
         """Ground state of ``candidate``, solved on first use and kept with the table."""
         return ground_state(self.candidate).state
-
-    def to_csv(self, stream: io.TextIOBase) -> None:
-        """Serialize as CSV, one row per entry, floats at 13 significant digits."""
-        stream.write(CSV_HEADER + "\n")
-        for i in range(len(self)):
-            stream.write(
-                f"{int(self.target_ids[i])},{self.f[i]:.12e},{self.chi[i]:.12e},"
-                f"{self.delta_f[i]:.12e},{self.sum_sin[i]:.12e}\n"
-            )
 
 
 def target_angles(grid: ParameterGrid, candidate: ChainSpec) -> np.ndarray:

@@ -26,7 +26,6 @@ from spinalign import (
     mask_from_sites,
     partial_trace,
     product_ground_bloch,
-    query_measured,
     run_protocol,
     similarity_general,
 )
@@ -167,9 +166,7 @@ def test_criterion_07_measurement_oracle(study, candidate_state):
         oracle = make_oracle(
             spec, OracleKind.MEASURED, budget=trials, seed=[DEFAULT_SEED, target_id]
         )
-        estimates = np.empty(trials)
-        for shot in range(trials):
-            estimates[shot], _ = query_measured(oracle, candidate_state)
+        estimates = oracle.sample(candidate_state, trials)
         s = float(estimates.std(ddof=1))
         worst_sigma = max(worst_sigma, s)
         if binom > 1e-6:

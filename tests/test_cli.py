@@ -194,6 +194,12 @@ class TestExitCodes:
         assert main(["table", "--n", "2", "--d", "2",
                      "--out", str(blocker / "sub")]) == 2
 
+    @pytest.mark.parametrize("command", ["table", "sweep", "noise", "measure"])
+    def test_reference_gates_pass(self, tmp_path, capsys, command):
+        assert main([command, "--check", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS]" in out and "[FAIL]" not in out
+
     def test_failed_gate_is_three(self, tmp_path):
         # 30 shots cannot resolve the binomial std to 5%; the gate must trip
         code = main(["measure", "--n", "2", "--d", "2", "--trials", "30",

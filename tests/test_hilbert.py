@@ -20,9 +20,9 @@ from spinalign.protocol import _z_phases
 
 from conftest import basis_state, product_state
 
-I2 = Operator(PAULI["I"], hermitian_hint=True)
-X = Operator(PAULI["X"], hermitian_hint=True)
-Z = Operator(PAULI["Z"], hermitian_hint=True)
+I2 = Operator(PAULI["I"])
+X = Operator(PAULI["X"])
+Z = Operator(PAULI["Z"])
 
 
 class TestSiteOperator:
@@ -194,10 +194,6 @@ class TestDomainTypes:
     def test_state_vector_length_checked(self):
         with pytest.raises(ValidationError):
             StateVector(np.array([1.0, 0, 0]), 2)
-
-    def test_hermitian_hint_validated(self):
-        with pytest.raises(ValidationError):
-            Operator(np.array([[0, 1], [0, 0]]), hermitian_hint=True)
 
     def test_density_matrix_rejects_negative_eigenvalue(self):
         with pytest.raises(ValidationError):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -248,6 +250,35 @@ def test_make_oracle_validates_inputs():
         make_oracle(TARGET, OracleKind.EXACT, budget=-1)
     with pytest.raises(ValidationError):
         make_oracle(TARGET, OracleKind.NOISY, budget=1, epsilon=-0.1)
+    # A noise draw spans 2·ε, which must be finite.
+    for epsilon in (float("nan"), float("inf"), 1e308):
+        with pytest.raises(ValidationError):
+            make_oracle(TARGET, OracleKind.NOISY, budget=1, epsilon=epsilon)
+    for budget in (2.5, True, float("nan")):
+        with pytest.raises(ValidationError):
+            make_oracle(TARGET, OracleKind.EXACT, budget=budget)
+    with pytest.raises(ValidationError):
+        make_oracle(TARGET, "exact", budget=1)
+    # A bad seed is caught at construction, not at the first (charged) draw.
+    for seed in (-1, 1.5, "abc"):
+        with pytest.raises(ValidationError):
+            make_oracle(TARGET, OracleKind.MEASURED, budget=1, seed=seed)
+
+
+def test_exact_oracle_builds_no_generator(candidate_j1, monkeypatch):
+    def no_rng(*args, **kwargs):
+        raise AssertionError("an exact oracle draws no random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    oracle = make_oracle(TARGET, OracleKind.EXACT, budget=1, seed=3)
+    oracle.query(candidate_j1)
+    oracle.verification_query(candidate_j1)
+
+
+def test_fingerprint_hashes_the_construction_values():
+    oracle = make_oracle(TARGET, OracleKind.NOISY, budget=3, seed=[30, 7], epsilon=0.1)
+    params = (4, 1.0, (0.5,) * 4, "noisy", 3, [30, 7], 0.1)
+    assert oracle.fingerprint == hashlib.sha256(repr(params).encode()).hexdigest()
 
 
 class TestClosedFormTarget:

@@ -1,4 +1,3 @@
-import io
 import re
 
 import numpy as np
@@ -26,6 +25,7 @@ from spinalign import (
     similarity_chain,
 )
 from spinalign.chain import target_field_array
+from spinalign.cli import main
 
 from conftest import CANDIDATE, GRID
 
@@ -155,10 +155,9 @@ class TestLookupTable:
             assert table.chi[row] == pytest.approx(chi_opt(profile), abs=1e-12)
             assert table.sum_sin[row] == pytest.approx(profile.sum_sin, abs=1e-12)
 
-    def test_csv_serialization(self, table):
-        buf = io.StringIO()
-        table.to_csv(buf)
-        lines = buf.getvalue().splitlines()
+    def test_csv_serialization(self, tmp_path):
+        assert main(["table", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "fig2.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "target_id,F,chi_opt,delta_F,sum_sin"
         assert len(lines) == 626
         float_pat = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
