@@ -39,6 +39,9 @@ SWEEP_MEAN_WINDOW = (0.40, 0.50)
 # Mean |rotation-angle error| windows per epsilon. Chi errors are gated on
 # the Bloch rotation-angle scale (twice the stored half-angle chi_opt).
 NOISE_ERROR_WINDOWS = {0.05: (0.03, 0.09), 0.1: (0.05, 0.11)}
+# noise looks up whole targets' trials in blocks of about this many queries
+# (at least one target), which bounds its (block, trials) temporaries.
+NOISE_BLOCK_QUERIES = 2**13
 
 
 @dataclass(frozen=True)
@@ -252,21 +255,28 @@ def cmd_noise(cfg: RunConfig) -> None:
     s_true = np.empty(n_targets)
     s_true[table.target_ids] = table.sum_sin
 
+    # Each target keeps its own noise stream; a block of targets is looked up
+    # in one call, one row of trials per target.
+    block = max(1, NOISE_BLOCK_QUERIES // trials)
+    noise = np.empty((block, trials))
     rows = []
     for eps_index, eps in enumerate(cfg.eps):
         errors = np.empty(n_targets)
         gains = np.empty(n_targets)
-        for target_id in range(n_targets):
-            rng = np.random.default_rng([cfg.seed, eps_index, target_id])
-            queries = f_true[target_id] + rng.uniform(-eps, eps, size=trials)
-            chi_hat = lookup_chi_batch(table, queries)
+        for start in range(0, n_targets, block):
+            stop = min(start + block, n_targets)
+            for row, target_id in enumerate(range(start, stop)):
+                rng = np.random.default_rng([cfg.seed, eps_index, target_id])
+                noise[row] = rng.uniform(-eps, eps, size=trials)
+            ids = slice(start, stop)
+            chi_hat = lookup_chi_batch(table, f_true[ids, None] + noise[:stop - start])
+            sin_hat = np.sin(chi_hat)
             # Gain at the looked-up angle needs only (sum_sin, F) of the truth:
             # dF(chi) = 2 sin(chi) (S cos(chi) - F sin(chi)).
-            gains[target_id] = np.mean(2.0 * np.sin(chi_hat) * (
-                s_true[target_id] * np.cos(chi_hat)
-                - f_true[target_id] * np.sin(chi_hat)
-            ))
-            errors[target_id] = np.abs(chi_hat - chi_true[target_id]).mean()
+            gains[ids] = np.mean(2.0 * sin_hat * (
+                s_true[ids, None] * np.cos(chi_hat) - f_true[ids, None] * sin_hat
+            ), axis=1)
+            errors[ids] = np.abs(chi_hat - chi_true[ids, None]).mean(axis=1)
         # Reported on the Bloch rotation-angle scale: twice the half-angle chi.
         rows.append((eps, 2.0 * float(errors.mean()), float(gains.mean())))
 

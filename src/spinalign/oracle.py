@@ -58,7 +58,10 @@ class Oracle:
         if not isinstance(kind, OracleKind):
             raise ValidationError(f"kind must be an OracleKind, got {kind!r}")
         self._budget = _count(budget, "budget")
-        epsilon = float(epsilon)
+        try:
+            epsilon = float(epsilon)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"epsilon must be a number, got {epsilon!r}") from None
         # Each noise draw spans 2·ε, which must be a finite width.
         if not (epsilon >= 0.0 and math.isfinite(2.0 * epsilon)):
             raise ValidationError(f"epsilon must be finite and non-negative, got {epsilon!r}")

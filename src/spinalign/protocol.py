@@ -126,6 +126,15 @@ class LookupTable:
         """Ground state of ``candidate``, solved on first use and kept with the table."""
         return ground_state(self.candidate).state
 
+    @cached_property
+    def _rotated_states(self) -> dict[int, StateVector]:
+        """Candidate rotated by χ of a looked-up row, keyed by that row; filled by run_protocol.
+
+        Lookups return the first row of an F run, so this holds at most one
+        state per run and targets that share a run share its cached Bloch vectors.
+        """
+        return {}
+
 
 def target_angles(grid: ParameterGrid, candidate: ChainSpec) -> np.ndarray:
     """Signed candidate-to-target angles θ of every target, shape (D^N, N), row = target id.
@@ -166,10 +175,12 @@ def build_table(grid: ParameterGrid, candidate: ChainSpec) -> LookupTable:
 
 @np.errstate(over="ignore")
 def _nearest_rows(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
-    """Row index of the entry nearest in F to each 1-D query; ties -> smallest target id.
+    """Row index of the entry nearest in F to each query; ties -> smallest target id.
 
-    Distances are the float values |F_i - q|, and among all rows at the
-    minimal distance (exact midpoints included) the smallest target id wins.
+    Queries of any shape are searched as one flat batch, and the rows come
+    back in the queries' shape. Distances are the float values |F_i - q|,
+    and among all rows at the minimal distance (exact midpoints included)
+    the smallest target id wins.
     A binary search over the distinct F values finds the runs of equal F
     just below and at or above q, in O(log T) per query and O(Q) memory;
     the first row of a run carries its smallest id. Float subtraction is
@@ -179,7 +190,8 @@ def _nearest_rows(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
     F values (see ``_tie_free``) or a distance overflows to inf; such
     queries fall back to a full scan.
     """
-    q = np.asarray(f_queries, dtype=float)
+    shape = np.shape(f_queries)
+    q = np.asarray(f_queries, dtype=float).ravel()
     if not np.isfinite(q).all():
         raise ValidationError("F queries must be finite")
     run_f, run_id = table._run_f, table._run_id
@@ -205,7 +217,7 @@ def _nearest_rows(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
             d = np.abs(table.f - q[i])
             tied = np.flatnonzero(d == d.min())
             rows[i] = tied[np.argmin(table.target_ids[tied])]
-    return rows
+    return rows.reshape(shape)
 
 
 def lookup_chi_batch(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
@@ -238,7 +250,9 @@ def run_protocol(
 
     The oracle is used strictly through its scalar replies: one budgeted
     query for F and one unbudgeted verification query for the diagnostic
-    F_after. Target parameters and states are never read.
+    F_after. Target parameters and states are never read. The rotated
+    candidate is kept on the table per looked-up row, for later targets
+    that land on the same row.
     """
     if candidate != table.candidate:
         raise ValidationError("candidate spec does not match the lookup table")
@@ -246,8 +260,11 @@ def run_protocol(
     f_before = float(oracle.query(cand_state))
     row = int(_nearest_rows(table, np.array([f_before]))[0])
     chi = float(table.chi[row])
-    rotated = StateVector(_z_phases(chi, candidate.n_sites) * cand_state.amplitudes,
-                          candidate.n_sites)
+    rotated = table._rotated_states.get(row)
+    if rotated is None:
+        rotated = StateVector(_z_phases(chi, candidate.n_sites) * cand_state.amplitudes,
+                              candidate.n_sites)
+        table._rotated_states[row] = rotated
     f_after = float(oracle.verification_query(rotated))
     return ProtocolReport(
         f_before=f_before,

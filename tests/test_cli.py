@@ -126,6 +126,19 @@ class TestSweepCommand:
         assert len(rows) == 625
         assert solved == [RunConfig().candidate()]
 
+    def test_one_rotated_state_per_f_run(self, tmp_path, monkeypatch):
+        rotations = []
+        original = protocol._z_phases
+
+        def counting(chi, n_sites):
+            rotations.append(chi)
+            return original(chi, n_sites)
+
+        monkeypatch.setattr(protocol, "_z_phases", counting)
+        assert main(["sweep", "--out", str(tmp_path)]) == 0
+        # At most one per F run; the reference grid's 625 targets form 70 runs.
+        assert 0 < len(rotations) <= 70
+
 
 class TestNoiseCommand:
     def test_small_noise_study(self, tmp_path):
@@ -141,6 +154,68 @@ class TestNoiseCommand:
 
     def test_empty_eps_rejected(self, tmp_path):
         assert main(["noise", "--eps", "", "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "2", "--d", "2", "--trials", "1"],
+        ["--n", "2", "--d", "2", "--trials", "8191"],
+        ["--n", "2", "--d", "2", "--trials", "8192"],
+        ["--n", "2", "--d", "2", "--trials", "8193"],
+        ["--n", "2", "--d", "3", "--trials", "3000"],  # 2 targets a block, last one short
+        ["--trials", "200"],  # reference grid: 40 targets a block, last one short
+    ])
+    def test_blocked_lookup_equals_per_target_loop(self, tmp_path, argv):
+        argv = ["noise", "--eps", "0,0.05,0.1", *argv]
+        assert main([*argv, "--out", str(tmp_path / "blocked")]) == 0
+        cfg = _resolve(argv)
+        cli._write_csv(tmp_path / "loop.csv", "epsilon,mean_abs_chi_error,mean_delta_f",
+                       per_target_noise_rows(cfg))
+        assert ((tmp_path / "blocked" / "noise.csv").read_bytes()
+                == (tmp_path / "loop.csv").read_bytes())
+
+    # Calls are 3 epsilons x ceil(targets / block), block = max(1, 8192 // trials).
+    @pytest.mark.parametrize("n, d, trials, calls", [
+        (2, 2, 1, 3), (2, 2, 8192, 12), (2, 2, 8193, 12), (2, 3, 3000, 15),
+        (4, 5, 400, 96),  # the reference grid made 1,875 calls, one per target and epsilon
+    ])
+    def test_one_lookup_call_per_block(self, tmp_path, monkeypatch, n, d, trials, calls):
+        sizes = []
+        original = cli.lookup_chi_batch
+
+        def counting(table, f_queries):
+            sizes.append(np.size(f_queries))
+            return original(table, f_queries)
+
+        monkeypatch.setattr(cli, "lookup_chi_batch", counting)
+        assert main(["noise", "--n", str(n), "--d", str(d), "--eps", "0,0.05,0.1",
+                     "--trials", str(trials), "--out", str(tmp_path)]) == 0
+        assert len(sizes) == calls
+        assert max(sizes) <= max(trials, cli.NOISE_BLOCK_QUERIES)  # the memory bound
+        assert sum(sizes) == 3 * d**n * trials
+
+
+def per_target_noise_rows(cfg: RunConfig) -> list[tuple[float, float, float]]:
+    """Reference noise study: one lookup per target and epsilon, on the same streams."""
+    table = protocol.build_table(cfg.grid(), cfg.candidate())
+    n_targets = len(table)
+    chi_true, f_true, s_true = (np.empty(n_targets) for _ in range(3))
+    chi_true[table.target_ids] = table.chi
+    f_true[table.target_ids] = table.f
+    s_true[table.target_ids] = table.sum_sin
+    rows = []
+    for eps_index, eps in enumerate(cfg.eps):
+        errors = np.empty(n_targets)
+        gains = np.empty(n_targets)
+        for target_id in range(n_targets):
+            rng = np.random.default_rng([cfg.seed, eps_index, target_id])
+            queries = f_true[target_id] + rng.uniform(-eps, eps, size=cfg.trials)
+            chi_hat = protocol.lookup_chi_batch(table, queries)
+            gains[target_id] = np.mean(2.0 * np.sin(chi_hat) * (
+                s_true[target_id] * np.cos(chi_hat)
+                - f_true[target_id] * np.sin(chi_hat)
+            ))
+            errors[target_id] = np.abs(chi_hat - chi_true[target_id]).mean()
+        rows.append((eps, 2.0 * float(errors.mean()), float(gains.mean())))
+    return rows
 
 
 class TestMeasureCommand:

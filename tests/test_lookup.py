@@ -113,6 +113,22 @@ class TestMatchesBruteForce:
         assert np.array_equal(rows, brute_force_nearest_rows(toy, queries))
         assert list(toy.target_ids[rows[:2]]) == [0, 0]
 
+    @pytest.mark.parametrize("queries, far", [
+        ([[0.5, 1.5], [2.5, 3.5]], False),
+        ([[0.5, 1e300], [1.5, -1e300]], True),
+        ([[0.5, 1.5], [1.5, 1e300]], True),
+    ], ids=["binary-search-only", "two-far", "one-far"])
+    def test_2d_queries_come_back_in_their_shape(self, queries, far):
+        # Queries at or beyond _tie_free take the full scan, which must index
+        # the flattened batch too.
+        toy = _table([1.0, 2.0, 3.0, 4.0], [3, 0, 2, 1])
+        q = np.array(queries)
+        assert (np.abs(q).max() >= toy._tie_free) == far
+        rows = protocol._nearest_rows(toy, q)
+        assert rows.shape == q.shape
+        assert np.array_equal(rows.ravel(), brute_force_nearest_rows(toy, q.ravel()))
+        assert np.array_equal(lookup_chi_batch(toy, q), toy.chi[rows])
+
     def test_overflowing_distances_tie_across_runs(self):
         # Both distances overflow to inf although the gap between the runs
         # is far above any rounding error.

@@ -254,6 +254,10 @@ def test_make_oracle_validates_inputs():
     for epsilon in (float("nan"), float("inf"), 1e308):
         with pytest.raises(ValidationError):
             make_oracle(TARGET, OracleKind.NOISY, budget=1, epsilon=epsilon)
+    # Values float() refuses end in the same error, not a raw ValueError/TypeError.
+    for epsilon in ("x", None, [1], 10**400):
+        with pytest.raises(ValidationError, match="epsilon"):
+            make_oracle(TARGET, OracleKind.NOISY, budget=1, epsilon=epsilon)
     for budget in (2.5, True, float("nan")):
         with pytest.raises(ValidationError):
             make_oracle(TARGET, OracleKind.EXACT, budget=budget)
