@@ -13,6 +13,7 @@ from .chain import (
     enumerate_targets,
     ground_state,
     product_ground_bloch,
+    product_ground_directions,
 )
 from .errors import (
     CapacityError,
@@ -53,6 +54,7 @@ from .protocol import (
     global_rotation,
     lookup_chi_batch,
     run_protocol,
+    sweep_exact,
     target_angles,
 )
 from .similarity import (

@@ -107,8 +107,23 @@ def product_ground_bloch(b: float) -> BlochVector:
     Its direction is exact for site k of a chain at every J (see
     ``protocol.target_angles``); only the unit length is the J -> 0 value.
     """
-    s = math.sqrt(1.0 + b * b)
-    return BlochVector(-1.0 / s, -b / s, 0.0)
+    return BlochVector(*product_ground_directions(b).tolist())
+
+
+def product_ground_directions(fields) -> np.ndarray:
+    """:func:`product_ground_bloch` of every field value, as an array of shape (..., 3).
+
+    A (T, N) array of target fields gives the (T, N, 3) unit site directions
+    of T chains. A field whose square overflows gets the direction (-0, -0, 0),
+    which ``similarity.site_cosines`` rejects as below the direction floor.
+    """
+    b = np.asarray(fields, dtype=float)
+    with np.errstate(over="ignore"):
+        s = np.sqrt(1.0 + b * b)
+    dirs = np.zeros(b.shape + (3,))
+    dirs[..., 0] = -1.0 / s
+    dirs[..., 1] = -b / s
+    return dirs
 
 
 def target_field_array(

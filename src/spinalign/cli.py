@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
@@ -26,10 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from .chain import (DEFAULT_SWEEP_BUDGET, ChainSpec, ParameterGrid, enumerate_targets,
-                    ground_state)
+                    ground_state, target_field_array)
 from .errors import SpinAlignError, ValidationError
 from .oracle import OracleKind, make_oracle
-from .protocol import build_table, lookup_chi_batch, run_protocol, target_angles
+from .protocol import build_table, lookup_chi_batch, sweep_exact, target_angles
 
 THREADS_ENV_VAR = "SPINALIGN_THREADS"
 
@@ -211,18 +212,13 @@ def cmd_table(cfg: RunConfig) -> None:
 
 
 def cmd_sweep(cfg: RunConfig) -> None:
-    candidate = cfg.candidate()
-    table = build_table(cfg.grid(), candidate)
-    rows = []
-    for target_id, spec in enumerate_targets(cfg.grid(), cfg.n, coupling=cfg.j):
-        oracle = make_oracle(spec, OracleKind.EXACT, budget=1, seed=[cfg.seed, target_id])
-        report = run_protocol(candidate, oracle, table)
-        rows.append((target_id, report.f_before, report.delta_f_actual))
+    table = build_table(cfg.grid(), cfg.candidate())
+    f_before, f_after = sweep_exact(table, target_field_array(cfg.grid(), cfg.n))
+    deltas = f_after - f_before
     out = Path(cfg.out) / "fig3.csv"
-    _write_csv(out, "target_id,F,delta_F", rows)
-    deltas = np.array([r[2] for r in rows])
-    f_before = np.array([r[1] for r in rows])
-    print(f"sweep: {len(rows)} protocol runs -> {out} | mean dF {deltas.mean():.6f}")
+    _write_csv(out, "target_id,F,delta_F",
+               zip(range(len(deltas)), f_before.tolist(), deltas.tolist()))
+    print(f"sweep: {len(deltas)} protocol runs -> {out} | mean dF {deltas.mean():.6f}")
     if cfg.check:
         _require_reference(cfg, "sweep")
         failures: list[str] = []
@@ -265,9 +261,12 @@ def cmd_noise(cfg: RunConfig) -> None:
         gains = np.empty(n_targets)
         for start in range(0, n_targets, block):
             stop = min(start + block, n_targets)
-            for row, target_id in enumerate(range(start, stop)):
-                rng = np.random.default_rng([cfg.seed, eps_index, target_id])
-                noise[row] = rng.uniform(-eps, eps, size=trials)
+            if eps == 0.0:
+                noise.fill(0.0)  # uniform(-0.0, 0.0) draws exactly +0.0; no stream needed
+            else:
+                for row, target_id in enumerate(range(start, stop)):
+                    rng = np.random.default_rng([cfg.seed, eps_index, target_id])
+                    noise[row] = rng.uniform(-eps, eps, size=trials)
             ids = slice(start, stop)
             chi_hat = lookup_chi_batch(table, f_true[ids, None] + noise[:stop - start])
             sin_hat = np.sin(chi_hat)
@@ -362,6 +361,12 @@ def cmd_measure(cfg: RunConfig) -> None:
 # --- entry point --------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Python 3.11 takes only "-1" and "-.5" forms for negative numbers and
+        # reads "-1e-3" as an option; accept decimal exponents too.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message):  # argparse default exits with 2; keep 2 for I/O only
         raise ValidationError(message)
 
@@ -388,7 +393,8 @@ def _build_parser() -> _Parser:
                        help="trials per target (noise: 200, measure: 10000)")
         p.add_argument("--out", type=str, help="output directory (default .)")
         p.add_argument("--threads", type=int,
-                       help=f"worker threads (default 1 or ${THREADS_ENV_VAR})")
+                       help=f"accepted and validated; no effect on output (default 1 "
+                            f"or ${THREADS_ENV_VAR})")
         p.add_argument("--config", type=str, help="JSON config file (flags win)")
         p.add_argument("--check", action="store_true",
                        help="gate reference values, exit 3 on failure")

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import ChainSpec, product_ground_bloch
+from .chain import ChainSpec, product_ground_directions
 from .errors import QueryBudgetError, ValidationError
 from .hilbert import StateVector
 from .similarity import site_cosines
@@ -76,8 +76,7 @@ class Oracle:
         self._params = (target.n_sites, target.coupling, target.fields,
                         kind.value, budget, seed, epsilon)
         # Unit site directions; site_cosines ignores the Bloch length.
-        self._target_bloch = np.array([product_ground_bloch(b).as_array()
-                                       for b in target.fields])
+        self._target_bloch = product_ground_directions(target.fields)
         self._n_sites = target.n_sites
         self._cached_state: StateVector | None = None
         self._cached_probs: np.ndarray | None = None

@@ -19,10 +19,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import ChainSpec, ParameterGrid, ground_state, target_field_array
+from .chain import (ChainSpec, ParameterGrid, ground_state, product_ground_directions,
+                    target_field_array)
 from .errors import CapacityError, IndeterminateOptimumError, ValidationError
 from .hilbert import DENSE_SITE_CAP, Operator, StateVector
-from .similarity import AngleProfile
+from .similarity import AngleProfile, site_cosines
 
 # Below this resultant length the gain is flat in χ and no optimum exists.
 _RESULTANT_FLOOR = 1e-12
@@ -128,12 +129,23 @@ class LookupTable:
 
     @cached_property
     def _rotated_states(self) -> dict[int, StateVector]:
-        """Candidate rotated by χ of a looked-up row, keyed by that row; filled by run_protocol.
-
-        Lookups return the first row of an F run, so this holds at most one
-        state per run and targets that share a run share its cached Bloch vectors.
-        """
+        """Candidate rotated by χ of a looked-up row, keyed by that row; see rotated_state."""
         return {}
+
+    def rotated_state(self, row: int) -> StateVector:
+        """``candidate_state`` rotated by the χ of ``row``, made on first use and kept.
+
+        Lookups return the first row of an F run, so the cache holds at most
+        one state per run, and targets that share a run share its cached
+        Bloch vectors.
+        """
+        rotated = self._rotated_states.get(row)
+        if rotated is None:
+            cand = self.candidate_state
+            rotated = StateVector(_z_phases(float(self.chi[row]), cand.n_sites)
+                                  * cand.amplitudes, cand.n_sites)
+            self._rotated_states[row] = rotated
+        return rotated
 
 
 def target_angles(grid: ParameterGrid, candidate: ChainSpec) -> np.ndarray:
@@ -194,29 +206,38 @@ def _nearest_rows(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
     q = np.asarray(f_queries, dtype=float).ravel()
     if not np.isfinite(q).all():
         raise ValidationError("F queries must be finite")
+    may_tie_wide = np.abs(q).max(initial=0.0) >= table._tie_free
     run_f, run_id = table._run_f, table._run_id
+    # Runs pos - 1 and pos, clipped to the column. Distances are formed in
+    # place, so at most three query-length numeric arrays live at once.
     pos = np.searchsorted(run_f, q)
-    # Runs pos - 1 and pos. Off either end of the column, clipping makes both
-    # the end run, and a tie with itself goes to pos.
-    below = pos - 1
-    d_below = np.abs(run_f.take(below, mode="clip") - q)
-    d_above = np.abs(run_f.take(pos, mode="clip") - q)
-    take_below = (d_below < d_above) | (
-        (d_below == d_above)
-        & (run_id.take(below, mode="clip") < run_id.take(pos, mode="clip"))
-    )
-    rows = table._run_row.take(np.where(take_below, below, pos), mode="clip")
-    if np.abs(q).max(initial=0.0) >= table._tie_free:
-        d_min = np.minimum(d_below, d_above)
-        wide = (
+    d_below = run_f.take(pos - 1, mode="clip")
+    d_below -= q
+    np.abs(d_below, out=d_below)
+    d_above = run_f.take(pos, mode="clip")
+    d_above -= q
+    np.abs(d_above, out=d_above)
+    take_below = d_below < d_above
+    # Exact midpoints between two runs go to the smaller id. Off the ends of
+    # the column both runs are the end run, and pos stays.
+    midway = np.flatnonzero((d_below == d_above) & (pos > 0) & (pos < len(run_f)))
+    take_below[midway] = (run_id.take(pos[midway] - 1, mode="clip")
+                          < run_id.take(pos[midway], mode="clip"))
+    wide = ()
+    if may_tie_wide:
+        d_min = np.minimum(d_below, d_above, out=d_below)
+        wide = np.flatnonzero((
             (pos >= 2) & (np.abs(run_f.take(pos - 2, mode="clip") - q) == d_min)
         ) | (
             (pos < len(run_f) - 1) & (np.abs(run_f.take(pos + 1, mode="clip") - q) == d_min)
-        )
-        for i in np.flatnonzero(wide):
-            d = np.abs(table.f - q[i])
-            tied = np.flatnonzero(d == d.min())
-            rows[i] = tied[np.argmin(table.target_ids[tied])]
+        ))
+    del d_below, d_above
+    # pos - 1 where the lower run wins.
+    rows = table._run_row.take(np.subtract(pos, take_below, out=pos), mode="clip")
+    for i in wide:
+        d = np.abs(table.f - q[i])
+        tied = np.flatnonzero(d == d.min())
+        rows[i] = tied[np.argmin(table.target_ids[tied])]
     return rows.reshape(shape)
 
 
@@ -251,26 +272,39 @@ def run_protocol(
     The oracle is used strictly through its scalar replies: one budgeted
     query for F and one unbudgeted verification query for the diagnostic
     F_after. Target parameters and states are never read. The rotated
-    candidate is kept on the table per looked-up row, for later targets
-    that land on the same row.
+    candidate comes from the table's cache (:meth:`LookupTable.rotated_state`).
     """
     if candidate != table.candidate:
         raise ValidationError("candidate spec does not match the lookup table")
-    cand_state = table.candidate_state
-    f_before = float(oracle.query(cand_state))
+    f_before = float(oracle.query(table.candidate_state))
     row = int(_nearest_rows(table, np.array([f_before]))[0])
-    chi = float(table.chi[row])
-    rotated = table._rotated_states.get(row)
-    if rotated is None:
-        rotated = StateVector(_z_phases(chi, candidate.n_sites) * cand_state.amplitudes,
-                              candidate.n_sites)
-        table._rotated_states[row] = rotated
-    f_after = float(oracle.verification_query(rotated))
+    f_after = float(oracle.verification_query(table.rotated_state(row)))
     return ProtocolReport(
         f_before=f_before,
-        chi=chi,
+        chi=float(table.chi[row]),
         f_after=f_after,
         delta_f_analytic=float(table.delta_f[row]),
         delta_f_actual=f_after - f_before,
         queries_used=1,
     )
+
+
+def sweep_exact(table: LookupTable, fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F before and after the protocol for every target, as one array pass.
+
+    Row t of the (T, N) ``fields`` holds target t's field values. The result
+    equals, bit for bit, T :func:`run_protocol` calls with exact oracles:
+    each target's F against ``table.candidate_state`` from its closed-form
+    site directions, one nearest-F lookup for all of them, and each
+    target's F against the candidate rotated by its looked-up χ, one
+    rotated state per distinct row from :meth:`LookupTable.rotated_state`.
+    """
+    fields = np.asarray(fields, dtype=float)
+    if fields.ndim != 2 or len(fields) == 0 or not np.isfinite(fields).all():
+        raise ValidationError("target fields must be a non-empty, finite (T, N) array")
+    dirs = product_ground_directions(fields)
+    f_before = site_cosines(dirs, table.candidate_state.bloch).sum(axis=-1)
+    rows, targets = np.unique(_nearest_rows(table, f_before), return_inverse=True)
+    rotated = np.stack([table.rotated_state(int(row)).bloch for row in rows])
+    f_after = site_cosines(dirs, rotated[targets]).sum(axis=-1)
+    return f_before, f_after

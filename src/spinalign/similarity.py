@@ -94,13 +94,18 @@ def _require_directions(norms2: np.ndarray) -> None:
 
 
 def site_cosines(bloch_t: np.ndarray, bloch_c: np.ndarray) -> np.ndarray:
-    """Per-site cos θ_k = r_k·c_k/(|r_k| |c_k|) between two (N, 3) arrays of Bloch vectors."""
-    if np.shape(bloch_t) != np.shape(bloch_c):
+    """Per-site cos θ_k = r_k·c_k/(|r_k| |c_k|) between arrays of Bloch vectors, shape (..., N, 3).
+
+    Leading axes broadcast, so a (T, N, 3) batch of targets is compared with
+    one (N, 3) candidate in one call, each row bit-equal to its own call.
+    """
+    if np.shape(bloch_t)[-2:] != np.shape(bloch_c)[-2:]:
         raise ValidationError(f"Bloch arrays differ: {np.shape(bloch_t)} vs {np.shape(bloch_c)}")
-    nt2 = np.einsum("ij,ij->i", bloch_t, bloch_t)
-    nc2 = np.einsum("ij,ij->i", bloch_c, bloch_c)
-    _require_directions(np.concatenate([nt2, nc2]))
-    return np.einsum("ij,ij->i", bloch_t, bloch_c) / np.sqrt(nt2) / np.sqrt(nc2)
+    nt2 = np.einsum("...ij,...ij->...i", bloch_t, bloch_t)
+    nc2 = np.einsum("...ij,...ij->...i", bloch_c, bloch_c)
+    _require_directions(nt2)
+    _require_directions(nc2)
+    return np.einsum("...ij,...ij->...i", bloch_t, bloch_c) / np.sqrt(nt2) / np.sqrt(nc2)
 
 
 def bloch_vector(rho: DensityMatrix) -> BlochVector:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from spinalign import (
     mask_from_sites,
     partial_trace,
     product_ground_bloch,
+    product_ground_directions,
     site_operator,
     Operator,
     PAULI,
@@ -110,6 +113,16 @@ def test_j_zero_limit_matches_product_state():
 
 
 class TestProductGroundBloch:
+    def test_array_form_is_bit_equal_to_the_scalar_formula(self):
+        b = np.array([[0.0, -0.0, 0.5, -0.25], [1e-300, 5e-324, 1e200, -1e300]])
+        dirs = product_ground_directions(b)
+        assert dirs.shape == (2, 4, 3)
+        for value, got in zip(b.ravel().tolist(), dirs.reshape(-1, 3)):
+            s = math.sqrt(1.0 + value * value)
+            assert got.tobytes() == np.array([-1.0 / s, -value / s, 0.0]).tobytes()
+            v = product_ground_bloch(value)
+            assert np.array([v.x, v.y, v.z]).tobytes() == got.tobytes()
+
     def test_zero_field(self):
         v = product_ground_bloch(0.0)
         assert (v.x, v.y, v.z) == (-1.0, 0.0, 0.0)

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinalign import cli, protocol
+from spinalign.chain import enumerate_targets
+from spinalign.oracle import OracleKind, make_oracle
 from spinalign.cli import (
     RunConfig,
     THREADS_ENV_VAR,
@@ -74,6 +76,16 @@ class TestConfigPrecedence:
         cfg = _resolve(["noise", "--config", str(cfg_file)])
         assert cfg.eps == (0.0, 0.2)
 
+    @pytest.mark.parametrize("argv, name, value", [
+        (["--bmin", "-1e-3"], "bmin", -1e-3),
+        (["--j", "-2e0"], "j", -2.0),
+        (["--j", "-.5E+1"], "j", -5.0),
+        (["--bmin", "-2.5e1", "--bmax", "-1.e-1"], "bmin", -25.0),
+    ])
+    def test_negative_values_in_scientific_notation(self, tmp_path, argv, name, value):
+        assert getattr(_resolve(["table", *argv]), name) == value
+        assert main(["table", *argv, "--n", "2", "--d", "2", "--out", str(tmp_path)]) == 0
+
     def test_unknown_file_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"bogus": 1}))
@@ -112,6 +124,23 @@ class TestSweepCommand:
         assert [int(r[0]) for r in rows] == list(range(9))
         assert all(float(r[2]) >= -1e-9 for r in rows)
 
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--n", "2"],
+        ["--d", "1"],
+        ["--j", "0"],
+        ["--j", "-2.5", "--n", "3"],
+        ["--n", "3", "--d", "4", "--bmin", "-3", "--bmax", "0.7"],
+        ["--n", "7", "--d", "2"],
+    ], ids=["reference", "n2", "d1", "j0", "j-negative", "asymmetric-grid", "n7-d2"])
+    def test_array_pass_equals_per_target_loop(self, tmp_path, argv):
+        argv = ["sweep", *argv]
+        assert main([*argv, "--out", str(tmp_path / "array")]) == 0
+        cli._write_csv(tmp_path / "loop.csv", "target_id,F,delta_F",
+                       per_target_sweep_rows(_resolve(argv)))
+        assert ((tmp_path / "array" / "fig3.csv").read_bytes()
+                == (tmp_path / "loop.csv").read_bytes())
+
     def test_solves_the_candidate_once(self, tmp_path, monkeypatch):
         solved = []
         original = protocol.ground_state
@@ -138,6 +167,18 @@ class TestSweepCommand:
         assert main(["sweep", "--out", str(tmp_path)]) == 0
         # At most one per F run; the reference grid's 625 targets form 70 runs.
         assert 0 < len(rotations) <= 70
+
+
+def per_target_sweep_rows(cfg: RunConfig) -> list[tuple[int, float, float]]:
+    """Reference sweep: one exact oracle and one run_protocol call per target."""
+    candidate = cfg.candidate()
+    table = protocol.build_table(cfg.grid(), candidate)
+    rows = []
+    for target_id, spec in enumerate_targets(cfg.grid(), cfg.n, coupling=cfg.j):
+        oracle = make_oracle(spec, OracleKind.EXACT, budget=1, seed=[cfg.seed, target_id])
+        report = protocol.run_protocol(candidate, oracle, table)
+        rows.append((target_id, report.f_before, report.delta_f_actual))
+    return rows
 
 
 class TestNoiseCommand:
@@ -171,6 +212,24 @@ class TestNoiseCommand:
                        per_target_noise_rows(cfg))
         assert ((tmp_path / "blocked" / "noise.csv").read_bytes()
                 == (tmp_path / "loop.csv").read_bytes())
+
+    def test_zero_epsilon_makes_no_stream(self, tmp_path, monkeypatch):
+        seeds = []
+        original = np.random.default_rng
+
+        def counting(seed=None):
+            seeds.append(seed)
+            return original(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        argv = ["noise", "--n", "2", "--d", "3", "--eps", "0,0.05,0", "--trials", "50"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        monkeypatch.undo()
+        # Only epsilon index 1 draws: one stream per target.
+        assert [seed[1] for seed in seeds] == [1] * 9
+        cli._write_csv(tmp_path / "loop.csv", "epsilon,mean_abs_chi_error,mean_delta_f",
+                       per_target_noise_rows(_resolve(argv)))
+        assert (tmp_path / "noise.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
     # Calls are 3 epsilons x ceil(targets / block), block = max(1, 8192 // trials).
     @pytest.mark.parametrize("n, d, trials, calls", [
@@ -330,6 +389,20 @@ class TestInvalidInputEndsInOneErrorLine:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
         assert not (tmp_path / "out").exists()
+
+    def test_overflowing_fields_end_in_the_direction_floor_error(self, tmp_path):
+        # b² overflows for every target field; the sweep must not warn on the way.
+        proc = subprocess.run(
+            [sys.executable, "-W", "always::RuntimeWarning", "-m", "spinalign", "sweep",
+             "--n", "2", "--d", "2", "--bmin", "1e200", "--bmax", "2e200",
+             "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: Bloch norm below direction floor; angle undefined for a maximally mixed site"
+        ]
 
 
 _JSON_SCALAR = st.one_of(

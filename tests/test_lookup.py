@@ -5,6 +5,7 @@ kept here as the oracle, and the closed-form table is tied to per-target
 exact diagonalization.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -135,6 +136,22 @@ class TestMatchesBruteForce:
         toy = _table([-1.7e308, -1e308], [0, 1])
         rows = protocol._nearest_rows(toy, np.array([1.7e308]))
         assert list(toy.target_ids[rows]) == [0]
+
+    def test_temporaries_stay_a_small_multiple_of_the_queries(self, table):
+        # Noisy replies around every F value, and queries off both ends.
+        rng = np.random.default_rng(0)
+        q = np.concatenate([rng.choice(table.f, 6144) + rng.uniform(-0.1, 0.1, 6144),
+                            rng.uniform(-6.0, 6.0, 2048)])
+        protocol._nearest_rows(table, q)
+        tracemalloc.start()
+        try:
+            rows = protocol._nearest_rows(table, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(rows, brute_force_nearest_rows(table, q))
+        # The returned rows take 1x; keeping all ten temporaries alive took over 6x.
+        assert peak <= 4 * q.nbytes
 
     def test_overflow_raises_no_warning(self):
         with warnings.catch_warnings():

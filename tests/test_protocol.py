@@ -23,6 +23,7 @@ from spinalign import (
     partial_trace,
     run_protocol,
     similarity_chain,
+    sweep_exact,
 )
 from spinalign.chain import target_field_array
 from spinalign.cli import main
@@ -278,3 +279,21 @@ class TestRunProtocol:
         oracle = make_oracle(CANDIDATE, OracleKind.EXACT, budget=1)
         with pytest.raises(ValidationError):
             run_protocol(other, oracle, table)
+
+
+class TestSweepExact:
+    def test_equals_run_protocol_per_target(self, table):
+        fields = target_field_array(GRID, 4)
+        f_before, f_after = sweep_exact(table, fields)
+        for tid in (0, 1, 17, 311, 624):
+            oracle = make_oracle(ChainSpec(4, 1.0, fields[tid]), OracleKind.EXACT, budget=1)
+            report = run_protocol(CANDIDATE, oracle, table)
+            assert (f_before[tid], f_after[tid]) == (report.f_before, report.f_after)
+
+    @pytest.mark.parametrize("fields", [
+        np.empty((0, 4)), np.zeros(4), np.zeros((2, 3)), np.full((1, 4), np.nan),
+        np.full((1, 4), np.inf),
+    ], ids=["empty", "1d", "wrong-n", "nan", "inf"])
+    def test_bad_fields_rejected(self, table, fields):
+        with pytest.raises(ValidationError):
+            sweep_exact(table, fields)

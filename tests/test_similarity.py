@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spinalign import (
     AngleProfile,
@@ -23,6 +25,7 @@ from spinalign import (
     signed_theta,
     similarity_chain,
     similarity_general,
+    site_cosines,
 )
 
 
@@ -261,3 +264,30 @@ class TestSimilarityGeneral:
 def test_angle_profile_requires_sites():
     with pytest.raises(ValidationError):
         AngleProfile(())
+
+
+# Components near zero put whole sites below the direction floor.
+_COMPONENT = st.one_of(st.floats(-1.0, 1.0), st.floats(-1e-6, 1e-6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_property_batched_site_cosines_equal_per_row_calls(data):
+    t, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+    batch = data.draw(arrays(float, (t, n, 3), elements=_COMPONENT))
+    # One candidate for every row, as for f_before, or one per row, as for f_after.
+    shared = data.draw(st.booleans())
+    other = data.draw(arrays(float, (n, 3) if shared else (t, n, 3), elements=_COMPONENT))
+    try:
+        rows = [site_cosines(row, other if shared else other[i])
+                for i, row in enumerate(batch)]
+    except UndefinedDirectionError:
+        with pytest.raises(UndefinedDirectionError):
+            site_cosines(batch, other)
+        return
+    assert site_cosines(batch, other).tobytes() == np.array(rows).tobytes()
+
+
+def test_site_cosines_rejects_differing_sites():
+    with pytest.raises(ValidationError):
+        site_cosines(np.ones((2, 3, 3)), np.ones((2, 3)))
