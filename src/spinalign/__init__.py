@@ -53,6 +53,7 @@ from .protocol import (
     delta_f_planar,
     global_rotation,
     lookup_chi_batch,
+    nearest_rows,
     run_protocol,
     sweep_exact,
     target_angles,

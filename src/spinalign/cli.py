@@ -16,6 +16,7 @@ Exit codes: 0 ok, 1 invalid input or out of memory, 2 I/O error, 3 failed check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from .chain import (DEFAULT_SWEEP_BUDGET, ChainSpec, ParameterGrid, enumerate_ta
                     ground_state, target_field_array)
 from .errors import SpinAlignError, ValidationError
 from .oracle import OracleKind, make_oracle
-from .protocol import build_table, lookup_chi_batch, sweep_exact, target_angles
+from .protocol import build_table, nearest_rows, sweep_exact, target_angles
 
 THREADS_ENV_VAR = "SPINALIGN_THREADS"
 
@@ -189,10 +190,13 @@ def cmd_table(cfg: RunConfig) -> None:
     _write_csv(out, "target_id,F,chi_opt,delta_F,sum_sin",
                zip(*(col.tolist() for col in (table.target_ids, table.f, table.chi,
                                               table.delta_f, table.sum_sin))))
-    chi = table.chi
+    # np.median's own formula on the sorted column; np.median itself would
+    # import numpy.ma on first use.
+    chi = np.sort(table.chi)
+    median = (chi[(len(chi) - 1) // 2] + chi[len(chi) // 2]) / 2
     print(
-        f"table: {len(table)} entries -> {out} | chi_opt min {chi.min():.6f} "
-        f"median {np.median(chi):.6f} max {chi.max():.6f}"
+        f"table: {len(table)} entries -> {out} | chi_opt min {chi[0]:.6f} "
+        f"median {median:.6f} max {chi[-1]:.6f}"
     )
     if cfg.check:
         _require_reference(cfg, "table")
@@ -235,6 +239,14 @@ def cmd_sweep(cfg: RunConfig) -> None:
             raise CheckFailure("; ".join(failures))
 
 
+def _uint32_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of ``value`` >= 0, as SeedSequence splits it (0 -> [0])."""
+    words = [value & 0xFFFFFFFF]
+    while value := value >> 32:
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
 def cmd_noise(cfg: RunConfig) -> None:
     if not cfg.eps:
         raise ValidationError("noise needs a non-empty --eps list")
@@ -250,30 +262,40 @@ def cmd_noise(cfg: RunConfig) -> None:
     f_true[table.target_ids] = table.f
     s_true = np.empty(n_targets)
     s_true[table.target_ids] = table.sum_sin
+    # Lookups return table rows; their sin and cos are taken once per row.
+    sin_row, cos_row = np.sin(table.chi), np.cos(table.chi)
 
-    # Each target keeps its own noise stream; a block of targets is looked up
-    # in one call, one row of trials per target.
+    # Each target keeps its own noise stream, default_rng([seed, eps_index,
+    # target_id]), whose entropy is passed as the uint32 words SeedSequence
+    # makes of that list. Ids and indices are below 2^32: one word each.
+    entropy = np.array(_uint32_words(cfg.seed) + [0, 0], dtype=np.uint32)
+    # A block of targets is looked up in one call, one row of trials per target.
     block = max(1, NOISE_BLOCK_QUERIES // trials)
     noise = np.empty((block, trials))
     rows = []
     for eps_index, eps in enumerate(cfg.eps):
+        entropy[-2] = eps_index
         errors = np.empty(n_targets)
         gains = np.empty(n_targets)
         for start in range(0, n_targets, block):
             stop = min(start + block, n_targets)
+            ids = slice(start, stop)
+            draws = noise[:stop - start]
             if eps == 0.0:
-                noise.fill(0.0)  # uniform(-0.0, 0.0) draws exactly +0.0; no stream needed
+                draws.fill(0.0)  # uniform(-0.0, 0.0) draws exactly +0.0; no stream needed
             else:
                 for row, target_id in enumerate(range(start, stop)):
-                    rng = np.random.default_rng([cfg.seed, eps_index, target_id])
-                    noise[row] = rng.uniform(-eps, eps, size=trials)
-            ids = slice(start, stop)
-            chi_hat = lookup_chi_batch(table, f_true[ids, None] + noise[:stop - start])
-            sin_hat = np.sin(chi_hat)
+                    entropy[-1] = target_id
+                    np.random.default_rng(entropy).random(out=draws[row])
+                # uniform(-eps, eps) is -eps + (eps - -eps) * random(), value for value.
+                draws *= 2.0 * eps
+                draws -= eps
+            hit = nearest_rows(table, f_true[ids, None] + draws)
+            chi_hat, sin_hat = table.chi[hit], sin_row[hit]
             # Gain at the looked-up angle needs only (sum_sin, F) of the truth:
             # dF(chi) = 2 sin(chi) (S cos(chi) - F sin(chi)).
             gains[ids] = np.mean(2.0 * sin_hat * (
-                s_true[ids, None] * np.cos(chi_hat) - f_true[ids, None] * sin_hat
+                s_true[ids, None] * cos_row[hit] - f_true[ids, None] * sin_hat
             ), axis=1)
             errors[ids] = np.abs(chi_hat - chi_true[ids, None]).mean(axis=1)
         # Reported on the Bloch rotation-angle scale: twice the half-angle chi.
@@ -371,6 +393,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+@functools.cache  # one parser per process; parse_args keeps no state between calls
 def _build_parser() -> _Parser:
     parser = _Parser(prog="spinalign", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -27,6 +27,9 @@ from .similarity import AngleProfile, site_cosines
 
 # Below this resultant length the gain is flat in χ and no optimum exists.
 _RESULTANT_FLOOR = 1e-12
+# sweep_exact passes over this many targets at a time, which bounds its
+# (block, N, 3) temporaries; the reference grid's 625 targets are one block.
+SWEEP_BLOCK_TARGETS = 2**13
 
 
 def _z_phases(chi: float, n_sites: int) -> np.ndarray:
@@ -91,7 +94,7 @@ class LookupTable:
     _tie_free: float = field(init=False, repr=False)
 
     # Differences of finite F values may overflow to inf, which still orders
-    # correctly; here and in _nearest_rows the overflow is expected.
+    # correctly; here and in nearest_rows the overflow is expected.
     @np.errstate(over="ignore")
     def __post_init__(self):
         for name in ("target_ids", "f", "chi", "delta_f", "sum_sin"):
@@ -186,13 +189,16 @@ def build_table(grid: ParameterGrid, candidate: ChainSpec) -> LookupTable:
 
 
 @np.errstate(over="ignore")
-def _nearest_rows(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
+def nearest_rows(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
     """Row index of the entry nearest in F to each query; ties -> smallest target id.
 
     Queries of any shape are searched as one flat batch, and the rows come
-    back in the queries' shape. Distances are the float values |F_i - q|,
-    and among all rows at the minimal distance (exact midpoints included)
-    the smallest target id wins.
+    back in the queries' shape. The rows index every column of the table:
+    ``table.chi[rows]`` is :func:`lookup_chi_batch`, and a caller that needs
+    more of a row than χ (its sine or cosine, say) reads it from per-row
+    arrays made once rather than recomputing it for every query.
+    Distances are the float values |F_i - q|, and among all rows at the
+    minimal distance (exact midpoints included) the smallest target id wins.
     A binary search over the distinct F values finds the runs of equal F
     just below and at or above q, in O(log T) per query and O(Q) memory;
     the first row of a run carries its smallest id. Float subtraction is
@@ -244,10 +250,12 @@ def _nearest_rows(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
 def lookup_chi_batch(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
     """χ_opt of the table entry nearest in F to each queried similarity.
 
-    Ties (equal F, or a query midway between two F values) go to the
-    smallest target id; see :func:`_nearest_rows`.
+    This is ``table.chi[nearest_rows(table, f_queries)]``: ties (equal F,
+    or a query midway between two F values) go to the smallest target id.
+    Callers that read more of a row than χ call :func:`nearest_rows` and
+    index per-row arrays with its rows.
     """
-    return table.chi[_nearest_rows(table, f_queries)]
+    return table.chi[nearest_rows(table, f_queries)]
 
 
 @dataclass(frozen=True)
@@ -277,7 +285,7 @@ def run_protocol(
     if candidate != table.candidate:
         raise ValidationError("candidate spec does not match the lookup table")
     f_before = float(oracle.query(table.candidate_state))
-    row = int(_nearest_rows(table, np.array([f_before]))[0])
+    row = int(nearest_rows(table, np.array([f_before]))[0])
     f_after = float(oracle.verification_query(table.rotated_state(row)))
     return ProtocolReport(
         f_before=f_before,
@@ -290,7 +298,7 @@ def run_protocol(
 
 
 def sweep_exact(table: LookupTable, fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F before and after the protocol for every target, as one array pass.
+    """F before and after the protocol for every target, in array passes over blocks.
 
     Row t of the (T, N) ``fields`` holds target t's field values. The result
     equals, bit for bit, T :func:`run_protocol` calls with exact oracles:
@@ -298,13 +306,31 @@ def sweep_exact(table: LookupTable, fields: np.ndarray) -> tuple[np.ndarray, np.
     site directions, one nearest-F lookup for all of them, and each
     target's F against the candidate rotated by its looked-up χ, one
     rotated state per distinct row from :meth:`LookupTable.rotated_state`.
+    Targets pass in blocks of ``SWEEP_BLOCK_TARGETS``, so the (block, N, 3)
+    temporaries stay bounded at any grid size; every value is per target,
+    so the blocks do not change a bit. Rotated states are shared across
+    blocks: each F run's Bloch vectors are read once into an (F runs, N, 3)
+    array, smaller than the table's cache of the states themselves.
     """
     fields = np.asarray(fields, dtype=float)
     if fields.ndim != 2 or len(fields) == 0 or not np.isfinite(fields).all():
         raise ValidationError("target fields must be a non-empty, finite (T, N) array")
-    dirs = product_ground_directions(fields)
-    f_before = site_cosines(dirs, table.candidate_state.bloch).sum(axis=-1)
-    rows, targets = np.unique(_nearest_rows(table, f_before), return_inverse=True)
-    rotated = np.stack([table.rotated_state(int(row)).bloch for row in rows])
-    f_after = site_cosines(dirs, rotated[targets]).sum(axis=-1)
+    candidate = table.candidate_state.bloch
+    f_before = np.empty(len(fields))
+    f_after = np.empty(len(fields))
+    # Rotated Bloch vectors by F run (a lookup returns a run's first row),
+    # read from the table's cache once per run over all blocks.
+    by_run = np.empty((len(table._run_row),) + candidate.shape)
+    have = np.zeros(len(table._run_row), dtype=bool)
+    for start in range(0, len(fields), SWEEP_BLOCK_TARGETS):
+        block = slice(start, start + SWEEP_BLOCK_TARGETS)
+        dirs = product_ground_directions(fields[block])
+        f_before[block] = site_cosines(dirs, candidate).sum(axis=-1)
+        runs = np.searchsorted(table._run_row, nearest_rows(table, f_before[block]))
+        new = np.zeros_like(have)
+        new[runs[~have[runs]]] = True
+        for run in np.flatnonzero(new):
+            by_run[run] = table.rotated_state(int(table._run_row[run])).bloch
+        have |= new
+        f_after[block] = site_cosines(dirs, by_run[runs]).sum(axis=-1)
     return f_before, f_after

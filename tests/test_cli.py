@@ -93,6 +93,17 @@ class TestConfigPrecedence:
 
 
 class TestTableCommand:
+    @pytest.mark.parametrize("argv, line", [
+        ([], "table: 625 entries -> {out} | chi_opt min 0.000000 median 0.231824 "
+             "max 0.463648"),
+        # An even count: the median is the mean of the two middle entries.
+        (["--n", "2", "--d", "2", "--bmin", "-1"], "table: 4 entries -> {out} | chi_opt "
+                                                   "min 0.000000 median 0.312261 max 0.624523"),
+    ], ids=["reference", "even-count"])
+    def test_summary_line(self, tmp_path, capsys, argv, line):
+        assert main(["table", *argv, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == line.format(out=tmp_path / "fig2.csv") + "\n"
+
     def test_reference_table(self, tmp_path):
         assert main(["table", "--out", str(tmp_path)]) == 0
         header, rows = _read_csv(tmp_path / "fig2.csv")
@@ -205,20 +216,21 @@ class TestNoiseCommand:
         ["--trials", "200"],  # reference grid: 40 targets a block, last one short
     ])
     def test_blocked_lookup_equals_per_target_loop(self, tmp_path, argv):
-        argv = ["noise", "--eps", "0,0.05,0.1", *argv]
-        assert main([*argv, "--out", str(tmp_path / "blocked")]) == 0
-        cfg = _resolve(argv)
-        cli._write_csv(tmp_path / "loop.csv", "epsilon,mean_abs_chi_error,mean_delta_f",
-                       per_target_noise_rows(cfg))
-        assert ((tmp_path / "blocked" / "noise.csv").read_bytes()
-                == (tmp_path / "loop.csv").read_bytes())
+        # Seeds of one, two and three 32-bit words: each stream's entropy words.
+        for seed in (0, 2**32, 2**64 + 3):
+            run = ["noise", "--eps", "0,0.05,0.1", *argv, "--seed", str(seed)]
+            out = tmp_path / str(seed)
+            assert main([*run, "--out", str(out / "blocked")]) == 0
+            cli._write_csv(out / "loop.csv", "epsilon,mean_abs_chi_error,mean_delta_f",
+                           per_target_noise_rows(_resolve(run)))
+            assert (out / "blocked" / "noise.csv").read_bytes() == (out / "loop.csv").read_bytes()
 
     def test_zero_epsilon_makes_no_stream(self, tmp_path, monkeypatch):
         seeds = []
         original = np.random.default_rng
 
         def counting(seed=None):
-            seeds.append(seed)
+            seeds.append([int(word) for word in seed])  # a copy: the caller may reuse its array
             return original(seed)
 
         monkeypatch.setattr(np.random, "default_rng", counting)
@@ -238,13 +250,13 @@ class TestNoiseCommand:
     ])
     def test_one_lookup_call_per_block(self, tmp_path, monkeypatch, n, d, trials, calls):
         sizes = []
-        original = cli.lookup_chi_batch
+        original = cli.nearest_rows
 
         def counting(table, f_queries):
             sizes.append(np.size(f_queries))
             return original(table, f_queries)
 
-        monkeypatch.setattr(cli, "lookup_chi_batch", counting)
+        monkeypatch.setattr(cli, "nearest_rows", counting)
         assert main(["noise", "--n", str(n), "--d", str(d), "--eps", "0,0.05,0.1",
                      "--trials", str(trials), "--out", str(tmp_path)]) == 0
         assert len(sizes) == calls
@@ -253,7 +265,11 @@ class TestNoiseCommand:
 
 
 def per_target_noise_rows(cfg: RunConfig) -> list[tuple[float, float, float]]:
-    """Reference noise study: one lookup per target and epsilon, on the same streams."""
+    """Reference noise study: one lookup per target and epsilon, on the same streams.
+
+    Each stream is made from the list [seed, eps_index, target_id] and drawn
+    with ``uniform``, as the blocked study's streams are defined.
+    """
     table = protocol.build_table(cfg.grid(), cfg.candidate())
     n_targets = len(table)
     chi_true, f_true, s_true = (np.empty(n_targets) for _ in range(3))
@@ -334,6 +350,14 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
 
+    def test_cached_parser_keeps_no_flags_between_runs(self, tmp_path, capsys):
+        assert main(["table", "--check", "--out", str(tmp_path)]) == 0
+        assert "[PASS]" in capsys.readouterr().out
+        assert main(["table", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("table: 625 entries") and "[PASS]" not in out
+        assert _build_parser() is _build_parser()
+
     def test_failed_gate_is_three(self, tmp_path):
         # 30 shots cannot resolve the binomial std to 5%; the gate must trip
         code = main(["measure", "--n", "2", "--d", "2", "--trials", "30",
@@ -403,6 +427,22 @@ class TestInvalidInputEndsInOneErrorLine:
         assert proc.stderr.splitlines() == [
             "error: Bloch norm below direction floor; angle undefined for a maximally mixed site"
         ]
+
+
+def test_reference_runs_do_not_load_numpy_ma(tmp_path):
+    # np.median and other masked-array helpers import numpy.ma (12-15 ms) on first use.
+    script = (
+        "import sys\n"
+        "from spinalign.cli import main\n"
+        "for command in ('table', 'sweep', 'noise', 'measure'):\n"
+        f"    assert main([command, '--check', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 _JSON_SCALAR = st.one_of(

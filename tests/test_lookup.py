@@ -102,7 +102,7 @@ class TestMatchesBruteForce:
             np.nextafter(f, -np.inf),
             [-1e300, 1e300, -1e308, 1e308],
         ])
-        rows = protocol._nearest_rows(table, queries)
+        rows = protocol.nearest_rows(table, queries)
         assert np.array_equal(rows, brute_force_nearest_rows(table, queries))
 
     def test_rounding_ties_beyond_the_adjacent_runs(self):
@@ -110,7 +110,7 @@ class TestMatchesBruteForce:
         # smallest id across the whole column must win.
         toy = _table([1.0, 2.0, 3.0, 4.0], [3, 0, 2, 1])
         queries = np.array([-1e300, 1e300, 2.5])
-        rows = protocol._nearest_rows(toy, queries)
+        rows = protocol.nearest_rows(toy, queries)
         assert np.array_equal(rows, brute_force_nearest_rows(toy, queries))
         assert list(toy.target_ids[rows[:2]]) == [0, 0]
 
@@ -125,7 +125,7 @@ class TestMatchesBruteForce:
         toy = _table([1.0, 2.0, 3.0, 4.0], [3, 0, 2, 1])
         q = np.array(queries)
         assert (np.abs(q).max() >= toy._tie_free) == far
-        rows = protocol._nearest_rows(toy, q)
+        rows = protocol.nearest_rows(toy, q)
         assert rows.shape == q.shape
         assert np.array_equal(rows.ravel(), brute_force_nearest_rows(toy, q.ravel()))
         assert np.array_equal(lookup_chi_batch(toy, q), toy.chi[rows])
@@ -134,7 +134,7 @@ class TestMatchesBruteForce:
         # Both distances overflow to inf although the gap between the runs
         # is far above any rounding error.
         toy = _table([-1.7e308, -1e308], [0, 1])
-        rows = protocol._nearest_rows(toy, np.array([1.7e308]))
+        rows = protocol.nearest_rows(toy, np.array([1.7e308]))
         assert list(toy.target_ids[rows]) == [0]
 
     def test_temporaries_stay_a_small_multiple_of_the_queries(self, table):
@@ -142,10 +142,10 @@ class TestMatchesBruteForce:
         rng = np.random.default_rng(0)
         q = np.concatenate([rng.choice(table.f, 6144) + rng.uniform(-0.1, 0.1, 6144),
                             rng.uniform(-6.0, 6.0, 2048)])
-        protocol._nearest_rows(table, q)
+        protocol.nearest_rows(table, q)
         tracemalloc.start()
         try:
-            rows = protocol._nearest_rows(table, q)
+            rows = protocol.nearest_rows(table, q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -158,7 +158,7 @@ class TestMatchesBruteForce:
             warnings.simplefilter("error")
             toy = _table([-1e308, 1e308], [1, 0])
             queries = np.array([-1.7e308, np.nextafter(-1.7e308, 0.0)])
-            rows = protocol._nearest_rows(toy, queries)
+            rows = protocol.nearest_rows(toy, queries)
         assert list(toy.target_ids[rows]) == [1, 1]
 
     @settings(max_examples=400, deadline=None)
@@ -176,7 +176,7 @@ class TestMatchesBruteForce:
         midpoints = [a / 2 + b / 2 for a, b in zip(values, values[1:])]
         query = st.one_of(finite, st.sampled_from(values + midpoints))
         queries = np.array(data.draw(st.lists(query, max_size=20), label="queries"), dtype=float)
-        rows = protocol._nearest_rows(table, queries)
+        rows = protocol.nearest_rows(table, queries)
         assert np.array_equal(rows, brute_force_nearest_rows(table, queries))
 
 

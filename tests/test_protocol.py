@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from spinalign import (
     IndeterminateOptimumError,
     LookupTable,
     OracleKind,
+    ParameterGrid,
     QueryBudgetError,
     StateVector,
     ValidationError,
     apply_unitary,
     bloch_vector,
+    build_table,
     chi_opt,
     delta_f_planar,
     global_rotation,
@@ -25,6 +28,7 @@ from spinalign import (
     similarity_chain,
     sweep_exact,
 )
+from spinalign import protocol
 from spinalign.chain import target_field_array
 from spinalign.cli import main
 
@@ -297,3 +301,37 @@ class TestSweepExact:
     def test_bad_fields_rejected(self, table, fields):
         with pytest.raises(ValidationError):
             sweep_exact(table, fields)
+
+    # Eight blocks of targets on a 16-level grid: 65,536 targets, 3,876 F runs.
+    BIG_GRID = ParameterGrid(-0.5, 0.5, 16)
+
+    def test_blocks_do_not_change_a_bit(self, monkeypatch):
+        table = build_table(self.BIG_GRID, CANDIDATE)
+        fields = target_field_array(self.BIG_GRID, 4)
+        assert len(fields) > protocol.SWEEP_BLOCK_TARGETS
+        blocked = sweep_exact(table, fields)
+        monkeypatch.setattr(protocol, "SWEEP_BLOCK_TARGETS", len(fields))
+        whole = sweep_exact(table, fields)
+        monkeypatch.setattr(protocol, "SWEEP_BLOCK_TARGETS", 1000)  # a short last block
+        short = sweep_exact(table, fields)
+        for a, b, c in zip(blocked, whole, short):
+            np.testing.assert_array_equal(a, b, strict=True)
+            np.testing.assert_array_equal(a, c, strict=True)
+
+    def test_peak_memory_is_bounded_by_the_block(self):
+        table = build_table(self.BIG_GRID, CANDIDATE)
+        fields = target_field_array(self.BIG_GRID, 4)
+        sweep_exact(table, fields)  # fills the table's rotated-state cache
+        tracemalloc.start()
+        try:
+            sweep_exact(table, fields)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_targets, n = fields.shape
+        outputs = 2 * n_targets * 8
+        by_run = len(np.unique(table.f)) * n * 3 * 8
+        per_block = 16 * protocol.SWEEP_BLOCK_TARGETS * n * 8
+        # Blocked, the peak is ~4.1 MB. One pass over all targets held the
+        # (T, N, 3) directions and rotated vectors at once: ~22 MB.
+        assert peak <= outputs + by_run + per_block
