@@ -1,9 +1,10 @@
 """Align a candidate spin chain to a hidden target with one similarity query.
 
-The library covers the full pipeline: exact diagonalization of small
-periodic chains, Bloch-vector similarity between chains, the optimal global
-z-rotation derived from a precomputed lookup table, and budgeted black-box
-oracles (exact, noisy, measurement-sampled) that keep the target hidden.
+The library covers the full pipeline: closed-form chain ground-state site
+directions (verified by exact diagonalization of small chains), Bloch-vector
+similarity between chains, the optimal global z-rotation derived from a
+lookup table, and budgeted black-box oracles (exact, noisy,
+measurement-sampled) that keep the target hidden.
 """
 
 from .chain import (
@@ -54,6 +55,7 @@ from .protocol import (
     global_rotation,
     lookup_chi_batch,
     nearest_rows,
+    rotate_directions,
     run_protocol,
     sweep_exact,
     target_angles,
@@ -61,6 +63,7 @@ from .protocol import (
 from .similarity import (
     AngleProfile,
     BlochVector,
+    SiteDirections,
     SubsetFunctionKind,
     Z_AXIS,
     bloch_vector,

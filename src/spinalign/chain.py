@@ -138,7 +138,8 @@ def target_field_array(
     count = d**n_sites
     if count > budget:
         raise CapacityError(f"sweep of {count} targets exceeds budget {budget}")
-    digits = np.arange(count)[:, None] // d ** np.arange(n_sites) % d
+    digits = np.arange(count)[:, None] // d ** np.arange(n_sites)
+    digits %= d
     return grid.values[digits]
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -28,10 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from .chain import (DEFAULT_SWEEP_BUDGET, ChainSpec, ParameterGrid, enumerate_targets,
-                    ground_state, target_field_array)
+                    product_ground_directions, target_field_array)
 from .errors import SpinAlignError, ValidationError
 from .oracle import OracleKind, make_oracle
 from .protocol import build_table, nearest_rows, sweep_exact, target_angles
+from .similarity import SiteDirections
 
 THREADS_ENV_VAR = "SPINALIGN_THREADS"
 
@@ -44,6 +46,8 @@ NOISE_ERROR_WINDOWS = {0.05: (0.03, 0.09), 0.1: (0.05, 0.11)}
 # noise looks up whole targets' trials in blocks of about this many queries
 # (at least one target), which bounds its (block, trials) temporaries.
 NOISE_BLOCK_QUERIES = 2**13
+# CSV rows are formatted this many at a time, which bounds a write's Python values.
+CSV_BLOCK_ROWS = 2**13
 
 
 @dataclass(frozen=True)
@@ -147,20 +151,20 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    """Write ``rows`` under ``header``: integers as is, other values at 13 significant digits.
+def _write_csv(path: Path, header: str, columns) -> None:
+    """Write equal-length ``columns`` under ``header``: integers as is, others as ``%.12e``.
 
-    Each column's format is fixed by its type in the first row.
+    Each block of ``CSV_BLOCK_ROWS`` rows is formatted by one ``%`` on the repeated row template.
     """
+    columns = [np.asarray(col) for col in columns]
+    template = ",".join("%d" if col.dtype.kind in "iu" else "%.12e" for col in columns) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        template = None
-        for row in rows:
-            if template is None:
-                template = ",".join("{}" if isinstance(v, (int, np.integer)) else "{:.12e}"
-                                    for v in row) + "\n"
-            fh.write(template.format(*row))
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            block = [col[start:start + CSV_BLOCK_ROWS].tolist() for col in columns]
+            fh.write(template * len(block[0])
+                     % tuple(itertools.chain.from_iterable(zip(*block))))
 
 
 def _require_reference(cfg: RunConfig, command: str) -> None:
@@ -188,8 +192,7 @@ def cmd_table(cfg: RunConfig) -> None:
     table = build_table(cfg.grid(), cfg.candidate())
     out = Path(cfg.out) / "fig2.csv"
     _write_csv(out, "target_id,F,chi_opt,delta_F,sum_sin",
-               zip(*(col.tolist() for col in (table.target_ids, table.f, table.chi,
-                                              table.delta_f, table.sum_sin))))
+               (table.target_ids, table.f, table.chi, table.delta_f, table.sum_sin))
     # np.median's own formula on the sorted column; np.median itself would
     # import numpy.ma on first use.
     chi = np.sort(table.chi)
@@ -220,8 +223,7 @@ def cmd_sweep(cfg: RunConfig) -> None:
     f_before, f_after = sweep_exact(table, target_field_array(cfg.grid(), cfg.n))
     deltas = f_after - f_before
     out = Path(cfg.out) / "fig3.csv"
-    _write_csv(out, "target_id,F,delta_F",
-               zip(range(len(deltas)), f_before.tolist(), deltas.tolist()))
+    _write_csv(out, "target_id,F,delta_F", (np.arange(len(deltas)), f_before, deltas))
     print(f"sweep: {len(deltas)} protocol runs -> {out} | mean dF {deltas.mean():.6f}")
     if cfg.check:
         _require_reference(cfg, "sweep")
@@ -256,12 +258,8 @@ def cmd_noise(cfg: RunConfig) -> None:
     table = build_table(cfg.grid(), cfg.candidate())
     n_targets = len(table)
     # chi/F/sum_sin keyed by target id for per-target truth values.
-    chi_true = np.empty(n_targets)
-    chi_true[table.target_ids] = table.chi
-    f_true = np.empty(n_targets)
-    f_true[table.target_ids] = table.f
-    s_true = np.empty(n_targets)
-    s_true[table.target_ids] = table.sum_sin
+    chi_true, f_true, s_true = truth = np.empty((3, n_targets))
+    truth[:, table.target_ids] = table.chi, table.f, table.sum_sin
     # Lookups return table rows; their sin and cos are taken once per row.
     sin_row, cos_row = np.sin(table.chi), np.cos(table.chi)
 
@@ -302,7 +300,7 @@ def cmd_noise(cfg: RunConfig) -> None:
         rows.append((eps, 2.0 * float(errors.mean()), float(gains.mean())))
 
     out = Path(cfg.out) / "noise.csv"
-    _write_csv(out, "epsilon,mean_abs_chi_error,mean_delta_f", rows)
+    _write_csv(out, "epsilon,mean_abs_chi_error,mean_delta_f", zip(*rows))
     print(f"noise: {trials} trials/target over {n_targets} targets -> {out}")
     for eps, err, gain in rows:
         expected = {0.05: 0.06, 0.1: 0.08}.get(round(eps, 10))
@@ -339,43 +337,37 @@ def cmd_measure(cfg: RunConfig) -> None:
     trials = cfg.trials if cfg.trials is not None else 10_000
     if trials < 1:
         raise ValidationError("--trials must be at least 1")
-    candidate_state = ground_state(cfg.candidate()).state
+    candidate = SiteDirections(product_ground_directions(cfg.candidate().fields))
     cos_thetas = np.cos(target_angles(cfg.grid(), cfg.candidate()))
     f_exact = cos_thetas.sum(axis=1)
     probs = (cos_thetas + 1.0) / 2.0
     binomial_std = 2.0 * np.sqrt(np.sum(probs * (1.0 - probs), axis=1))
-    rows = []
+    means, stds = np.empty((2, len(f_exact)))
     for target_id, spec in enumerate_targets(cfg.grid(), cfg.n, coupling=cfg.j):
         oracle = make_oracle(
             spec, OracleKind.MEASURED, budget=trials, seed=[cfg.seed, target_id]
         )
-        estimates = oracle.sample(candidate_state, trials)
-        est_std = float(estimates.std(ddof=1)) if trials > 1 else 0.0
-        rows.append((target_id, f_exact[target_id], float(estimates.mean()), est_std,
-                     binomial_std[target_id]))
+        estimates = oracle.sample(candidate, trials)
+        means[target_id] = estimates.mean()
+        stds[target_id] = estimates.std(ddof=1) if trials > 1 else 0.0
     out = Path(cfg.out) / "measure.csv"
-    _write_csv(out, "target_id,F_exact,F_est_mean,F_est_std,binomial_std", rows)
-    worst = max(rows, key=lambda r: abs(r[3] - r[4]))
+    _write_csv(out, "target_id,F_exact,F_est_mean,F_est_std,binomial_std",
+               (np.arange(len(means)), f_exact, means, stds, binomial_std))
+    std_error = np.abs(stds - binomial_std)
     print(
-        f"measure: {trials} shots/target over {len(rows)} targets -> {out} | "
-        f"max |std dev - binomial| {abs(worst[3] - worst[4]):.4f}"
+        f"measure: {trials} shots/target over {len(means)} targets -> {out} | "
+        f"max |std dev - binomial| {std_error.max():.4f}"
     )
     if cfg.check:
         failures: list[str] = []
         root_n = math.sqrt(cfg.n)
-        stds = np.array([r[3] for r in rows])
         _gate(bool(np.all(stds <= root_n)), f"every std <= sqrt(N) = {root_n:g}", failures)
         # Below the floor both stds are unresolvable at this shot count and
         # must both be (numerically) zero; otherwise compare at 5% relative.
-        std_ok = all(
-            abs(r[3] - r[4]) <= 0.05 * r[4] if r[4] > 1e-6 else r[3] <= 1e-6
-            for r in rows
-        )
-        _gate(std_ok, "std within 5% of the binomial formula", failures)
-        mean_ok = all(
-            abs(r[2] - r[1]) <= max(3.0 * r[3] / math.sqrt(trials), 1e-9) for r in rows
-        )
-        _gate(mean_ok, "mean within 3 standard errors of exact F", failures)
+        std_ok = np.where(binomial_std > 1e-6, std_error <= 0.05 * binomial_std, stds <= 1e-6)
+        _gate(bool(std_ok.all()), "std within 5% of the binomial formula", failures)
+        mean_ok = np.abs(means - f_exact) <= np.maximum(3.0 * stds / math.sqrt(trials), 1e-9)
+        _gate(bool(mean_ok.all()), "mean within 3 standard errors of exact F", failures)
         if failures:
             raise CheckFailure("; ".join(failures))
 

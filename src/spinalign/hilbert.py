@@ -1,12 +1,11 @@
-"""Dense complex linear algebra for small qubit registers.
+"""Dense complex linear algebra for small qubit registers: the exact verifier.
 
 Operators, state vectors, ground-state eigensolving and partial traces for
-up to ``DENSE_SITE_CAP`` spin-1/2 sites. Chain similarity and oracle replies
-read a state through its cached per-site Bloch vectors (``StateVector.bloch``),
-taken straight from the amplitudes; ``partial_trace`` and ``DensityMatrix``
-are the trace-form reference. Everything is a plain dense numpy array under
-the hood; all values are immutable after construction and safe to share
-across threads.
+up to ``DENSE_SITE_CAP`` sites. No CLI path solves: the tests tie the
+closed-form site directions the CLI uses to the states here. Similarity
+replies read a state's cached per-site Bloch vectors (``StateVector.bloch``);
+``partial_trace`` and ``DensityMatrix`` are the trace-form reference. All
+values are plain numpy arrays, immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 
-# Dense matrices are capped at 2**DENSE_SITE_CAP; larger chains must go
-# through the product-state path in the chain module.
+# Dense matrices are capped at 2**DENSE_SITE_CAP; larger chains go through
+# the closed-form site directions in the chain module.
 DENSE_SITE_CAP = 10
 
 _I2 = np.eye(2, dtype=complex)

@@ -2,8 +2,9 @@
 
 An oracle is constructed from a target chain spec, stores each site's
 closed-form unit target Bloch direction as one row of an (N, 3) array, and
-afterwards answers only similarity queries against the candidate's cached
-per-site Bloch vectors: the exact value, a bounded uniformly-noisy value, or
+afterwards answers only similarity queries against the candidate's
+per-site Bloch vectors (a state's cached ``bloch``, or closed-form
+``SiteDirections``): the exact value, a bounded uniformly-noisy value, or
 a single-shot projective-measurement estimate. The target's fields are never exposed;
 the public surface is the behavior kind, the remaining budget, a
 fingerprint of the construction parameters, and the query operations.
@@ -22,7 +23,9 @@ import numpy as np
 from .chain import ChainSpec, product_ground_directions
 from .errors import QueryBudgetError, ValidationError
 from .hilbert import StateVector
-from .similarity import site_cosines
+from .similarity import SiteDirections, site_cosines
+
+Candidate = StateVector | SiteDirections  # a reply reads only ``bloch`` and ``n_sites``
 
 
 class OracleKind(enum.Enum):
@@ -78,7 +81,7 @@ class Oracle:
         # Unit site directions; site_cosines ignores the Bloch length.
         self._target_bloch = product_ground_directions(target.fields)
         self._n_sites = target.n_sites
-        self._cached_state: StateVector | None = None
+        self._cached_state: Candidate | None = None
         self._cached_probs: np.ndarray | None = None
 
     @property
@@ -103,13 +106,13 @@ class Oracle:
         """The seeded stream, made on the first noisy or measured draw."""
         return np.random.default_rng(self._seed)
 
-    def _check_sites(self, candidate: StateVector) -> None:
+    def _check_sites(self, candidate: Candidate) -> None:
         if candidate.n_sites != self._n_sites:
             raise ValidationError(
                 f"candidate has {candidate.n_sites} sites, oracle target has {self._n_sites}"
             )
 
-    def _admit(self, kind: OracleKind, candidate: StateVector, count: int = 1) -> None:
+    def _admit(self, kind: OracleKind, candidate: Candidate, count: int = 1) -> None:
         """Check kind, then site count, then budget; charge ``count`` only if all pass."""
         if self._kind is not kind:
             raise ValidationError(f"oracle kind is {self._kind.value}, not {kind.value}")
@@ -120,10 +123,10 @@ class Oracle:
             )
         self._budget -= count
 
-    def _exact_f(self, candidate: StateVector) -> float:
+    def _exact_f(self, candidate: Candidate) -> float:
         return float(site_cosines(self._target_bloch, candidate.bloch).sum())
 
-    def query(self, candidate: StateVector) -> float:
+    def query(self, candidate: Candidate) -> float:
         """Budgeted similarity reply according to the oracle's behavior kind."""
         if self._kind is OracleKind.EXACT:
             return query_exact(self, candidate)
@@ -131,12 +134,12 @@ class Oracle:
             return query_noisy(self, candidate)
         return query_measured(self, candidate)[0]
 
-    def verification_query(self, candidate: StateVector) -> float:
+    def verification_query(self, candidate: Candidate) -> float:
         """Diagnostic exact similarity; unbudgeted, for reporting only."""
         self._check_sites(candidate)
         return self._exact_f(candidate)
 
-    def sample(self, candidate: StateVector, shots: int) -> np.ndarray:
+    def sample(self, candidate: Candidate, shots: int) -> np.ndarray:
         """F estimates of ``shots`` consecutive :func:`query_measured` calls, in one draw.
 
         The whole count is charged at once; a count above the remaining
@@ -147,7 +150,7 @@ class Oracle:
         # faster than a boolean sum over the short site axis.
         return bits.astype(float) @ np.full(self._n_sites, 2.0) - self._n_sites
 
-    def _measure(self, candidate: StateVector, shots: int) -> np.ndarray:
+    def _measure(self, candidate: Candidate, shots: int) -> np.ndarray:
         """Boolean (shots, N) outcomes m_k ~ Bernoulli((cos θ_k + 1)/2); the one sampling path.
 
         One rng.random((shots, N)) draw consumes the stream exactly as
@@ -162,13 +165,13 @@ class Oracle:
         return self._rng.random((shots, self._n_sites)) < self._cached_probs
 
 
-def query_exact(oracle: Oracle, candidate: StateVector) -> float:
+def query_exact(oracle: Oracle, candidate: Candidate) -> float:
     """Exact chain similarity between the hidden target and the candidate."""
     oracle._admit(OracleKind.EXACT, candidate)
     return oracle._exact_f(candidate)
 
 
-def query_noisy(oracle: Oracle, candidate: StateVector) -> float:
+def query_noisy(oracle: Oracle, candidate: Candidate) -> float:
     """Similarity plus uniform noise on (-ε, ε) from the oracle's seeded stream."""
     oracle._admit(OracleKind.NOISY, candidate)
     f = oracle._exact_f(candidate)
@@ -177,7 +180,7 @@ def query_noisy(oracle: Oracle, candidate: StateVector) -> float:
     return f + oracle._rng.uniform(-oracle._epsilon, oracle._epsilon)
 
 
-def query_measured(oracle: Oracle, candidate: StateVector) -> tuple[float, MeasurementRecord]:
+def query_measured(oracle: Oracle, candidate: Candidate) -> tuple[float, MeasurementRecord]:
     """One projective shot per site: m_k ~ Bernoulli((cos θ_k + 1)/2), F = 2 Σ m_k - N.
 
     The per-site probabilities use the exact cos θ_k at any coupling; they

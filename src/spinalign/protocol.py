@@ -15,15 +15,13 @@ A lookup table over all discrete targets maps an observed similarity F to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .chain import (ChainSpec, ParameterGrid, ground_state, product_ground_directions,
-                    target_field_array)
+from .chain import ChainSpec, ParameterGrid, product_ground_directions, target_field_array
 from .errors import CapacityError, IndeterminateOptimumError, ValidationError
-from .hilbert import DENSE_SITE_CAP, Operator, StateVector
-from .similarity import AngleProfile, site_cosines
+from .hilbert import DENSE_SITE_CAP, Operator
+from .similarity import AngleProfile, SiteDirections, site_cosines
 
 # Below this resultant length the gain is flat in χ and no optimum exists.
 _RESULTANT_FLOOR = 1e-12
@@ -44,6 +42,17 @@ def global_rotation(chi: float, n_sites: int) -> Operator:
     if n_sites > DENSE_SITE_CAP:
         raise CapacityError(f"n_sites {n_sites} exceeds dense cap {DENSE_SITE_CAP}")
     return Operator(np.diag(_z_phases(chi, n_sites)))
+
+
+def rotate_directions(bloch: np.ndarray, chi) -> np.ndarray:
+    """(N, 3) site directions as U(χ) leaves them: turned counterclockwise about +z by 2χ.
+
+    χ of any shape gives χ.shape + (N, 3); each angle's slice is bit-equal to its own call.
+    """
+    turn = 2.0 * np.asarray(chi, dtype=float)[..., None]
+    cos, sin = np.cos(turn), np.sin(turn)
+    x, y, z = np.transpose(bloch)
+    return np.stack(np.broadcast_arrays(cos * x - sin * y, sin * x + cos * y, z), axis=-1)
 
 
 def delta_f_planar(thetas, chi: float) -> float:
@@ -125,31 +134,6 @@ class LookupTable:
     def __len__(self) -> int:
         return len(self.f)
 
-    @cached_property
-    def candidate_state(self) -> StateVector:
-        """Ground state of ``candidate``, solved on first use and kept with the table."""
-        return ground_state(self.candidate).state
-
-    @cached_property
-    def _rotated_states(self) -> dict[int, StateVector]:
-        """Candidate rotated by χ of a looked-up row, keyed by that row; see rotated_state."""
-        return {}
-
-    def rotated_state(self, row: int) -> StateVector:
-        """``candidate_state`` rotated by the χ of ``row``, made on first use and kept.
-
-        Lookups return the first row of an F run, so the cache holds at most
-        one state per run, and targets that share a run share its cached
-        Bloch vectors.
-        """
-        rotated = self._rotated_states.get(row)
-        if rotated is None:
-            cand = self.candidate_state
-            rotated = StateVector(_z_phases(float(self.chi[row]), cand.n_sites)
-                                  * cand.amplitudes, cand.n_sites)
-            self._rotated_states[row] = rotated
-        return rotated
-
 
 def target_angles(grid: ParameterGrid, candidate: ChainSpec) -> np.ndarray:
     """Signed candidate-to-target angles θ of every target, shape (D^N, N), row = target id.
@@ -162,21 +146,28 @@ def target_angles(grid: ParameterGrid, candidate: ChainSpec) -> np.ndarray:
     for every N and J, with no eigensolve. Raises CapacityError before
     allocating when the grid has more than DEFAULT_SWEEP_BUDGET targets.
     """
-    fields = target_field_array(grid, candidate.n_sites)
-    return np.arctan(fields) - np.arctan(candidate.fields)
+    thetas = target_field_array(grid, candidate.n_sites)
+    np.arctan(thetas, out=thetas)
+    thetas -= np.arctan(candidate.fields)
+    return thetas
 
 
 def build_table(grid: ParameterGrid, candidate: ChainSpec) -> LookupTable:
     """Precompute (F, χ_opt, ΔF) for every target on the grid from :func:`target_angles`.
 
     Rows are summed in sorted θ order, so targets with the same multiset of
-    (candidate field, target field) site pairs get bit-equal rows.
+    (candidate field, target field) site pairs get bit-equal rows. The
+    sorted angles and one work array are the only (T, N) arrays alive at once.
     """
-    thetas = np.sort(target_angles(grid, candidate), axis=1)
-    f = np.cos(thetas).sum(axis=1)
-    sum_sin = np.sin(thetas).sum(axis=1)
+    thetas = target_angles(grid, candidate)
+    thetas.sort(axis=1)
+    work = np.cos(thetas)
+    f = work.sum(axis=1)
+    sum_sin = np.sin(thetas, out=work).sum(axis=1)
     chi = _half_angle(sum_sin, f)
-    delta_f = 2.0 * np.sin(chi) * np.sin(thetas - chi[:, None]).sum(axis=1)
+    np.subtract(thetas, chi[:, None], out=work)
+    delta_f = 2.0 * np.sin(chi) * np.sin(work, out=work).sum(axis=1)
+    del thetas, work
     order = np.lexsort((np.arange(len(f)), f))
     return LookupTable(
         target_ids=order,
@@ -279,14 +270,16 @@ def run_protocol(
 
     The oracle is used strictly through its scalar replies: one budgeted
     query for F and one unbudgeted verification query for the diagnostic
-    F_after. Target parameters and states are never read. The rotated
-    candidate comes from the table's cache (:meth:`LookupTable.rotated_state`).
+    F_after. Target parameters and states are never read. The candidate is
+    its closed-form site directions, turned by :func:`rotate_directions`.
     """
     if candidate != table.candidate:
         raise ValidationError("candidate spec does not match the lookup table")
-    f_before = float(oracle.query(table.candidate_state))
+    directions = SiteDirections(product_ground_directions(candidate.fields))
+    f_before = float(oracle.query(directions))
     row = int(nearest_rows(table, np.array([f_before]))[0])
-    f_after = float(oracle.verification_query(table.rotated_state(row)))
+    rotated = SiteDirections(rotate_directions(directions.bloch, table.chi[row]))
+    f_after = float(oracle.verification_query(rotated))
     return ProtocolReport(
         f_before=f_before,
         chi=float(table.chi[row]),
@@ -302,35 +295,23 @@ def sweep_exact(table: LookupTable, fields: np.ndarray) -> tuple[np.ndarray, np.
 
     Row t of the (T, N) ``fields`` holds target t's field values. The result
     equals, bit for bit, T :func:`run_protocol` calls with exact oracles:
-    each target's F against ``table.candidate_state`` from its closed-form
-    site directions, one nearest-F lookup for all of them, and each
-    target's F against the candidate rotated by its looked-up χ, one
-    rotated state per distinct row from :meth:`LookupTable.rotated_state`.
-    Targets pass in blocks of ``SWEEP_BLOCK_TARGETS``, so the (block, N, 3)
-    temporaries stay bounded at any grid size; every value is per target,
-    so the blocks do not change a bit. Rotated states are shared across
-    blocks: each F run's Bloch vectors are read once into an (F runs, N, 3)
-    array, smaller than the table's cache of the states themselves.
+    closed-form site directions of every target and of the candidate, one
+    nearest-F lookup for all targets, and the candidate turned once per F
+    run (a lookup returns a run's first row), all runs in one call. Targets
+    pass in blocks of ``SWEEP_BLOCK_TARGETS``, which bounds the (block, N, 3)
+    temporaries at any grid size without changing a bit.
     """
     fields = np.asarray(fields, dtype=float)
     if fields.ndim != 2 or len(fields) == 0 or not np.isfinite(fields).all():
         raise ValidationError("target fields must be a non-empty, finite (T, N) array")
-    candidate = table.candidate_state.bloch
+    candidate = product_ground_directions(table.candidate.fields)
+    by_run = rotate_directions(candidate, table.chi[table._run_row])
     f_before = np.empty(len(fields))
     f_after = np.empty(len(fields))
-    # Rotated Bloch vectors by F run (a lookup returns a run's first row),
-    # read from the table's cache once per run over all blocks.
-    by_run = np.empty((len(table._run_row),) + candidate.shape)
-    have = np.zeros(len(table._run_row), dtype=bool)
     for start in range(0, len(fields), SWEEP_BLOCK_TARGETS):
         block = slice(start, start + SWEEP_BLOCK_TARGETS)
         dirs = product_ground_directions(fields[block])
         f_before[block] = site_cosines(dirs, candidate).sum(axis=-1)
         runs = np.searchsorted(table._run_row, nearest_rows(table, f_before[block]))
-        new = np.zeros_like(have)
-        new[runs[~have[runs]]] = True
-        for run in np.flatnonzero(new):
-            by_run[run] = table.rotated_state(int(table._run_row[run])).bloch
-        have |= new
         f_after[block] = site_cosines(dirs, by_run[runs]).sum(axis=-1)
     return f_before, f_after

@@ -49,6 +49,26 @@ class BlochVector:
 Z_AXIS = BlochVector(0.0, 0.0, 1.0)
 
 
+@dataclass(frozen=True, eq=False)
+class SiteDirections:
+    """Read-only (N, 3) site Bloch directions, row k-1 for site k: a candidate without a state.
+
+    Similarity replies read only ``bloch`` and ``n_sites``, as a ``StateVector``
+    offers them, so closed-form directions are queried as they are.
+    """
+
+    bloch: np.ndarray
+
+    def __post_init__(self):
+        bloch = np.array(self.bloch, dtype=float)
+        bloch.setflags(write=False)
+        object.__setattr__(self, "bloch", bloch)
+
+    @property
+    def n_sites(self) -> int:
+        return len(self.bloch)
+
+
 @dataclass(frozen=True)
 class AngleProfile:
     """Signed per-site angles from candidate to target Bloch vectors.

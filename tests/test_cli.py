@@ -7,13 +7,15 @@ import resource
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinalign import cli, protocol
+import spinalign
+from spinalign import chain, cli, hilbert, protocol
 from spinalign.chain import enumerate_targets
 from spinalign.oracle import OracleKind, make_oracle
 from spinalign.cli import (
@@ -29,6 +31,15 @@ def _resolve(argv, monkeypatch=None, env=None):
     if env is not None:
         monkeypatch.setenv(THREADS_ENV_VAR, env)
     return resolve_config(_build_parser().parse_args(argv))
+
+
+def write_rows(path, header, rows):
+    """Reference CSV writer: one row at a time, integers as is, other values at 13 digits."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) if isinstance(v, (int, np.integer)) else f"{v:.12e}"
+                              for v in row) + "\n")
 
 
 def _read_csv(path):
@@ -92,6 +103,33 @@ class TestConfigPrecedence:
         assert main(["table", "--config", str(cfg_file)]) == 1
 
 
+class TestCsvWriter:
+    ROWS = 2 * cli.CSV_BLOCK_ROWS + 5  # three blocks, the last one short
+
+    def test_equals_the_row_by_row_writer(self, tmp_path):
+        rng = np.random.default_rng(3)
+        floats = rng.normal(size=self.ROWS) * 10.0 ** rng.integers(-300, 300, self.ROWS)
+        floats[:7] = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -np.finfo(float).max]
+        columns = (np.arange(self.ROWS), floats, -floats, np.arange(self.ROWS, dtype=np.uint32))
+        cli._write_csv(tmp_path / "blocked.csv", "a,b,c,d", columns)
+        write_rows(tmp_path / "rows.csv", "a,b,c,d", zip(*(col.tolist() for col in columns)))
+        assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_table_write_holds_one_block(self, tmp_path, monkeypatch):
+        cfg = RunConfig(n=2, d=256, out=str(tmp_path))  # 65,536 rows, eight blocks
+        table = protocol.build_table(cfg.grid(), cfg.candidate())
+        monkeypatch.setattr(cli, "build_table", lambda grid, candidate: table)
+        tracemalloc.start()
+        try:
+            cli.cmd_table(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A sorted copy of chi for the summary line, then one block of Python
+        # values and text (~2.3 MB). Whole-column lists took ~11 MB here.
+        assert peak <= 8 * len(table) + 400 * cli.CSV_BLOCK_ROWS
+
+
 class TestTableCommand:
     @pytest.mark.parametrize("argv, line", [
         ([], "table: 625 entries -> {out} | chi_opt min 0.000000 median 0.231824 "
@@ -143,41 +181,47 @@ class TestSweepCommand:
         ["--j", "-2.5", "--n", "3"],
         ["--n", "3", "--d", "4", "--bmin", "-3", "--bmax", "0.7"],
         ["--n", "7", "--d", "2"],
-    ], ids=["reference", "n2", "d1", "j0", "j-negative", "asymmetric-grid", "n7-d2"])
+        ["--n", "11", "--d", "2"],  # beyond the dense N <= 10 cap
+        ["--n", "19", "--d", "1"],
+    ], ids=["reference", "n2", "d1", "j0", "j-negative", "asymmetric-grid", "n7-d2", "n11-d2",
+            "n19-d1"])
     def test_array_pass_equals_per_target_loop(self, tmp_path, argv):
         argv = ["sweep", *argv]
         assert main([*argv, "--out", str(tmp_path / "array")]) == 0
-        cli._write_csv(tmp_path / "loop.csv", "target_id,F,delta_F",
-                       per_target_sweep_rows(_resolve(argv)))
+        write_rows(tmp_path / "loop.csv", "target_id,F,delta_F",
+                   per_target_sweep_rows(_resolve(argv)))
         assert ((tmp_path / "array" / "fig3.csv").read_bytes()
                 == (tmp_path / "loop.csv").read_bytes())
 
     def test_solves_the_candidate_once(self, tmp_path, monkeypatch):
         solved = []
-        original = protocol.ground_state
+        original = protocol.product_ground_directions
 
-        def counting(spec):
-            solved.append(spec)
-            return original(spec)
+        def counting(fields):
+            if np.ndim(fields) == 1:  # the candidate; targets come as (block, N)
+                solved.append(tuple(fields))
+            return original(fields)
 
-        monkeypatch.setattr(protocol, "ground_state", counting)
+        monkeypatch.setattr(protocol, "product_ground_directions", counting)
         assert main(["sweep", "--out", str(tmp_path)]) == 0
         _, rows = _read_csv(tmp_path / "fig3.csv")
         assert len(rows) == 625
-        assert solved == [RunConfig().candidate()]
+        assert solved == [tuple(RunConfig().candidate().fields)]
 
     def test_one_rotated_state_per_f_run(self, tmp_path, monkeypatch):
         rotations = []
-        original = protocol._z_phases
+        original = protocol.rotate_directions
 
-        def counting(chi, n_sites):
-            rotations.append(chi)
-            return original(chi, n_sites)
+        def counting(bloch, chi):
+            rotations.append(np.size(chi))
+            return original(bloch, chi)
 
-        monkeypatch.setattr(protocol, "_z_phases", counting)
+        monkeypatch.setattr(protocol, "rotate_directions", counting)
         assert main(["sweep", "--out", str(tmp_path)]) == 0
-        # At most one per F run; the reference grid's 625 targets form 70 runs.
-        assert 0 < len(rotations) <= 70
+        # One call turns the candidate for every F run; the reference grid's
+        # 625 targets form at most 70 runs.
+        assert len(rotations) == 1
+        assert 0 < rotations[0] <= 70
 
 
 def per_target_sweep_rows(cfg: RunConfig) -> list[tuple[int, float, float]]:
@@ -221,8 +265,8 @@ class TestNoiseCommand:
             run = ["noise", "--eps", "0,0.05,0.1", *argv, "--seed", str(seed)]
             out = tmp_path / str(seed)
             assert main([*run, "--out", str(out / "blocked")]) == 0
-            cli._write_csv(out / "loop.csv", "epsilon,mean_abs_chi_error,mean_delta_f",
-                           per_target_noise_rows(_resolve(run)))
+            write_rows(out / "loop.csv", "epsilon,mean_abs_chi_error,mean_delta_f",
+                       per_target_noise_rows(_resolve(run)))
             assert (out / "blocked" / "noise.csv").read_bytes() == (out / "loop.csv").read_bytes()
 
     def test_zero_epsilon_makes_no_stream(self, tmp_path, monkeypatch):
@@ -239,8 +283,8 @@ class TestNoiseCommand:
         monkeypatch.undo()
         # Only epsilon index 1 draws: one stream per target.
         assert [seed[1] for seed in seeds] == [1] * 9
-        cli._write_csv(tmp_path / "loop.csv", "epsilon,mean_abs_chi_error,mean_delta_f",
-                       per_target_noise_rows(_resolve(argv)))
+        write_rows(tmp_path / "loop.csv", "epsilon,mean_abs_chi_error,mean_delta_f",
+                   per_target_noise_rows(_resolve(argv)))
         assert (tmp_path / "noise.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
     # Calls are 3 epsilons x ceil(targets / block), block = max(1, 8192 // trials).
@@ -314,18 +358,46 @@ class TestMeasureCommand:
         b = (tmp_path / "b" / "measure.csv").read_bytes()
         assert a == b
 
+    def test_beyond_the_dense_cap(self, tmp_path):
+        args = ["measure", "--n", "11", "--d", "2", "--trials", "20", "--out", str(tmp_path)]
+        assert main(args) == 0
+        _, rows = _read_csv(tmp_path / "measure.csv")
+        assert len(rows) == 2**11
+
     def test_solves_only_the_candidate(self, tmp_path, monkeypatch):
         solved = []
-        original = cli.ground_state
+        original = cli.product_ground_directions
 
-        def counting(spec):
-            solved.append(spec)
-            return original(spec)
+        def counting(fields):
+            solved.append(tuple(fields))
+            return original(fields)
 
-        monkeypatch.setattr(cli, "ground_state", counting)
+        monkeypatch.setattr(cli, "product_ground_directions", counting)
         args = ["measure", "--n", "3", "--d", "2", "--trials", "5", "--out", str(tmp_path)]
         assert main(args) == 0
-        assert solved == [RunConfig(n=3, d=2).candidate()]
+        assert solved == [tuple(RunConfig(n=3, d=2).candidate().fields)]
+
+
+def test_no_subcommand_solves_an_eigenproblem(tmp_path, monkeypatch):
+    def refuse(h):
+        raise AssertionError("a subcommand diagonalized a Hamiltonian")
+
+    for module in (spinalign, hilbert, chain):
+        monkeypatch.setattr(module, "hermitian_ground_state", refuse)
+    for command in ("table", "sweep", "noise", "measure"):
+        assert main([command, "--trials", "20", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("j", ["1e3", "1e4", "1e5", "-1e3"])
+def test_outputs_do_not_depend_on_j(tmp_path, j):
+    # The candidate and the targets are J-independent in closed form; the
+    # dense ground state mixes the near-degenerate doublet at large |J|.
+    for coupling in ("1", j):
+        for command in ("sweep", "measure"):
+            assert main([command, "--j", coupling, "--trials", "200",
+                         "--out", str(tmp_path / coupling)]) == 0
+    for name in ("fig3.csv", "measure.csv"):
+        assert (tmp_path / j / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
 
 
 class TestExitCodes:

@@ -26,7 +26,7 @@ from spinalign import (
     lookup_chi_batch,
     similarity_chain,
 )
-from spinalign import protocol
+from spinalign import chain, protocol
 from spinalign.cli import main
 
 from conftest import CANDIDATE, GRID
@@ -199,15 +199,11 @@ class TestCanonicalTies:
                 assert np.all(col[rows] == col[rows[0]])
 
     def test_one_solve_per_multiset(self, monkeypatch):
-        calls = []
+        def refuse(h):
+            raise AssertionError("build_table diagonalized a Hamiltonian")
 
-        def counting(spec):
-            calls.append(spec)
-            return ground_state(spec)
-
-        monkeypatch.setattr(protocol, "ground_state", counting)
-        build_table(GRID, CANDIDATE)
-        assert calls == []  # the closed form needs no eigensolve at all
+        monkeypatch.setattr(chain, "hermitian_ground_state", refuse)
+        build_table(GRID, CANDIDATE)  # the closed form needs no eigensolve at all
 
     @pytest.mark.parametrize(
         "candidate, grid",

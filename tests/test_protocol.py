@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinalign import (
     AngleProfile,
@@ -29,7 +30,8 @@ from spinalign import (
     sweep_exact,
 )
 from spinalign import protocol
-from spinalign.chain import target_field_array
+from spinalign.chain import product_ground_directions, target_field_array
+from spinalign.protocol import rotate_directions
 from spinalign.cli import main
 
 from conftest import CANDIDATE, GRID
@@ -160,6 +162,20 @@ class TestLookupTable:
             assert table.chi[row] == pytest.approx(chi_opt(profile), abs=1e-12)
             assert table.sum_sin[row] == pytest.approx(profile.sum_sin, abs=1e-12)
 
+    def test_peak_memory_is_two_angle_arrays(self):
+        # At N = 10 the (T, N) angle arrays outweigh the T-long columns.
+        grid, candidate = ParameterGrid(-0.5, 0.5, 3), ChainSpec(10, 1.0, (-0.5,) * 10)
+        tracemalloc.start()
+        try:
+            table = build_table(grid, candidate)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        angles = len(table) * candidate.n_sites * 8
+        # Sorted angles and one work array, next to a few T-long columns:
+        # ~25 T floats here, where five (T, N) temporaries reached ~34.
+        assert peak <= 2 * angles + 8 * len(table) * 8
+
     def test_csv_serialization(self, tmp_path):
         assert main(["table", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "fig2.csv").read_text(encoding="utf-8").splitlines()
@@ -285,6 +301,31 @@ class TestRunProtocol:
             run_protocol(other, oracle, table)
 
 
+class TestClosedFormCandidate:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_property_rotated_directions_match_the_dense_rotation(self, data):
+        n = data.draw(st.integers(2, 8), label="n")
+        fields = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n), label="b")
+        spec = ChainSpec(n, data.draw(st.floats(-5.0, 5.0), label="J"), fields)
+        chi = data.draw(st.floats(-np.pi, np.pi), label="chi")
+        dense = apply_unitary(global_rotation(chi, n), ground_state(spec).state).bloch
+        closed = rotate_directions(product_ground_directions(spec.fields), chi)
+        # The z components vanish by symmetry, but near the doublet of a
+        # strong ferromagnetic chain eigh leaves them at rounding over the
+        # gap (~2e-9 at N = 7, J = -4), so directions are compared in the plane.
+        assert np.all(closed[:, 2] == 0.0)
+        planar = dense[:, :2] / np.linalg.norm(dense[:, :2], axis=1, keepdims=True)
+        assert np.max(np.abs(planar - closed[:, :2])) <= 1e-12
+
+    def test_rotation_of_many_angles_is_bit_equal_to_one_at_a_time(self):
+        bloch = product_ground_directions([-0.5, 0.0, 0.3, 2.0, -3.0])
+        chis = np.linspace(-np.pi, np.pi, 101)
+        many = rotate_directions(bloch, chis)
+        for chi, rotated in zip(chis, many):
+            np.testing.assert_array_equal(rotate_directions(bloch, chi), rotated, strict=True)
+
+
 class TestSweepExact:
     def test_equals_run_protocol_per_target(self, table):
         fields = target_field_array(GRID, 4)
@@ -321,7 +362,6 @@ class TestSweepExact:
     def test_peak_memory_is_bounded_by_the_block(self):
         table = build_table(self.BIG_GRID, CANDIDATE)
         fields = target_field_array(self.BIG_GRID, 4)
-        sweep_exact(table, fields)  # fills the table's rotated-state cache
         tracemalloc.start()
         try:
             sweep_exact(table, fields)
