@@ -55,6 +55,7 @@ from .protocol import (
     global_rotation,
     lookup_chi_batch,
     nearest_rows,
+    nearest_runs,
     rotate_directions,
     run_protocol,
     sweep_exact,

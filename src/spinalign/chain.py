@@ -126,20 +126,30 @@ def product_ground_directions(fields) -> np.ndarray:
     return dirs
 
 
+def target_count(grid: ParameterGrid, n_sites: int, budget: int = DEFAULT_SWEEP_BUDGET) -> int:
+    """D^N, the number of targets on the grid; CapacityError when it exceeds ``budget``."""
+    count = grid.levels**n_sites
+    if count > budget:
+        raise CapacityError(f"sweep of {count} targets exceeds budget {budget}")
+    return count
+
+
 def target_field_array(
-    grid: ParameterGrid, n_sites: int, budget: int = DEFAULT_SWEEP_BUDGET
+    grid: ParameterGrid,
+    n_sites: int,
+    budget: int = DEFAULT_SWEEP_BUDGET,
+    start: int = 0,
+    stop: int | None = None,
 ) -> np.ndarray:
-    """Fields of every target as a (D^N, N) array, row = target id.
+    """Fields of targets ``start`` <= id < ``stop`` (default: all D^N), one row per target.
 
     Ids are base-D with site 1 in the least significant digit. Raises
     CapacityError before allocating when D^N exceeds ``budget``.
     """
-    d = grid.levels
-    count = d**n_sites
-    if count > budget:
-        raise CapacityError(f"sweep of {count} targets exceeds budget {budget}")
-    digits = np.arange(count)[:, None] // d ** np.arange(n_sites)
-    digits %= d
+    count = target_count(grid, n_sites, budget)
+    stop = count if stop is None else min(stop, count)
+    digits = np.arange(start, stop)[:, None] // grid.levels ** np.arange(n_sites)
+    digits %= grid.levels
     return grid.values[digits]
 
 

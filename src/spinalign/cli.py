@@ -29,10 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from .chain import (DEFAULT_SWEEP_BUDGET, ChainSpec, ParameterGrid, enumerate_targets,
-                    product_ground_directions, target_field_array)
+                    product_ground_directions)
 from .errors import SpinAlignError, ValidationError
 from .oracle import OracleKind, make_oracle
-from .protocol import build_table, nearest_rows, sweep_exact, target_angles
+from .protocol import build_table, nearest_runs, sweep_exact, target_angles
 from .similarity import SiteDirections
 
 THREADS_ENV_VAR = "SPINALIGN_THREADS"
@@ -220,7 +220,7 @@ def cmd_table(cfg: RunConfig) -> None:
 
 def cmd_sweep(cfg: RunConfig) -> None:
     table = build_table(cfg.grid(), cfg.candidate())
-    f_before, f_after = sweep_exact(table, target_field_array(cfg.grid(), cfg.n))
+    f_before, f_after = sweep_exact(table, cfg.grid())
     deltas = f_after - f_before
     out = Path(cfg.out) / "fig3.csv"
     _write_csv(out, "target_id,F,delta_F", (np.arange(len(deltas)), f_before, deltas))
@@ -260,8 +260,13 @@ def cmd_noise(cfg: RunConfig) -> None:
     # chi/F/sum_sin keyed by target id for per-target truth values.
     chi_true, f_true, s_true = truth = np.empty((3, n_targets))
     truth[:, table.target_ids] = table.chi, table.f, table.sum_sin
-    # Lookups return table rows; their sin and cos are taken once per row.
-    sin_row, cos_row = np.sin(table.chi), np.cos(table.chi)
+    # Lookups return runs of equal F; chi and its sine and cosine are taken once per run.
+    chi_run = table.chi[table._run_row]
+    sin_run, cos_run = np.sin(chi_run), np.cos(chi_run)
+    # A block's per-trial values are gathered from one value per (target,
+    # run) when the runs are no more than the trials, which bounds that array
+    # by the block's queries; otherwise they are computed per trial.
+    per_run = len(chi_run) <= trials
 
     # Each target keeps its own noise stream, default_rng([seed, eps_index,
     # target_id]), whose entropy is passed as the uint32 words SeedSequence
@@ -288,14 +293,18 @@ def cmd_noise(cfg: RunConfig) -> None:
                 # uniform(-eps, eps) is -eps + (eps - -eps) * random(), value for value.
                 draws *= 2.0 * eps
                 draws -= eps
-            hit = nearest_rows(table, f_true[ids, None] + draws)
-            chi_hat, sin_hat = table.chi[hit], sin_row[hit]
+            hit = nearest_runs(table, f_true[ids, None] + draws)
+            at = slice(None) if per_run else hit
+            sin_hat = sin_run[at]
             # Gain at the looked-up angle needs only (sum_sin, F) of the truth:
             # dF(chi) = 2 sin(chi) (S cos(chi) - F sin(chi)).
-            gains[ids] = np.mean(2.0 * sin_hat * (
-                s_true[ids, None] * cos_row[hit] - f_true[ids, None] * sin_hat
-            ), axis=1)
-            errors[ids] = np.abs(chi_hat - chi_true[ids, None]).mean(axis=1)
+            gain = 2.0 * sin_hat * (s_true[ids, None] * cos_run[at] - f_true[ids, None] * sin_hat)
+            error = np.abs(chi_run[at] - chi_true[ids, None])
+            if per_run:  # each trial's flat index into the (block, runs) arrays
+                hit += np.arange(0, gain.size, len(chi_run))[:, None]
+                gain, error = gain.take(hit), error.take(hit)
+            gains[ids] = gain.mean(axis=1)
+            errors[ids] = error.mean(axis=1)
         # Reported on the Bloch rotation-angle scale: twice the half-angle chi.
         rows.append((eps, 2.0 * float(errors.mean()), float(gains.mean())))
 

@@ -14,11 +14,14 @@ A lookup table over all discrete targets maps an observed similarity F to
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainSpec, ParameterGrid, product_ground_directions, target_field_array
+from .chain import (ChainSpec, ParameterGrid, product_ground_directions, target_count,
+                    target_field_array)
 from .errors import CapacityError, IndeterminateOptimumError, ValidationError
 from .hilbert import DENSE_SITE_CAP, Operator
 from .similarity import AngleProfile, SiteDirections, site_cosines
@@ -28,6 +31,12 @@ _RESULTANT_FLOOR = 1e-12
 # sweep_exact passes over this many targets at a time, which bounds its
 # (block, N, 3) temporaries; the reference grid's 625 targets are one block.
 SWEEP_BLOCK_TARGETS = 2**13
+# The nearest-F index spreads its run boundaries over about this many
+# uniform buckets each, so most queries share a bucket with at most one.
+_BUCKETS_PER_BOUNDARY = 4
+_MAGNITUDE_BITS = 2**63 - 1
+# Added to x, the nextafter targets that give the float below x, x and the float above.
+_AROUND = np.array([-np.inf, 0.0, np.inf])
 
 
 def _z_phases(chi: float, n_sites: int) -> np.ndarray:
@@ -85,6 +94,12 @@ class LookupTable:
     with its similarity against the fixed candidate, its optimal half-angle
     and the gain that angle achieves. Construction rejects columns that are
     not in (F, target id) order, since the nearest-F lookup relies on it.
+
+    Rows of equal F form runs, each led by its smallest target id. The
+    first lookup builds a run index: between each pair of adjacent runs the
+    float boundary at which the lookup starts picking the upper one, found
+    exactly from the lookup's own float rule, and a uniform bucket array
+    over the boundaries. Building the table does not build the index.
     """
 
     target_ids: np.ndarray
@@ -134,6 +149,11 @@ class LookupTable:
     def __len__(self) -> int:
         return len(self.f)
 
+    @functools.cached_property
+    def _index(self) -> _RunIndex:
+        """The run index of :func:`nearest_runs`, built by the table's first lookup."""
+        return _run_index(self._run_f, self._run_id)
+
 
 def target_angles(grid: ParameterGrid, candidate: ChainSpec) -> np.ndarray:
     """Signed candidate-to-target angles θ of every target, shape (D^N, N), row = target id.
@@ -179,63 +199,191 @@ def build_table(grid: ParameterGrid, candidate: ChainSpec) -> LookupTable:
     )
 
 
-@np.errstate(over="ignore")
-def nearest_rows(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
-    """Row index of the entry nearest in F to each query; ties -> smallest target id.
+def _ordered_keys(x) -> np.ndarray:
+    """int64 keys of finite floats in their order, adjacent floats at adjacent keys.
 
-    Queries of any shape are searched as one flat batch, and the rows come
-    back in the queries' shape. The rows index every column of the table:
-    ``table.chi[rows]`` is :func:`lookup_chi_batch`, and a caller that needs
-    more of a row than χ (its sine or cosine, say) reads it from per-row
-    arrays made once rather than recomputing it for every query.
-    Distances are the float values |F_i - q|, and among all rows at the
-    minimal distance (exact midpoints included) the smallest target id wins.
-    A binary search over the distinct F values finds the runs of equal F
-    just below and at or above q, in O(log T) per query and O(Q) memory;
-    the first row of a run carries its smallest id. Float subtraction is
-    monotone, so the rows at minimal distance are one contiguous range that
-    contains one of these two runs. It reaches a further run only when the
-    rounding error of |q| + max|F| covers the smallest gap between distinct
-    F values (see ``_tie_free``) or a distance overflows to inf; such
-    queries fall back to a full scan.
+    Negative floats flip their magnitude bits; the map is its own inverse
+    (see :func:`_from_keys`), and -0.0 and +0.0 take the adjacent keys -1 and 0.
+    """
+    bits = np.asarray(x, dtype=float).view(np.int64)
+    return bits ^ ((bits >> 63) & _MAGNITUDE_BITS)
+
+
+def _from_keys(keys: np.ndarray) -> np.ndarray:
+    """The floats of :func:`_ordered_keys` keys."""
+    return (keys ^ ((keys >> 63) & _MAGNITUDE_BITS)).view(float)
+
+
+def _picks_upper(q, lower, upper, upper_id_smaller) -> np.ndarray:
+    """Whether the nearest-F rule picks the upper of two runs lower < upper at q.
+
+    The upper run wins at a smaller distance, and at an equal one when its id
+    is smaller. Distances are signed, so the answer is False for q <= lower,
+    True for q >= upper and monotone in q between.
+    """
+    d_lower, d_upper = q - lower, upper - q
+    return np.where(upper_id_smaller, d_upper <= d_lower, d_upper < d_lower)
+
+
+def _buckets(x: np.ndarray, origin: float, scale: float, top: float) -> np.ndarray:
+    """Uniform bucket of each value, clipped to [0, top]; non-decreasing in x."""
+    at = np.subtract(x, origin)
+    at *= scale
+    np.maximum(at, 0.0, out=at)
+    np.minimum(at, top, out=at)
+    return at.astype(np.intp)
+
+
+@dataclass(frozen=True, eq=False)
+class _RunIndex:
+    """Run boundaries c_i of a table behind a uniform bucket array.
+
+    c_i is the smallest float q in (F_i, F_{i+1}] at which the nearest-F rule
+    picks run i + 1 over run i, so below ``_tie_free`` a query's run is the
+    count of c_i <= q. That count is the number of boundaries in lower
+    buckets plus a branchless binary search within the query's own bucket:
+    a boundary in a lower bucket is <= q, one in a higher bucket is > q.
+    """
+
+    bounds: np.ndarray  # c_i, padded with inf for the search within a bucket
+    origin: float
+    scale: float
+    top: float  # the last bucket
+    below: np.ndarray  # per bucket, the boundaries in lower buckets
+    steps: tuple[int, ...]  # the search's step widths, halving down to 1
+
+    def runs(self, q: np.ndarray) -> np.ndarray:
+        """#{c_i <= q} per query, a valid run index; the nearest run where |q| < ``_tie_free``."""
+        runs = _buckets(q, self.origin, self.scale, self.top)
+        self.below.take(runs, out=runs, mode="clip")
+        for step in self.steps:
+            np.add(runs, step, out=runs, where=self.bounds[step - 1:].take(runs) <= q)
+        return runs
+
+
+def _run_index(run_f: np.ndarray, run_id: np.ndarray) -> _RunIndex:
+    """Build the :class:`_RunIndex` of runs with F values ``run_f`` and smallest ids ``run_id``."""
+    lower, upper = run_f[:-1], run_f[1:]
+    rule = (lower, upper, run_id[1:] < run_id[:-1])
+    # With signed distances the rule is monotone in q and picks the lower
+    # run up to F_i and the upper one from F_{i+1}, so c_i is the first
+    # float that picks the upper run: 0 or 1 float above the midpoint on
+    # every grid tried. Test the floats around the midpoint; bisect on the
+    # ordered keys of (F_i, F_{i+1}] only where c_i is not among them.
+    half = run_f / 2
+    mid = np.add(half[:-1], half[1:])[:, None]
+    probe = np.nextafter(mid, mid + _AROUND)
+    wins = _picks_upper(probe, *(col[:, None] for col in rule))
+    bounds = np.where(wins[:, 1], probe[:, 1], probe[:, 2])
+    # Resolved where the float below the midpoint picks the lower run and
+    # the one above it the upper run.
+    open_ = np.greater_equal(wins[:, 0], wins[:, 2]).nonzero()[0]
+    if open_.size:
+        low, high = _ordered_keys(lower[open_]), _ordered_keys(upper[open_])
+        part = [col[open_] for col in rule]
+        while (todo := np.flatnonzero(high - 1 > low)).size:
+            lo, hi = low[todo], high[todo]
+            mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
+            upper_wins = _picks_upper(_from_keys(mid), *(col[todo] for col in part))
+            high[todo] = np.where(upper_wins, mid, hi)
+            low[todo] = np.where(upper_wins, lo, mid)
+        bounds[open_] = _from_keys(high)
+    # About _BUCKETS_PER_BOUNDARY buckets per boundary over [c_0, c_last];
+    # one bucket when that span is zero, subnormal or overflows.
+    n_buckets = _BUCKETS_PER_BOUNDARY * len(bounds)
+    origin = float(bounds[0]) if len(bounds) else 0.0
+    span = float(bounds[-1]) - origin if len(bounds) else 0.0
+    scale = n_buckets / span if span > 0.0 else 0.0
+    if not 0.0 < scale < math.inf:
+        n_buckets, scale = 1, 1.0
+    top = n_buckets - 1.0
+    in_bucket = _buckets(bounds, origin, scale, top)
+    # Within a bucket the search takes log2(width) steps; width > its boundaries.
+    width = 1 << int(np.bincount(in_bucket).max(initial=0)).bit_length()
+    padded = np.full(len(bounds) + width - 1, np.inf)
+    padded[:len(bounds)] = bounds
+    return _RunIndex(
+        bounds=padded,
+        origin=origin,
+        scale=scale,
+        top=top,
+        below=in_bucket.searchsorted(np.arange(n_buckets)),
+        steps=tuple(width >> k for k in range(1, width.bit_length())),
+    )
+
+
+def _scan_runs(table: LookupTable, q: np.ndarray) -> np.ndarray:
+    """Nearest runs of queries at or beyond ``_tie_free``, where rounding may tie three runs.
+
+    A binary search finds the runs just below and at or above each query.
+    Float subtraction is monotone, so the runs at minimal distance are one
+    contiguous range that contains one of these two. It reaches a further
+    run only when the rounding error of |q| + max|F| covers the smallest gap
+    between distinct F values or a distance overflows to inf; a query whose
+    distance to the run beyond either also rounds to the minimum is scanned
+    over all runs.
+    """
+    run_f, run_id = table._run_f, table._run_id
+    pos = np.searchsorted(run_f, q)
+    d_below = np.abs(run_f.take(pos - 1, mode="clip") - q)
+    d_above = np.abs(run_f.take(pos, mode="clip") - q)
+    take_below = d_below < d_above
+    # Exact midpoints between two runs go to the smaller id. Off the ends of
+    # the column both runs are the end run, and pos stays.
+    midway = np.flatnonzero((d_below == d_above) & (pos > 0) & (pos < len(run_f)))
+    take_below[midway] = run_id[pos[midway] - 1] < run_id[pos[midway]]
+    d_min = np.minimum(d_below, d_above)
+    wide = np.flatnonzero((
+        (pos >= 2) & (np.abs(run_f.take(pos - 2, mode="clip") - q) == d_min)
+    ) | (
+        (pos < len(run_f) - 1) & (np.abs(run_f.take(pos + 1, mode="clip") - q) == d_min)
+    ))
+    runs = np.minimum(pos - take_below, len(run_f) - 1)
+    for i in wide:
+        d = np.abs(run_f - q[i])
+        tied = np.flatnonzero(d == d.min())
+        runs[i] = tied[np.argmin(run_id[tied])]
+    return runs
+
+
+@np.errstate(over="ignore")
+def nearest_runs(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
+    """Index of the run of equal F nearest to each query, in the queries' shape.
+
+    Runs are the table's distinct F values in ascending order; run r starts
+    at row ``table._run_row[r]``, which holds its smallest target id, and
+    :func:`nearest_rows` is that row. Distances are the float values
+    |F - q|, and among all rows at the minimal distance (exact midpoints
+    included) the smallest target id wins. The first call builds the
+    table's run index (see ``LookupTable``); below ``_tie_free`` a query
+    then costs a bucket guess and one or two compares, in O(Q) memory.
+    Queries at or beyond it, where rounding can tie three runs and the rule
+    is not monotone in q, take a binary search and, where a third run ties,
+    a scan over all runs.
     """
     shape = np.shape(f_queries)
     q = np.asarray(f_queries, dtype=float).ravel()
     if not np.isfinite(q).all():
         raise ValidationError("F queries must be finite")
-    may_tie_wide = np.abs(q).max(initial=0.0) >= table._tie_free
-    run_f, run_id = table._run_f, table._run_id
-    # Runs pos - 1 and pos, clipped to the column. Distances are formed in
-    # place, so at most three query-length numeric arrays live at once.
-    pos = np.searchsorted(run_f, q)
-    d_below = run_f.take(pos - 1, mode="clip")
-    d_below -= q
-    np.abs(d_below, out=d_below)
-    d_above = run_f.take(pos, mode="clip")
-    d_above -= q
-    np.abs(d_above, out=d_above)
-    take_below = d_below < d_above
-    # Exact midpoints between two runs go to the smaller id. Off the ends of
-    # the column both runs are the end run, and pos stays.
-    midway = np.flatnonzero((d_below == d_above) & (pos > 0) & (pos < len(run_f)))
-    take_below[midway] = (run_id.take(pos[midway] - 1, mode="clip")
-                          < run_id.take(pos[midway], mode="clip"))
-    wide = ()
-    if may_tie_wide:
-        d_min = np.minimum(d_below, d_above, out=d_below)
-        wide = np.flatnonzero((
-            (pos >= 2) & (np.abs(run_f.take(pos - 2, mode="clip") - q) == d_min)
-        ) | (
-            (pos < len(run_f) - 1) & (np.abs(run_f.take(pos + 1, mode="clip") - q) == d_min)
-        ))
-    del d_below, d_above
-    # pos - 1 where the lower run wins.
-    rows = table._run_row.take(np.subtract(pos, take_below, out=pos), mode="clip")
-    for i in wide:
-        d = np.abs(table.f - q[i])
-        tied = np.flatnonzero(d == d.min())
-        rows[i] = tied[np.argmin(table.target_ids[tied])]
-    return rows.reshape(shape)
+    runs = table._index.runs(q)
+    if np.abs(q).max(initial=0.0) >= table._tie_free:
+        far = np.flatnonzero(np.abs(q) >= table._tie_free)
+        runs[far] = _scan_runs(table, q[far])
+    return runs.reshape(shape)
+
+
+def nearest_rows(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
+    """Row index of the entry nearest in F to each query; ties -> smallest target id.
+
+    Queries of any shape are looked up as one flat batch, and the rows come
+    back in the queries' shape. The rows index every column of the table:
+    ``table.chi[rows]`` is :func:`lookup_chi_batch`. Each row is the first
+    row of the run :func:`nearest_runs` finds, so a caller that needs more
+    of a row than χ (its sine or cosine, say) can call that instead and
+    read per-run arrays made once.
+    """
+    runs = nearest_runs(table, f_queries)
+    return table._run_row.take(runs, out=runs, mode="clip")
 
 
 def lookup_chi_batch(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
@@ -243,8 +391,8 @@ def lookup_chi_batch(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
 
     This is ``table.chi[nearest_rows(table, f_queries)]``: ties (equal F,
     or a query midway between two F values) go to the smallest target id.
-    Callers that read more of a row than χ call :func:`nearest_rows` and
-    index per-row arrays with its rows.
+    Callers that read more of a row than χ call :func:`nearest_rows`, or
+    :func:`nearest_runs` to index per-run arrays.
     """
     return table.chi[nearest_rows(table, f_queries)]
 
@@ -290,28 +438,39 @@ def run_protocol(
     )
 
 
-def sweep_exact(table: LookupTable, fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sweep_exact(
+    table: LookupTable, fields: np.ndarray | ParameterGrid
+) -> tuple[np.ndarray, np.ndarray]:
     """F before and after the protocol for every target, in array passes over blocks.
 
-    Row t of the (T, N) ``fields`` holds target t's field values. The result
-    equals, bit for bit, T :func:`run_protocol` calls with exact oracles:
-    closed-form site directions of every target and of the candidate, one
-    nearest-F lookup for all targets, and the candidate turned once per F
-    run (a lookup returns a run's first row), all runs in one call. Targets
-    pass in blocks of ``SWEEP_BLOCK_TARGETS``, which bounds the (block, N, 3)
-    temporaries at any grid size without changing a bit.
+    ``fields`` is a (T, N) array whose row t holds target t's field values,
+    or the sweep's ParameterGrid, whose D^N targets are made one block at a
+    time from their ids (:func:`target_field_array`), so no (T, N) array
+    exists. The result equals, bit for bit, T :func:`run_protocol` calls
+    with exact oracles: closed-form site directions of every target and of
+    the candidate, one nearest-F lookup for all targets, and the candidate
+    turned once per F run, all runs in one call. Targets pass in blocks of
+    ``SWEEP_BLOCK_TARGETS``, which bounds the (block, N, 3) temporaries at
+    any grid size without changing a bit.
     """
-    fields = np.asarray(fields, dtype=float)
-    if fields.ndim != 2 or len(fields) == 0 or not np.isfinite(fields).all():
-        raise ValidationError("target fields must be a non-empty, finite (T, N) array")
+    n_sites = table.candidate.n_sites
+    grid = fields if isinstance(fields, ParameterGrid) else None
+    if grid is None:
+        fields = np.asarray(fields, dtype=float)
+        if fields.ndim != 2 or len(fields) == 0 or not np.isfinite(fields).all():
+            raise ValidationError("target fields must be a non-empty, finite (T, N) array")
+    n_targets = len(fields) if grid is None else target_count(grid, n_sites)
     candidate = product_ground_directions(table.candidate.fields)
     by_run = rotate_directions(candidate, table.chi[table._run_row])
-    f_before = np.empty(len(fields))
-    f_after = np.empty(len(fields))
-    for start in range(0, len(fields), SWEEP_BLOCK_TARGETS):
+    f_before = np.empty(n_targets)
+    f_after = np.empty(n_targets)
+    for start in range(0, n_targets, SWEEP_BLOCK_TARGETS):
         block = slice(start, start + SWEEP_BLOCK_TARGETS)
-        dirs = product_ground_directions(fields[block])
+        dirs = product_ground_directions(
+            fields[block] if grid is None
+            else target_field_array(grid, n_sites, start=block.start, stop=block.stop)
+        )
         f_before[block] = site_cosines(dirs, candidate).sum(axis=-1)
-        runs = np.searchsorted(table._run_row, nearest_rows(table, f_before[block]))
+        runs = nearest_runs(table, f_before[block])
         f_after[block] = site_cosines(dirs, by_run[runs]).sum(axis=-1)
     return f_before, f_after

@@ -223,6 +223,24 @@ class TestSweepCommand:
         assert len(rotations) == 1
         assert 0 < rotations[0] <= 70
 
+    def test_fields_are_made_per_block(self, tmp_path, monkeypatch):
+        # 65,536 targets in 8 blocks. The table is built before tracing, so
+        # the trace holds the sweep and the CSV write.
+        cfg = RunConfig(n=16, d=2)
+        table = protocol.build_table(cfg.grid(), cfg.candidate())
+        monkeypatch.setattr(cli, "build_table", lambda grid, candidate: table)
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--n", "16", "--d", "2", "--out", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = 4 * 2**16 * 8  # F before and after, dF and the id column
+        per_block = 4 * protocol.SWEEP_BLOCK_TARGETS * 16 * 3 * 8  # four (block, N, 3) arrays
+        # Fields made per block peak at ~12 MB; the whole (T, N) field array
+        # and its int64 digits took ~20 MB.
+        assert peak <= outputs + per_block
+
 
 def per_target_sweep_rows(cfg: RunConfig) -> list[tuple[int, float, float]]:
     """Reference sweep: one exact oracle and one run_protocol call per target."""
@@ -294,13 +312,13 @@ class TestNoiseCommand:
     ])
     def test_one_lookup_call_per_block(self, tmp_path, monkeypatch, n, d, trials, calls):
         sizes = []
-        original = cli.nearest_rows
+        original = cli.nearest_runs
 
         def counting(table, f_queries):
             sizes.append(np.size(f_queries))
             return original(table, f_queries)
 
-        monkeypatch.setattr(cli, "nearest_rows", counting)
+        monkeypatch.setattr(cli, "nearest_runs", counting)
         assert main(["noise", "--n", str(n), "--d", str(d), "--eps", "0,0.05,0.1",
                      "--trials", str(trials), "--out", str(tmp_path)]) == 0
         assert len(sizes) == calls

@@ -1,8 +1,9 @@
 """Nearest-F lookup and the lookup table's canonical ties.
 
-The binary-search lookup is tied to the original Q×T brute-force search,
-kept here as the oracle, and the closed-form table is tied to per-target
-exact diagonalization.
+The indexed lookup (float-exact run boundaries behind a bucket array, with
+a binary search and scan for queries at or beyond ``_tie_free``) is tied to
+the original Q×T brute-force search, kept here as the oracle, and the
+closed-form table is tied to per-target exact diagonalization.
 """
 
 import tracemalloc
@@ -178,6 +179,87 @@ class TestMatchesBruteForce:
         queries = np.array(data.draw(st.lists(query, max_size=20), label="queries"), dtype=float)
         rows = protocol.nearest_rows(table, queries)
         assert np.array_equal(rows, brute_force_nearest_rows(table, queries))
+
+
+def _boundary_queries(table: LookupTable) -> np.ndarray:
+    """Every run boundary and its two float neighbours, the midpoints, and queries off both ends."""
+    bounds = table._index.bounds[:len(table._run_f) - 1]
+    run_f = table._run_f
+    with np.errstate(over="ignore"):  # neighbours of the largest floats are inf
+        queries = np.concatenate([
+            bounds, np.nextafter(bounds, -np.inf), np.nextafter(bounds, np.inf),
+            run_f[:-1] / 2 + run_f[1:] / 2, run_f,
+            np.nextafter(run_f[[0]], -np.inf), run_f[[0]] - 1.0,
+            np.nextafter(run_f[[-1]], np.inf), run_f[[-1]] + 1.0,
+        ])
+    return queries[np.isfinite(queries)]
+
+
+class TestRunIndex:
+    @staticmethod
+    def _check(table: LookupTable, extra=()) -> None:
+        protocol.nearest_rows(table, table._run_f[:1])  # builds the index
+        queries = np.concatenate([_boundary_queries(table), extra])
+        rows = protocol.nearest_rows(table, queries)
+        assert np.array_equal(rows, brute_force_nearest_rows(table, queries))
+        # c_i is the first float at which the rule picks run i + 1 over run i.
+        bounds = table._index.bounds[:len(table._run_f) - 1]
+        below = np.nextafter(bounds, -np.inf)
+        near = np.flatnonzero(np.abs(below) < table._tie_free)
+        assert np.array_equal(brute_force_nearest_rows(table, bounds[near]),
+                              table._run_row[near + 1])
+        assert np.array_equal(brute_force_nearest_rows(table, below[near]),
+                              table._run_row[near])
+
+    def test_reference_table(self, table):
+        self._check(table)
+        assert table._tie_free > 2e5
+
+    @pytest.mark.parametrize("f, ids", [
+        ([1.5], [0]),  # one run: no boundaries, one bucket
+        ([2.0, 2.0, 2.0], [3, 5, 9]),
+        ([1.0, 3.0], [1, 0]),  # one boundary: zero span
+        ([0.0, 1e-20, 2.0], [2, 1, 0]),  # _tie_free < 0: every query is scanned
+        ([0.0, 5e-15, 1.0], [0, 2, 1]),  # 0 < _tie_free < max|F|: both branches
+        ([-1.7e308, -1e308, 1e308, 1.7e308], [3, 1, 2, 0]),  # the bucket span overflows
+        ([-5e-324, 0.0, 5e-324, 1e-323], [3, 0, 2, 1]),  # subnormal span
+        ([1.0, float(np.nextafter(1.0, 2.0)), 2.0, float(np.nextafter(2.0, 3.0))], [1, 0, 3, 2]),
+    ], ids=["one-run", "one-run-of-three", "one-boundary", "tie-free-negative",
+            "tie-free-small", "span-overflows", "subnormal", "ulp-neighbours"])
+    def test_edge_tables(self, f, ids):
+        toy = _table(f, ids)
+        self._check(toy, extra=[-1e300, 1e300, 0.0, -0.0, 2.5])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_property_against_brute_force(self, data):
+        scale = data.draw(st.sampled_from([1.0, 1e-300, 1e-9, 1e9, 1e300]), label="scale")
+        base = st.floats(-4.0, 4.0).map(lambda v: v * scale)
+        pool = data.draw(st.lists(base | st.floats(allow_nan=False, allow_infinity=False),
+                                  min_size=1, max_size=8), label="pool")
+        if data.draw(st.booleans(), label="ulp neighbours"):
+            pool += [float(np.nextafter(v, 0.0)) for v in pool]
+        f = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30), label="f")
+        ids = data.draw(st.permutations(range(len(f))), label="ids")
+        order = np.lexsort((ids, f))
+        toy = _table(np.array(f)[order], np.array(ids)[order])
+        extra = data.draw(st.lists(base, max_size=20), label="queries")
+        self._check(toy, extra=np.array(extra, dtype=float))
+
+    def test_table_runs_never_build_the_index(self, tmp_path, monkeypatch):
+        built = []
+        original = protocol._run_index
+
+        def counting(run_f, run_id):
+            built.append(len(run_f))
+            return original(run_f, run_id)
+
+        monkeypatch.setattr(protocol, "_run_index", counting)
+        assert main(["table", "--out", str(tmp_path)]) == 0
+        assert built == []
+        # One table, so one build for all of noise's lookups.
+        assert main(["noise", "--trials", "3", "--out", str(tmp_path)]) == 0
+        assert built == [70]
 
 
 def _multiset_key(candidate: ChainSpec, target: ChainSpec):

@@ -359,6 +359,22 @@ class TestSweepExact:
             np.testing.assert_array_equal(a, b, strict=True)
             np.testing.assert_array_equal(a, c, strict=True)
 
+    def test_grid_equals_its_field_array(self, monkeypatch):
+        table = build_table(self.BIG_GRID, CANDIDATE)
+        by_array = sweep_exact(table, target_field_array(self.BIG_GRID, 4))
+        by_grid = sweep_exact(table, self.BIG_GRID)
+        monkeypatch.setattr(protocol, "SWEEP_BLOCK_TARGETS", 1000)  # a short last block
+        short = sweep_exact(table, self.BIG_GRID)
+        for a, b, c in zip(by_array, by_grid, short):
+            np.testing.assert_array_equal(a, b, strict=True)
+            np.testing.assert_array_equal(a, c, strict=True)
+
+    def test_field_ranges_are_rows_of_the_field_array(self):
+        whole = target_field_array(ParameterGrid(-1.0, 2.0, 3), 5)
+        for start, stop in ((0, 243), (0, 1), (100, 181), (242, 243), (200, 10**6)):
+            part = target_field_array(ParameterGrid(-1.0, 2.0, 3), 5, start=start, stop=stop)
+            np.testing.assert_array_equal(part, whole[start:stop], strict=True)
+
     def test_peak_memory_is_bounded_by_the_block(self):
         table = build_table(self.BIG_GRID, CANDIDATE)
         fields = target_field_array(self.BIG_GRID, 4)
