@@ -114,39 +114,36 @@ def product_ground_directions(fields) -> np.ndarray:
     """:func:`product_ground_bloch` of every field value, as an array of shape (..., 3).
 
     A (T, N) array of target fields gives the (T, N, 3) unit site directions
-    of T chains. A field whose square overflows gets the direction (-0, -0, 0),
-    which ``similarity.site_cosines`` rejects as below the direction floor.
+    of T chains. Where b² overflows, sqrt(1 + b²) is |b|, as it already is in
+    floats for every |b| above about 1.2e8: the limit direction (-1/|b|, -sign b, 0).
     """
     b = np.asarray(fields, dtype=float)
     with np.errstate(over="ignore"):
         s = np.sqrt(1.0 + b * b)
+    s = np.where(np.isinf(s), np.abs(b), s)
     dirs = np.zeros(b.shape + (3,))
     dirs[..., 0] = -1.0 / s
     dirs[..., 1] = -b / s
     return dirs
 
 
-def target_count(grid: ParameterGrid, n_sites: int, budget: int = DEFAULT_SWEEP_BUDGET) -> int:
-    """D^N, the number of targets on the grid; CapacityError when it exceeds ``budget``."""
+def target_count(grid: ParameterGrid, n_sites: int) -> int:
+    """D^N, the number of targets on the grid; CapacityError above DEFAULT_SWEEP_BUDGET."""
     count = grid.levels**n_sites
-    if count > budget:
-        raise CapacityError(f"sweep of {count} targets exceeds budget {budget}")
+    if count > DEFAULT_SWEEP_BUDGET:
+        raise CapacityError(f"sweep of {count} targets exceeds budget {DEFAULT_SWEEP_BUDGET}")
     return count
 
 
 def target_field_array(
-    grid: ParameterGrid,
-    n_sites: int,
-    budget: int = DEFAULT_SWEEP_BUDGET,
-    start: int = 0,
-    stop: int | None = None,
+    grid: ParameterGrid, n_sites: int, start: int = 0, stop: int | None = None
 ) -> np.ndarray:
     """Fields of targets ``start`` <= id < ``stop`` (default: all D^N), one row per target.
 
     Ids are base-D with site 1 in the least significant digit. Raises
-    CapacityError before allocating when D^N exceeds ``budget``.
+    CapacityError before allocating when D^N exceeds DEFAULT_SWEEP_BUDGET.
     """
-    count = target_count(grid, n_sites, budget)
+    count = target_count(grid, n_sites)
     stop = count if stop is None else min(stop, count)
     digits = np.arange(start, stop)[:, None] // grid.levels ** np.arange(n_sites)
     digits %= grid.levels
@@ -154,11 +151,8 @@ def target_field_array(
 
 
 def enumerate_targets(
-    grid: ParameterGrid,
-    n_sites: int,
-    coupling: float = 1.0,
-    budget: int = DEFAULT_SWEEP_BUDGET,
+    grid: ParameterGrid, n_sites: int, coupling: float = 1.0
 ) -> Iterator[tuple[int, ChainSpec]]:
     """Yield (target_id, ChainSpec) for every grid assignment, id ascending."""
-    for target_id, fields in enumerate(target_field_array(grid, n_sites, budget)):
+    for target_id, fields in enumerate(target_field_array(grid, n_sites)):
         yield target_id, ChainSpec(n_sites=n_sites, coupling=coupling, fields=fields)

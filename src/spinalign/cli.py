@@ -20,7 +20,6 @@ import functools
 import itertools
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import dataclass, fields as dataclass_fields, replace
@@ -34,8 +33,6 @@ from .errors import SpinAlignError, ValidationError
 from .oracle import OracleKind, make_oracle
 from .protocol import build_table, nearest_runs, sweep_exact, target_angles
 from .similarity import SiteDirections
-
-THREADS_ENV_VAR = "SPINALIGN_THREADS"
 
 # Gates used by --check; they assume the reference configuration below.
 REFERENCE_KEYS = {"n": 4, "j": 1.0, "bmin": -0.5, "bmax": 0.5, "d": 5}
@@ -63,7 +60,6 @@ class RunConfig:
     eps: tuple[float, ...] = (0.0, 0.05, 0.1)
     trials: int | None = None
     out: str = "."
-    threads: int = 1
     check: bool = False
 
     def grid(self) -> ParameterGrid:
@@ -81,12 +77,14 @@ _NUMBER = (int, float)
 _FILE_TYPES = {
     "n": (int,), "j": _NUMBER, "bmin": _NUMBER, "bmax": _NUMBER, "d": (int,),
     "seed": (int,), "eps": (list, str), "trials": (int, type(None)), "out": (str,),
-    "threads": (int,), "check": (bool,),
+    "check": (bool,),
 }
 
 
 def _parse_eps(raw) -> tuple[float, ...]:
     parts = raw if isinstance(raw, list) else [e for e in raw.split(",") if e.strip()]
+    if any(isinstance(e, bool) for e in parts):  # JSON true/false would pass as 1 and 0
+        raise ValidationError(f"--eps must be a list of numbers, not booleans: {raw!r}")
     try:
         eps = tuple(float(e) for e in parts)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -122,11 +120,6 @@ def _load_config_file(path: str) -> dict:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config-file values and explicit flags (flags win)."""
     cfg = RunConfig()
-    if os.environ.get(THREADS_ENV_VAR):
-        try:
-            cfg = replace(cfg, threads=int(os.environ[THREADS_ENV_VAR]))
-        except ValueError:
-            raise ValidationError(f"${THREADS_ENV_VAR} must be an integer") from None
     if getattr(args, "config", None):
         file_values = _load_config_file(args.config)
         if "eps" in file_values:
@@ -144,8 +137,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ValidationError(f"--n must be between 2 and {DEFAULT_SWEEP_BUDGET}")
     if cfg.d < 1:
         raise ValidationError("--d must be at least 1")
-    if cfg.threads < 1:
-        raise ValidationError("--threads must be at least 1")
     if cfg.seed < 0:
         raise ValidationError("--seed must be non-negative")
     return cfg
@@ -416,9 +407,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--trials", type=int,
                        help="trials per target (noise: 200, measure: 10000)")
         p.add_argument("--out", type=str, help="output directory (default .)")
-        p.add_argument("--threads", type=int,
-                       help=f"accepted and validated; no effect on output (default 1 "
-                            f"or ${THREADS_ENV_VAR})")
+        p.add_argument("--threads", type=int, help="ignored; the work is serial")
         p.add_argument("--config", type=str, help="JSON config file (flags win)")
         p.add_argument("--check", action="store_true",
                        help="gate reference values, exit 3 on failure")

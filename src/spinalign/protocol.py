@@ -438,28 +438,19 @@ def run_protocol(
     )
 
 
-def sweep_exact(
-    table: LookupTable, fields: np.ndarray | ParameterGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """F before and after the protocol for every target, in array passes over blocks.
+def sweep_exact(table: LookupTable, grid: ParameterGrid) -> tuple[np.ndarray, np.ndarray]:
+    """F before and after the protocol for every one of the grid's D^N targets.
 
-    ``fields`` is a (T, N) array whose row t holds target t's field values,
-    or the sweep's ParameterGrid, whose D^N targets are made one block at a
-    time from their ids (:func:`target_field_array`), so no (T, N) array
-    exists. The result equals, bit for bit, T :func:`run_protocol` calls
-    with exact oracles: closed-form site directions of every target and of
-    the candidate, one nearest-F lookup for all targets, and the candidate
-    turned once per F run, all runs in one call. Targets pass in blocks of
-    ``SWEEP_BLOCK_TARGETS``, which bounds the (block, N, 3) temporaries at
-    any grid size without changing a bit.
+    Targets are made one block of ``SWEEP_BLOCK_TARGETS`` at a time from their
+    ids (:func:`target_field_array`), so no (D^N, N) field array exists and
+    the (block, N, 3) temporaries stay bounded at any grid size. The result
+    equals, bit for bit, D^N :func:`run_protocol` calls with exact oracles:
+    closed-form site directions of every target and of the candidate, one
+    nearest-F lookup per block, and the candidate turned once per F run, all
+    runs in one call. The block size changes no bit.
     """
     n_sites = table.candidate.n_sites
-    grid = fields if isinstance(fields, ParameterGrid) else None
-    if grid is None:
-        fields = np.asarray(fields, dtype=float)
-        if fields.ndim != 2 or len(fields) == 0 or not np.isfinite(fields).all():
-            raise ValidationError("target fields must be a non-empty, finite (T, N) array")
-    n_targets = len(fields) if grid is None else target_count(grid, n_sites)
+    n_targets = target_count(grid, n_sites)
     candidate = product_ground_directions(table.candidate.fields)
     by_run = rotate_directions(candidate, table.chi[table._run_row])
     f_before = np.empty(n_targets)
@@ -467,8 +458,7 @@ def sweep_exact(
     for start in range(0, n_targets, SWEEP_BLOCK_TARGETS):
         block = slice(start, start + SWEEP_BLOCK_TARGETS)
         dirs = product_ground_directions(
-            fields[block] if grid is None
-            else target_field_array(grid, n_sites, start=block.start, stop=block.stop)
+            target_field_array(grid, n_sites, start=block.start, stop=block.stop)
         )
         f_before[block] = site_cosines(dirs, candidate).sum(axis=-1)
         runs = nearest_runs(table, f_before[block])

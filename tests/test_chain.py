@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from spinalign import (
     Operator,
     PAULI,
 )
+
+from spinalign.chain import target_field_array
 
 from conftest import kron_hamiltonian
 
@@ -119,6 +122,8 @@ class TestProductGroundBloch:
         assert dirs.shape == (2, 4, 3)
         for value, got in zip(b.ravel().tolist(), dirs.reshape(-1, 3)):
             s = math.sqrt(1.0 + value * value)
+            if math.isinf(s):  # b² overflows: the limit direction (-1/|b|, -sign b, 0)
+                s = abs(value)
             assert got.tobytes() == np.array([-1.0 / s, -value / s, 0.0]).tobytes()
             v = product_ground_bloch(value)
             assert np.array([v.x, v.y, v.z]).tobytes() == got.tobytes()
@@ -160,8 +165,15 @@ class TestTargetEnumeration:
         assert spec.fields == (-0.5,) * 4
 
     def test_budget_capacity(self):
-        with pytest.raises(CapacityError):
-            list(enumerate_targets(ParameterGrid(0, 1, 10), 4, budget=100))
+        # 10^7 targets: rejected before any (T, N) array is allocated.
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                target_field_array(ParameterGrid(0, 1, 10), 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestSpecsAndGrids:

@@ -20,16 +20,13 @@ from spinalign.chain import enumerate_targets
 from spinalign.oracle import OracleKind, make_oracle
 from spinalign.cli import (
     RunConfig,
-    THREADS_ENV_VAR,
     _build_parser,
     main,
     resolve_config,
 )
 
 
-def _resolve(argv, monkeypatch=None, env=None):
-    if env is not None:
-        monkeypatch.setenv(THREADS_ENV_VAR, env)
+def _resolve(argv):
     return resolve_config(_build_parser().parse_args(argv))
 
 
@@ -69,13 +66,8 @@ class TestConfigPrecedence:
         cfg = _resolve(["table", "--config", str(cfg_file), "--d", "2"])
         assert (cfg.n, cfg.d) == (3, 2)
 
-    def test_env_var_sets_default_threads(self, monkeypatch):
-        cfg = _resolve(["table"], monkeypatch, env="3")
-        assert cfg.threads == 3
-
-    def test_flag_beats_env_var(self, monkeypatch):
-        cfg = _resolve(["table", "--threads", "2"], monkeypatch, env="3")
-        assert cfg.threads == 2
+    def test_threads_flag_is_ignored(self):
+        assert _resolve(["table", "--threads", "4"]) == RunConfig()
 
     def test_eps_parsing(self):
         cfg = _resolve(["noise", "--eps", "0,0.05, 0.1"])
@@ -468,10 +460,10 @@ class TestInvalidInputEndsInOneErrorLine:
             (["table", "--j", "inf"], {}, None, None),
             (["table", "--bmin", "nan", "--d", "1"], {}, None, None),
             (["noise", "--eps", "abc"], {}, None, None),
-            (["table"], {THREADS_ENV_VAR: "abc"}, None, None),
             (["table"], {}, '{"n": "4"}', None),
             (["table"], {}, '{"threads": "x"}', None),
             (["table"], {}, '{"n": 4', None),
+            (["noise"], {}, '{"eps": [true, false]}', None),
             (["table", "--n", "100000000000000000000"], {}, None, None),
             # Shot and noise arrays of 8-16 GB: the allocation fails under the
             # 1 GiB address-space limit set on the child, before any memory is used.
@@ -480,8 +472,8 @@ class TestInvalidInputEndsInOneErrorLine:
             (["noise", "--n", "2", "--d", "1", "--trials", "1000000000"], _ONE_BLAS_THREAD,
              None, 1 << 30),
         ],
-        ids=["j-nan", "j-inf", "bmin-nan", "eps-abc", "env-threads-abc",
-             "config-n-str", "config-threads-str", "config-malformed", "n-huge",
+        ids=["j-nan", "j-inf", "bmin-nan", "eps-abc", "config-n-str", "config-threads-str",
+             "config-malformed", "config-eps-bool", "n-huge",
              "measure-out-of-memory", "noise-out-of-memory"],
     )
     def test_exits_one_without_traceback(self, tmp_path, argv, env, config, memory_limit):
@@ -504,19 +496,36 @@ class TestInvalidInputEndsInOneErrorLine:
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
         assert not (tmp_path / "out").exists()
 
-    def test_overflowing_fields_end_in_the_direction_floor_error(self, tmp_path):
-        # b² overflows for every target field; the sweep must not warn on the way.
+
+
+class TestOverflowingFields:
+    # N = 3: at N = 2 the target (b_max, b_min) has sites at angles 0 and π from
+    # the candidate, every rotation angle is stationary, and table rejects the grid.
+    ARGS =["--n", "3", "--d", "3", "--bmin", "-2e200", "--bmax", "2e200"]
+
+    @pytest.mark.parametrize("command", [["sweep"], ["measure", "--trials", "100"]],
+                             ids=["sweep", "measure"])
+    def test_run_without_warnings(self, tmp_path, command):
+        # b² overflows for every nonzero target field; table accepts the grid, and
+        # sweep and measure must too, without a warning on the way.
         proc = subprocess.run(
-            [sys.executable, "-W", "always::RuntimeWarning", "-m", "spinalign", "sweep",
-             "--n", "2", "--d", "2", "--bmin", "1e200", "--bmax", "2e200",
-             "--out", str(tmp_path / "out")],
+            [sys.executable, "-W", "always::RuntimeWarning", "-m", "spinalign", *command,
+             *self.ARGS, "--out", str(tmp_path / "out")],
             env={**os.environ, "PYTHONPATH": str(SRC)},
             capture_output=True, text=True, timeout=60,
         )
-        assert proc.returncode == 1
-        assert proc.stderr.splitlines() == [
-            "error: Bloch norm below direction floor; angle undefined for a maximally mixed site"
-        ]
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
+    def test_sweep_f_equals_table_f(self, tmp_path):
+        for command in ("table", "sweep"):
+            assert main([command, *self.ARGS, "--out", str(tmp_path)]) == 0
+        _, table_rows = _read_csv(tmp_path / "fig2.csv")
+        _, sweep_rows = _read_csv(tmp_path / "fig3.csv")
+        table_f = {int(row[0]): float(row[1]) for row in table_rows}
+        assert len(table_f) == len(sweep_rows) == 27
+        for row in sweep_rows:
+            assert abs(float(row[1]) - table_f[int(row[0])]) <= 1e-12
 
 
 def test_reference_runs_do_not_load_numpy_ma(tmp_path):

@@ -329,43 +329,25 @@ class TestClosedFormCandidate:
 class TestSweepExact:
     def test_equals_run_protocol_per_target(self, table):
         fields = target_field_array(GRID, 4)
-        f_before, f_after = sweep_exact(table, fields)
+        f_before, f_after = sweep_exact(table, GRID)
         for tid in (0, 1, 17, 311, 624):
             oracle = make_oracle(ChainSpec(4, 1.0, fields[tid]), OracleKind.EXACT, budget=1)
             report = run_protocol(CANDIDATE, oracle, table)
             assert (f_before[tid], f_after[tid]) == (report.f_before, report.f_after)
-
-    @pytest.mark.parametrize("fields", [
-        np.empty((0, 4)), np.zeros(4), np.zeros((2, 3)), np.full((1, 4), np.nan),
-        np.full((1, 4), np.inf),
-    ], ids=["empty", "1d", "wrong-n", "nan", "inf"])
-    def test_bad_fields_rejected(self, table, fields):
-        with pytest.raises(ValidationError):
-            sweep_exact(table, fields)
 
     # Eight blocks of targets on a 16-level grid: 65,536 targets, 3,876 F runs.
     BIG_GRID = ParameterGrid(-0.5, 0.5, 16)
 
     def test_blocks_do_not_change_a_bit(self, monkeypatch):
         table = build_table(self.BIG_GRID, CANDIDATE)
-        fields = target_field_array(self.BIG_GRID, 4)
-        assert len(fields) > protocol.SWEEP_BLOCK_TARGETS
-        blocked = sweep_exact(table, fields)
-        monkeypatch.setattr(protocol, "SWEEP_BLOCK_TARGETS", len(fields))
-        whole = sweep_exact(table, fields)
-        monkeypatch.setattr(protocol, "SWEEP_BLOCK_TARGETS", 1000)  # a short last block
-        short = sweep_exact(table, fields)
-        for a, b, c in zip(blocked, whole, short):
-            np.testing.assert_array_equal(a, b, strict=True)
-            np.testing.assert_array_equal(a, c, strict=True)
-
-    def test_grid_equals_its_field_array(self, monkeypatch):
-        table = build_table(self.BIG_GRID, CANDIDATE)
-        by_array = sweep_exact(table, target_field_array(self.BIG_GRID, 4))
-        by_grid = sweep_exact(table, self.BIG_GRID)
+        n_targets = len(table)
+        assert n_targets > protocol.SWEEP_BLOCK_TARGETS
+        blocked = sweep_exact(table, self.BIG_GRID)
+        monkeypatch.setattr(protocol, "SWEEP_BLOCK_TARGETS", n_targets)
+        whole = sweep_exact(table, self.BIG_GRID)
         monkeypatch.setattr(protocol, "SWEEP_BLOCK_TARGETS", 1000)  # a short last block
         short = sweep_exact(table, self.BIG_GRID)
-        for a, b, c in zip(by_array, by_grid, short):
+        for a, b, c in zip(blocked, whole, short):
             np.testing.assert_array_equal(a, b, strict=True)
             np.testing.assert_array_equal(a, c, strict=True)
 
@@ -377,17 +359,16 @@ class TestSweepExact:
 
     def test_peak_memory_is_bounded_by_the_block(self):
         table = build_table(self.BIG_GRID, CANDIDATE)
-        fields = target_field_array(self.BIG_GRID, 4)
         tracemalloc.start()
         try:
-            sweep_exact(table, fields)
+            sweep_exact(table, self.BIG_GRID)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        n_targets, n = fields.shape
+        n_targets, n = len(table), CANDIDATE.n_sites
         outputs = 2 * n_targets * 8
         by_run = len(np.unique(table.f)) * n * 3 * 8
         per_block = 16 * protocol.SWEEP_BLOCK_TARGETS * n * 8
-        # Blocked, the peak is ~4.1 MB. One pass over all targets held the
+        # Blocked, the peak is ~4.3 MB. One pass over all targets held the
         # (T, N, 3) directions and rotated vectors at once: ~22 MB.
         assert peak <= outputs + by_run + per_block
