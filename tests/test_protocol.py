@@ -351,6 +351,18 @@ class TestSweepExact:
             np.testing.assert_array_equal(a, b, strict=True)
             np.testing.assert_array_equal(a, c, strict=True)
 
+    def test_grid_equals_its_field_array(self, monkeypatch):
+        # Target t of the blocked grid sweep is row t of the grid's field
+        # array, on both sides of block edges and in a short last block.
+        table = build_table(self.BIG_GRID, CANDIDATE)
+        fields = target_field_array(self.BIG_GRID, 4)
+        monkeypatch.setattr(protocol, "SWEEP_BLOCK_TARGETS", 1000)
+        f_before, f_after = sweep_exact(table, self.BIG_GRID)
+        for tid in (0, 999, 1000, 1001, 31_999, 32_000, 64_999, 65_000, 65_535):
+            oracle = make_oracle(ChainSpec(4, 1.0, fields[tid]), OracleKind.EXACT, budget=1)
+            report = run_protocol(CANDIDATE, oracle, table)
+            assert (f_before[tid], f_after[tid]) == (report.f_before, report.f_after)
+
     def test_field_ranges_are_rows_of_the_field_array(self):
         whole = target_field_array(ParameterGrid(-1.0, 2.0, 3), 5)
         for start, stop in ((0, 243), (0, 1), (100, 181), (242, 243), (200, 10**6)):
