@@ -83,8 +83,10 @@ _FILE_TYPES = {
 
 def _parse_eps(raw) -> tuple[float, ...]:
     parts = raw if isinstance(raw, list) else [e for e in raw.split(",") if e.strip()]
-    if any(isinstance(e, bool) for e in parts):  # JSON true/false would pass as 1 and 0
-        raise ValidationError(f"--eps must be a list of numbers, not booleans: {raw!r}")
+    # A config file's list holds JSON numbers only: no strings, and no
+    # true/false, which would pass as 1 and 0.
+    if isinstance(raw, list) and not all(type(e) in _NUMBER for e in raw):
+        raise ValidationError(f"the config eps list must hold only numbers: {raw!r}")
     try:
         eps = tuple(float(e) for e in parts)
     except (TypeError, ValueError, OverflowError) as exc:

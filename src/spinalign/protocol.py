@@ -34,9 +34,6 @@ SWEEP_BLOCK_TARGETS = 2**13
 # The nearest-F index spreads its run boundaries over about this many
 # uniform buckets each, so most queries share a bucket with at most one.
 _BUCKETS_PER_BOUNDARY = 4
-_MAGNITUDE_BITS = 2**63 - 1
-# Added to x, the nextafter targets that give the float below x, x and the float above.
-_AROUND = np.array([-np.inf, 0.0, np.inf])
 
 
 def _z_phases(chi: float, n_sites: int) -> np.ndarray:
@@ -97,9 +94,9 @@ class LookupTable:
 
     Rows of equal F form runs, each led by its smallest target id. The
     first lookup builds a run index: between each pair of adjacent runs the
-    float boundary at which the lookup starts picking the upper one, found
-    exactly from the lookup's own float rule, and a uniform bucket array
-    over the boundaries. Building the table does not build the index.
+    smallest float at which the exactly nearest run is the upper one, and a
+    uniform bucket array over these boundaries. Building the table does not
+    build the index.
     """
 
     target_ids: np.ndarray
@@ -112,13 +109,9 @@ class LookupTable:
     _run_f: np.ndarray = field(init=False, repr=False)
     _run_row: np.ndarray = field(init=False, repr=False)
     _run_id: np.ndarray = field(init=False, repr=False)
-    # Below this |q|, rounding |q - F| (relative error 2^-53, no overflow)
-    # cannot close the smallest gap between distinct F values, with a 2^4
-    # margin, so no query ties beyond the two runs around it.
-    _tie_free: float = field(init=False, repr=False)
 
     # Differences of finite F values may overflow to inf, which still orders
-    # correctly; here and in nearest_rows the overflow is expected.
+    # correctly.
     @np.errstate(over="ignore")
     def __post_init__(self):
         for name in ("target_ids", "f", "chi", "delta_f", "sum_sin"):
@@ -137,14 +130,9 @@ class LookupTable:
         if not np.all((step_f > 0) | ((step_f == 0) & (step_id > 0))):
             raise ValidationError("table rows must be sorted by (F, target id)")
         first = np.flatnonzero(np.r_[True, step_f != 0])
-        run_f = self.f[first]
-        gap = float(np.diff(run_f).min(initial=np.inf))
-        object.__setattr__(self, "_run_f", run_f)
+        object.__setattr__(self, "_run_f", self.f[first])
         object.__setattr__(self, "_run_row", first)
         object.__setattr__(self, "_run_id", self.target_ids[first])
-        object.__setattr__(
-            self, "_tie_free", min(gap * 2.0**48, 2.0**1000) - np.abs(run_f).max()
-        )
 
     def __len__(self) -> int:
         return len(self.f)
@@ -199,32 +187,6 @@ def build_table(grid: ParameterGrid, candidate: ChainSpec) -> LookupTable:
     )
 
 
-def _ordered_keys(x) -> np.ndarray:
-    """int64 keys of finite floats in their order, adjacent floats at adjacent keys.
-
-    Negative floats flip their magnitude bits; the map is its own inverse
-    (see :func:`_from_keys`), and -0.0 and +0.0 take the adjacent keys -1 and 0.
-    """
-    bits = np.asarray(x, dtype=float).view(np.int64)
-    return bits ^ ((bits >> 63) & _MAGNITUDE_BITS)
-
-
-def _from_keys(keys: np.ndarray) -> np.ndarray:
-    """The floats of :func:`_ordered_keys` keys."""
-    return (keys ^ ((keys >> 63) & _MAGNITUDE_BITS)).view(float)
-
-
-def _picks_upper(q, lower, upper, upper_id_smaller) -> np.ndarray:
-    """Whether the nearest-F rule picks the upper of two runs lower < upper at q.
-
-    The upper run wins at a smaller distance, and at an equal one when its id
-    is smaller. Distances are signed, so the answer is False for q <= lower,
-    True for q >= upper and monotone in q between.
-    """
-    d_lower, d_upper = q - lower, upper - q
-    return np.where(upper_id_smaller, d_upper <= d_lower, d_upper < d_lower)
-
-
 def _buckets(x: np.ndarray, origin: float, scale: float, top: float) -> np.ndarray:
     """Uniform bucket of each value, clipped to [0, top]; non-decreasing in x."""
     at = np.subtract(x, origin)
@@ -238,11 +200,11 @@ def _buckets(x: np.ndarray, origin: float, scale: float, top: float) -> np.ndarr
 class _RunIndex:
     """Run boundaries c_i of a table behind a uniform bucket array.
 
-    c_i is the smallest float q in (F_i, F_{i+1}] at which the nearest-F rule
-    picks run i + 1 over run i, so below ``_tie_free`` a query's run is the
-    count of c_i <= q. That count is the number of boundaries in lower
-    buckets plus a branchless binary search within the query's own bucket:
-    a boundary in a lower bucket is <= q, one in a higher bucket is > q.
+    c_i is the smallest float q at which run i + 1 is nearer to q than run i
+    in exact arithmetic, or as near with the smaller id, so a query's nearest
+    run is the count of c_i <= q. That count is the number of boundaries in
+    lower buckets plus a branchless binary search within the query's own
+    bucket: a boundary in a lower bucket is <= q, one in a higher bucket is > q.
     """
 
     bounds: np.ndarray  # c_i, padded with inf for the search within a bucket
@@ -253,7 +215,7 @@ class _RunIndex:
     steps: tuple[int, ...]  # the search's step widths, halving down to 1
 
     def runs(self, q: np.ndarray) -> np.ndarray:
-        """#{c_i <= q} per query, a valid run index; the nearest run where |q| < ``_tie_free``."""
+        """#{c_i <= q} per finite query: the index of its nearest run."""
         runs = _buckets(q, self.origin, self.scale, self.top)
         self.below.take(runs, out=runs, mode="clip")
         for step in self.steps:
@@ -262,32 +224,26 @@ class _RunIndex:
 
 
 def _run_index(run_f: np.ndarray, run_id: np.ndarray) -> _RunIndex:
-    """Build the :class:`_RunIndex` of runs with F values ``run_f`` and smallest ids ``run_id``."""
+    """Build the :class:`_RunIndex` of runs with F values ``run_f`` and smallest ids ``run_id``.
+
+    The exact midpoint m_i of runs i and i + 1 is split into its nearest
+    float h and the exact sign of m_i - h (TwoSum). c_i is the smallest
+    float at or above m_i, or one float above it where m_i is a float and
+    run i has the smaller id, so that exact midpoints go to the smaller id.
+    """
     lower, upper = run_f[:-1], run_f[1:]
-    rule = (lower, upper, run_id[1:] < run_id[:-1])
-    # With signed distances the rule is monotone in q and picks the lower
-    # run up to F_i and the upper one from F_{i+1}, so c_i is the first
-    # float that picks the upper run: 0 or 1 float above the midpoint on
-    # every grid tried. Test the floats around the midpoint; bisect on the
-    # ordered keys of (F_i, F_{i+1}] only where c_i is not among them.
-    half = run_f / 2
-    mid = np.add(half[:-1], half[1:])[:, None]
-    probe = np.nextafter(mid, mid + _AROUND)
-    wins = _picks_upper(probe, *(col[:, None] for col in rule))
-    bounds = np.where(wins[:, 1], probe[:, 1], probe[:, 2])
-    # Resolved where the float below the midpoint picks the lower run and
-    # the one above it the upper run.
-    open_ = np.greater_equal(wins[:, 0], wins[:, 2]).nonzero()[0]
-    if open_.size:
-        low, high = _ordered_keys(lower[open_]), _ordered_keys(upper[open_])
-        part = [col[open_] for col in rule]
-        while (todo := np.flatnonzero(high - 1 > low)).size:
-            lo, hi = low[todo], high[todo]
-            mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
-            upper_wins = _picks_upper(_from_keys(mid), *(col[todo] for col in part))
-            high[todo] = np.where(upper_wins, mid, hi)
-            low[todo] = np.where(upper_wins, lo, mid)
-        bounds[open_] = _from_keys(high)
+    # Halve first only where the sum overflows; there halving is exact.
+    halve = ~np.isfinite(lower + upper)
+    a, b = np.where(halve, lower / 2, lower), np.where(halve, upper / 2, upper)
+    s = a + b
+    b_part = s - a
+    err = (a - (s - b_part)) + (b - b_part)  # a + b == s + err exactly
+    h = np.where(halve, s, s / 2)
+    # The exact sign of m_i - h: s - 2h is exact and nonzero only where s
+    # is subnormal, and then err is 0.
+    above = np.where(halve, err, (s - 2 * h) + err)
+    up = (above > 0) | ((above == 0) & (run_id[:-1] < run_id[1:]))
+    bounds = np.where(up, np.nextafter(h, np.inf), h)
     # About _BUCKETS_PER_BOUNDARY buckets per boundary over [c_0, c_last];
     # one bucket when that span is zero, subnormal or overflows.
     n_buckets = _BUCKETS_PER_BOUNDARY * len(bounds)
@@ -312,64 +268,26 @@ def _run_index(run_f: np.ndarray, run_id: np.ndarray) -> _RunIndex:
     )
 
 
-def _scan_runs(table: LookupTable, q: np.ndarray) -> np.ndarray:
-    """Nearest runs of queries at or beyond ``_tie_free``, where rounding may tie three runs.
-
-    A binary search finds the runs just below and at or above each query.
-    Float subtraction is monotone, so the runs at minimal distance are one
-    contiguous range that contains one of these two. It reaches a further
-    run only when the rounding error of |q| + max|F| covers the smallest gap
-    between distinct F values or a distance overflows to inf; a query whose
-    distance to the run beyond either also rounds to the minimum is scanned
-    over all runs.
-    """
-    run_f, run_id = table._run_f, table._run_id
-    pos = np.searchsorted(run_f, q)
-    d_below = np.abs(run_f.take(pos - 1, mode="clip") - q)
-    d_above = np.abs(run_f.take(pos, mode="clip") - q)
-    take_below = d_below < d_above
-    # Exact midpoints between two runs go to the smaller id. Off the ends of
-    # the column both runs are the end run, and pos stays.
-    midway = np.flatnonzero((d_below == d_above) & (pos > 0) & (pos < len(run_f)))
-    take_below[midway] = run_id[pos[midway] - 1] < run_id[pos[midway]]
-    d_min = np.minimum(d_below, d_above)
-    wide = np.flatnonzero((
-        (pos >= 2) & (np.abs(run_f.take(pos - 2, mode="clip") - q) == d_min)
-    ) | (
-        (pos < len(run_f) - 1) & (np.abs(run_f.take(pos + 1, mode="clip") - q) == d_min)
-    ))
-    runs = np.minimum(pos - take_below, len(run_f) - 1)
-    for i in wide:
-        d = np.abs(run_f - q[i])
-        tied = np.flatnonzero(d == d.min())
-        runs[i] = tied[np.argmin(run_id[tied])]
-    return runs
-
-
+# The index build's sums of adjacent F values and the bucket offsets of far
+# queries may overflow to inf; both are expected.
 @np.errstate(over="ignore")
 def nearest_runs(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
     """Index of the run of equal F nearest to each query, in the queries' shape.
 
     Runs are the table's distinct F values in ascending order; run r starts
     at row ``table._run_row[r]``, which holds its smallest target id, and
-    :func:`nearest_rows` is that row. Distances are the float values
-    |F - q|, and among all rows at the minimal distance (exact midpoints
-    included) the smallest target id wins. The first call builds the
-    table's run index (see ``LookupTable``); below ``_tie_free`` a query
-    then costs a bucket guess and one or two compares, in O(Q) memory.
-    Queries at or beyond it, where rounding can tie three runs and the rule
-    is not monotone in q, take a binary search and, where a third run ties,
-    a scan over all runs.
+    :func:`nearest_rows` is that row. Nearest means in exact arithmetic:
+    the run minimizing the exact |F - q|, and at an exact midpoint between
+    two runs the one with the smaller target id. The rule is monotone in q,
+    so one run index answers every finite query: the first call builds it
+    (see ``LookupTable``), and a query then costs a bucket guess and one or
+    two compares, in O(Q) memory.
     """
     shape = np.shape(f_queries)
     q = np.asarray(f_queries, dtype=float).ravel()
     if not np.isfinite(q).all():
         raise ValidationError("F queries must be finite")
-    runs = table._index.runs(q)
-    if np.abs(q).max(initial=0.0) >= table._tie_free:
-        far = np.flatnonzero(np.abs(q) >= table._tie_free)
-        runs[far] = _scan_runs(table, q[far])
-    return runs.reshape(shape)
+    return table._index.runs(q).reshape(shape)
 
 
 def nearest_rows(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:

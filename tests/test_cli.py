@@ -464,6 +464,7 @@ class TestInvalidInputEndsInOneErrorLine:
             (["table"], {}, '{"threads": "x"}', None),
             (["table"], {}, '{"n": 4', None),
             (["noise"], {}, '{"eps": [true, false]}', None),
+            (["noise"], {}, '{"eps": ["0.1", " 5e-2"]}', None),
             (["table", "--n", "100000000000000000000"], {}, None, None),
             # Shot and noise arrays of 8-16 GB: the allocation fails under the
             # 1 GiB address-space limit set on the child, before any memory is used.
@@ -473,7 +474,7 @@ class TestInvalidInputEndsInOneErrorLine:
              None, 1 << 30),
         ],
         ids=["j-nan", "j-inf", "bmin-nan", "eps-abc", "config-n-str", "config-threads-str",
-             "config-malformed", "config-eps-bool", "n-huge",
+             "config-malformed", "config-eps-bool", "config-eps-str", "n-huge",
              "measure-out-of-memory", "noise-out-of-memory"],
     )
     def test_exits_one_without_traceback(self, tmp_path, argv, env, config, memory_limit):

@@ -1,17 +1,18 @@
 """Nearest-F lookup and the lookup table's canonical ties.
 
-The indexed lookup (float-exact run boundaries behind a bucket array, with
-a binary search and scan for queries at or beyond ``_tie_free``) is tied to
-the original Q×T brute-force search, kept here as the oracle, and the
-closed-form table is tied to per-target exact diagonalization.
+The indexed lookup (exact run boundaries behind a bucket array) is tied to
+a brute-force search in exact arithmetic over every distinct F, kept here
+as the oracle, and the closed-form table is tied to per-target exact
+diagonalization.
 """
 
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinalign import (
     CapacityError,
@@ -32,15 +33,25 @@ from spinalign.cli import main
 
 from conftest import CANDIDATE, GRID
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _exact(x) -> np.ndarray:
+    """Finite floats as exact Python integers, in units of the smallest subnormal 2^-1074."""
+    return np.array([int(Fraction(v) * 2**1074) for v in np.ravel(x).tolist()], dtype=object)
+
 
 def brute_force_nearest_rows(table: LookupTable, f_queries) -> np.ndarray:
-    """Q×T reference: all distances, then the smallest id at the minimum."""
-    with np.errstate(over="ignore"):  # distances between finite floats may be inf
-        d = np.abs(table.f[None, :] - np.asarray(f_queries, dtype=float)[:, None])
+    """Exact reference: distances to every distinct F, then the smallest id at the minimum.
+
+    Distances are exact integers, so only an exact midpoint ties two F
+    values; the smallest target id among the rows of the nearest F wins.
+    """
+    values = np.unique(table.f)
+    lead = np.array([table.target_ids[table.f == v].min() for v in values])
+    d = np.abs(_exact(f_queries)[:, None] - _exact(values)[None, :])
     d_min = d.min(axis=1, keepdims=True)
-    big = len(table) + int(table.target_ids.max()) + 1
-    tid_or_big = np.where(d == d_min, table.target_ids[None, :], big)
-    chosen_tid = tid_or_big.min(axis=1)
+    chosen_tid = np.where(d == d_min, lead[None, :], lead.max() + 1).min(axis=1)
     row_of_tid = np.empty(int(table.target_ids.max()) + 1, dtype=np.int64)
     row_of_tid[table.target_ids] = np.arange(len(table))
     return row_of_tid[chosen_tid]
@@ -107,36 +118,38 @@ class TestMatchesBruteForce:
         assert np.array_equal(rows, brute_force_nearest_rows(table, queries))
 
     def test_rounding_ties_beyond_the_adjacent_runs(self):
-        # Every distance from these queries rounds to the same float, so the
-        # smallest id across the whole column must win.
+        # Every float distance from the first two queries rounds to the same
+        # value; exactly, the end of the column is nearest.
         toy = _table([1.0, 2.0, 3.0, 4.0], [3, 0, 2, 1])
         queries = np.array([-1e300, 1e300, 2.5])
         rows = protocol.nearest_rows(toy, queries)
         assert np.array_equal(rows, brute_force_nearest_rows(toy, queries))
-        assert list(toy.target_ids[rows[:2]]) == [0, 0]
+        assert list(toy.target_ids[rows]) == [3, 1, 0]
 
-    @pytest.mark.parametrize("queries, far", [
-        ([[0.5, 1.5], [2.5, 3.5]], False),
-        ([[0.5, 1e300], [1.5, -1e300]], True),
-        ([[0.5, 1.5], [1.5, 1e300]], True),
+    def test_far_replies_take_the_smallest_f(self, table):
+        # Float distances from these replies round alike across several runs;
+        # exactly, target 624 (all fields at b_max, F = 2.4) is nearest.
+        rows = protocol.nearest_rows(table, np.array([-1e16, -1e20, -1e300]))
+        assert list(table.target_ids[rows]) == [624] * 3
+
+    @pytest.mark.parametrize("queries", [
+        [[0.5, 1.5], [2.5, 3.5]],
+        [[0.5, 1e300], [1.5, -1e300]],
+        [[0.5, 1.5], [1.5, 1e300]],
     ], ids=["binary-search-only", "two-far", "one-far"])
-    def test_2d_queries_come_back_in_their_shape(self, queries, far):
-        # Queries at or beyond _tie_free take the full scan, which must index
-        # the flattened batch too.
+    def test_2d_queries_come_back_in_their_shape(self, queries):
         toy = _table([1.0, 2.0, 3.0, 4.0], [3, 0, 2, 1])
         q = np.array(queries)
-        assert (np.abs(q).max() >= toy._tie_free) == far
         rows = protocol.nearest_rows(toy, q)
         assert rows.shape == q.shape
         assert np.array_equal(rows.ravel(), brute_force_nearest_rows(toy, q.ravel()))
         assert np.array_equal(lookup_chi_batch(toy, q), toy.chi[rows])
 
     def test_overflowing_distances_tie_across_runs(self):
-        # Both distances overflow to inf although the gap between the runs
-        # is far above any rounding error.
+        # Both float distances overflow to inf; exactly, -1e308 is nearer.
         toy = _table([-1.7e308, -1e308], [0, 1])
         rows = protocol.nearest_rows(toy, np.array([1.7e308]))
-        assert list(toy.target_ids[rows]) == [0]
+        assert list(toy.target_ids[rows]) == [1]
 
     def test_temporaries_stay_a_small_multiple_of_the_queries(self, table):
         # Noisy replies around every F value, and queries off both ends.
@@ -165,8 +178,7 @@ class TestMatchesBruteForce:
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
     def test_property_against_brute_force(self, data):
-        finite = st.floats(allow_nan=False, allow_infinity=False)
-        pool = data.draw(st.lists(finite, min_size=1, max_size=6), label="pool")
+        pool = data.draw(st.lists(_FINITE, min_size=1, max_size=6), label="pool")
         if data.draw(st.booleans(), label="ulp neighbours"):
             pool += [float(np.nextafter(v, 0.0)) for v in pool]
         f = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=25), label="f")
@@ -175,7 +187,7 @@ class TestMatchesBruteForce:
         table = _table(np.array(f)[order], np.array(ids)[order])
         values = sorted(set(f))
         midpoints = [a / 2 + b / 2 for a, b in zip(values, values[1:])]
-        query = st.one_of(finite, st.sampled_from(values + midpoints))
+        query = st.one_of(_FINITE, st.sampled_from(values + midpoints))
         queries = np.array(data.draw(st.lists(query, max_size=20), label="queries"), dtype=float)
         rows = protocol.nearest_rows(table, queries)
         assert np.array_equal(rows, brute_force_nearest_rows(table, queries))
@@ -205,27 +217,24 @@ class TestRunIndex:
         # c_i is the first float at which the rule picks run i + 1 over run i.
         bounds = table._index.bounds[:len(table._run_f) - 1]
         below = np.nextafter(bounds, -np.inf)
-        near = np.flatnonzero(np.abs(below) < table._tie_free)
-        assert np.array_equal(brute_force_nearest_rows(table, bounds[near]),
-                              table._run_row[near + 1])
-        assert np.array_equal(brute_force_nearest_rows(table, below[near]),
-                              table._run_row[near])
+        assert np.array_equal(brute_force_nearest_rows(table, bounds), table._run_row[1:])
+        assert np.array_equal(brute_force_nearest_rows(table, below), table._run_row[:-1])
 
     def test_reference_table(self, table):
         self._check(table)
-        assert table._tie_free > 2e5
 
     @pytest.mark.parametrize("f, ids", [
         ([1.5], [0]),  # one run: no boundaries, one bucket
         ([2.0, 2.0, 2.0], [3, 5, 9]),
         ([1.0, 3.0], [1, 0]),  # one boundary: zero span
-        ([0.0, 1e-20, 2.0], [2, 1, 0]),  # _tie_free < 0: every query is scanned
-        ([0.0, 5e-15, 1.0], [0, 2, 1]),  # 0 < _tie_free < max|F|: both branches
+        # Gaps that float rounding of |q - F| hides from |q| = 2^-13 on, and from 64 on.
+        ([0.0, 1e-20, 2.0], [2, 1, 0]),
+        ([0.0, 5e-15, 1.0], [0, 2, 1]),
         ([-1.7e308, -1e308, 1e308, 1.7e308], [3, 1, 2, 0]),  # the bucket span overflows
         ([-5e-324, 0.0, 5e-324, 1e-323], [3, 0, 2, 1]),  # subnormal span
         ([1.0, float(np.nextafter(1.0, 2.0)), 2.0, float(np.nextafter(2.0, 3.0))], [1, 0, 3, 2]),
-    ], ids=["one-run", "one-run-of-three", "one-boundary", "tie-free-negative",
-            "tie-free-small", "span-overflows", "subnormal", "ulp-neighbours"])
+    ], ids=["one-run", "one-run-of-three", "one-boundary", "tiny-gap",
+            "small-gap", "span-overflows", "subnormal", "ulp-neighbours"])
     def test_edge_tables(self, f, ids):
         toy = _table(f, ids)
         self._check(toy, extra=[-1e300, 1e300, 0.0, -0.0, 2.5])
@@ -235,8 +244,7 @@ class TestRunIndex:
     def test_property_against_brute_force(self, data):
         scale = data.draw(st.sampled_from([1.0, 1e-300, 1e-9, 1e9, 1e300]), label="scale")
         base = st.floats(-4.0, 4.0).map(lambda v: v * scale)
-        pool = data.draw(st.lists(base | st.floats(allow_nan=False, allow_infinity=False),
-                                  min_size=1, max_size=8), label="pool")
+        pool = data.draw(st.lists(base | _FINITE, min_size=1, max_size=8), label="pool")
         if data.draw(st.booleans(), label="ulp neighbours"):
             pool += [float(np.nextafter(v, 0.0)) for v in pool]
         f = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30), label="f")
@@ -245,6 +253,17 @@ class TestRunIndex:
         toy = _table(np.array(f)[order], np.array(ids)[order])
         extra = data.draw(st.lists(base, max_size=20), label="queries")
         self._check(toy, extra=np.array(extra, dtype=float))
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(_FINITE, min_size=1, max_size=8, unique=True).map(sorted),
+           ids=st.permutations(range(8)),
+           queries=st.lists(_FINITE, max_size=30))
+    @example(values=[0.0, 1e-20, 2.0], ids=list(range(8)), queries=[1e-20, 1.0])
+    def test_runs_never_decrease_in_q(self, values, ids, queries):
+        toy = _table(values, ids[:len(values)])
+        midpoints = [a / 2 + b / 2 for a, b in zip(values, values[1:])]
+        q = np.sort(queries + values + midpoints)
+        assert np.all(np.diff(protocol.nearest_runs(toy, q)) >= 0)
 
     def test_table_runs_never_build_the_index(self, tmp_path, monkeypatch):
         built = []
