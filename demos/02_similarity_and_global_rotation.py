@@ -32,10 +32,10 @@ def main():
     print("=" * 64)
     print("1. Similarity and the signed angle profile")
     print("=" * 64)
-    f0, profile = similarity_chain(target, candidate)
+    f0, thetas = similarity_chain(target, candidate)
     print(f"F (sum of cosines)   = {f0:.6f}  of a maximum of 4")
-    print(f"per-site angles      = {np.round(profile.thetas, 6)}")
-    print(f"sum of sines/cosines = {profile.sum_sin:.6f} / {profile.sum_cos:.6f}")
+    print(f"per-site angles      = {np.round(thetas, 6)}")
+    print(f"sum of sines/cosines = {np.sum(np.sin(thetas)):.6f} / {np.sum(np.cos(thetas)):.6f}")
     print("Positive angles mean the candidate vectors lag counterclockwise")
     print("behind the target vectors.")
 
@@ -43,16 +43,16 @@ def main():
     print("=" * 64)
     print("2. Scanning the rotation angle")
     print("=" * 64)
-    chi_best = chi_opt(profile)
+    chi_best = chi_opt(thetas)
     print("   chi      F after rotation   planar formula")
     for chi in np.linspace(0.0, 0.5, 6).tolist() + [chi_best]:
         rotated = apply_unitary(global_rotation(chi, 4), candidate)
         f_chi, _ = similarity_chain(target, rotated)
         marker = "  <- chi_opt" if chi == chi_best else ""
-        print(f"  {chi:6.4f}   {f_chi:12.6f}     {f0 + delta_f_planar(profile.thetas, chi):12.6f}{marker}")
+        print(f"  {chi:6.4f}   {f_chi:12.6f}     {f0 + delta_f_planar(thetas, chi):12.6f}{marker}")
     print(f"\ncircular-mean optimum: chi_opt = {chi_best:.6f} "
           f"(Bloch vectors turn by 2*chi = {2 * chi_best:.6f})")
-    print(f"gain dF = {delta_f_planar(profile.thetas, chi_best):.6f}")
+    print(f"gain dF = {delta_f_planar(thetas, chi_best):.6f}")
 
     print()
     print("=" * 64)

@@ -60,13 +60,13 @@ def main():
     oracle = make_oracle(hidden, OracleKind.MEASURED, budget=shots, seed=7)
     estimates = np.empty(shots)
     for i in range(3):
-        estimates[i], record = query_measured(oracle, candidate_state)
-        print(f"  shot {i}: outcomes m = {record.bits}  ->  F_est = {record.f_estimate:+.0f}")
+        estimates[i], bits = query_measured(oracle, candidate_state)
+        print(f"  shot {i}: outcomes m = {bits.astype(int)}  ->  F_est = {estimates[i]:+.0f}")
     # The rest in one draw: the same stream, so the same values as more shot-by-shot queries.
     estimates[3:] = oracle.sample(candidate_state, shots - 3)
 
-    f_exact, profile = similarity_chain(ground_state(hidden).state, candidate_state)
-    probs = (np.cos(profile.thetas) + 1.0) / 2.0
+    f_exact, thetas = similarity_chain(ground_state(hidden).state, candidate_state)
+    probs = (np.cos(thetas) + 1.0) / 2.0
     print(f"\n  per-site 'yes' probabilities: {np.round(probs, 4)}")
     print(f"  exact F                    = {f_exact:.4f}")
     print(f"  mean of {shots} estimates     = {estimates.mean():.4f}")

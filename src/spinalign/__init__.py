@@ -13,7 +13,6 @@ from .chain import (
     build_hamiltonian,
     enumerate_targets,
     ground_state,
-    product_ground_bloch,
     product_ground_directions,
 )
 from .errors import (
@@ -38,7 +37,6 @@ from .hilbert import (
     site_operator,
 )
 from .oracle import (
-    MeasurementRecord,
     Oracle,
     OracleKind,
     make_oracle,
@@ -62,11 +60,8 @@ from .protocol import (
     target_angles,
 )
 from .similarity import (
-    AngleProfile,
-    BlochVector,
     SiteDirections,
     SubsetFunctionKind,
-    Z_AXIS,
     bloch_vector,
     cos_theta,
     enumerate_bipartition_subsets,

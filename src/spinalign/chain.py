@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 from .hilbert import DENSE_SITE_CAP, GroundState, Operator, hermitian_ground_state
-from .similarity import BlochVector
 
 DEFAULT_SWEEP_BUDGET = 1_000_000
 
@@ -101,21 +100,15 @@ def ground_state(spec: ChainSpec) -> GroundState:
     return hermitian_ground_state(build_hamiltonian(spec))
 
 
-def product_ground_bloch(b: float) -> BlochVector:
-    """Ground-state Bloch vector -(1, b, 0)/sqrt(1+b²) of a single site X + bY.
-
-    Its direction is exact for site k of a chain at every J (see
-    ``protocol.target_angles``); only the unit length is the J -> 0 value.
-    """
-    return BlochVector(*product_ground_directions(b).tolist())
-
-
 def product_ground_directions(fields) -> np.ndarray:
-    """:func:`product_ground_bloch` of every field value, as an array of shape (..., 3).
+    """Ground-state Bloch directions -(1, b, 0)/sqrt(1+b²) of X + bY per field b, shape (..., 3).
 
-    A (T, N) array of target fields gives the (T, N, 3) unit site directions
-    of T chains. Where b² overflows, sqrt(1 + b²) is |b|, as it already is in
-    floats for every |b| above about 1.2e8: the limit direction (-1/|b|, -sign b, 0).
+    Each is exact for site k of a chain at every J (see
+    ``protocol.target_angles``); only the unit length is the J -> 0 value.
+    A scalar b gives one (3,) direction; a (T, N) array of target fields
+    gives the (T, N, 3) site directions of T chains. Where b² overflows,
+    sqrt(1 + b²) is |b|, as it already is in floats for every |b| above
+    about 1.2e8: the limit direction (-1/|b|, -sign b, 0).
     """
     b = np.asarray(fields, dtype=float)
     with np.errstate(over="ignore"):
@@ -140,12 +133,16 @@ def target_field_array(
 ) -> np.ndarray:
     """Fields of targets ``start`` <= id < ``stop`` (default: all D^N), one row per target.
 
-    Ids are base-D with site 1 in the least significant digit. Raises
-    CapacityError before allocating when D^N exceeds DEFAULT_SWEEP_BUDGET.
+    Ids are base-D with site 1 in the least significant digit; ``stop`` is
+    clipped to D^N. Raises CapacityError before allocating when D^N exceeds
+    DEFAULT_SWEEP_BUDGET, and ValidationError for an id that is not a
+    non-negative integer.
     """
     count = target_count(grid, n_sites)
-    stop = count if stop is None else min(stop, count)
-    digits = np.arange(start, stop)[:, None] // grid.levels ** np.arange(n_sites)
+    stop = count if stop is None else stop
+    if not all(isinstance(i, (int, np.integer)) and i >= 0 for i in (start, stop)):
+        raise ValidationError(f"target ids must be non-negative integers, got {start!r}, {stop!r}")
+    digits = np.arange(start, min(stop, count))[:, None] // grid.levels ** np.arange(n_sites)
     digits %= grid.levels
     return grid.values[digits]
 

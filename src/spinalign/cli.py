@@ -88,7 +88,8 @@ def _parse_eps(raw) -> tuple[float, ...]:
     if isinstance(raw, list) and not all(type(e) in _NUMBER for e in raw):
         raise ValidationError(f"the config eps list must hold only numbers: {raw!r}")
     try:
-        eps = tuple(float(e) for e in parts)
+        # Adding +0.0 turns -0 into +0 and leaves every other value as it is.
+        eps = tuple(float(e) + 0.0 for e in parts)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"--eps must be a list of numbers: {exc}") from None
     # Each noise draw spans 2·eps, which must be a finite width.

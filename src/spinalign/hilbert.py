@@ -214,6 +214,8 @@ def partial_trace(state: StateVector, keep: int) -> DensityMatrix:
     site order, the lowest kept site being the slow index of the result.
     """
     n = state.n_sites
+    if isinstance(keep, bool) or not isinstance(keep, (int, np.integer)):
+        raise ValidationError(f"keep mask must be an integer, got {keep!r}")
     if keep == 0:
         raise ValidationError("keep mask must be non-empty")
     if keep >> n:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,18 +31,6 @@ class OracleKind(enum.Enum):
     EXACT = "exact"
     NOISY = "noisy"
     MEASURED = "measured"
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Per-site projective outcomes m_k and the estimate F = 2 Σ m_k - N."""
-
-    bits: tuple[int, ...]
-    f_estimate: float
-
-    def __post_init__(self):
-        if self.f_estimate != 2 * sum(self.bits) - len(self.bits):
-            raise ValidationError("f_estimate must equal 2·Σm_k - N exactly")
 
 
 def _count(value, name: str) -> int:
@@ -180,17 +167,17 @@ def query_noisy(oracle: Oracle, candidate: Candidate) -> float:
     return f + oracle._rng.uniform(-oracle._epsilon, oracle._epsilon)
 
 
-def query_measured(oracle: Oracle, candidate: Candidate) -> tuple[float, MeasurementRecord]:
+def query_measured(oracle: Oracle, candidate: Candidate) -> tuple[float, np.ndarray]:
     """One projective shot per site: m_k ~ Bernoulli((cos θ_k + 1)/2), F = 2 Σ m_k - N.
+
+    Returns the estimate F and the (N,) boolean outcomes m_k it counts.
 
     The per-site probabilities use the exact cos θ_k at any coupling; they
     coincide with physical single-copy measurement statistics in the weakly
     coupled limit where the chain state factorizes.
     """
     bits = oracle._measure(candidate, 1)[0]
-    m = int(bits.sum())
-    f_est = float(2 * m - oracle.n_sites)
-    return f_est, MeasurementRecord(tuple(int(b) for b in bits), f_est)
+    return float(2 * int(bits.sum()) - oracle.n_sites), bits
 
 
 def make_oracle(

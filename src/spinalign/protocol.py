@@ -24,7 +24,7 @@ from .chain import (ChainSpec, ParameterGrid, product_ground_directions, target_
                     target_field_array)
 from .errors import CapacityError, IndeterminateOptimumError, ValidationError
 from .hilbert import DENSE_SITE_CAP, Operator
-from .similarity import AngleProfile, SiteDirections, site_cosines
+from .similarity import SiteDirections, site_cosines
 
 # Below this resultant length the gain is flat in χ and no optimum exists.
 _RESULTANT_FLOOR = 1e-12
@@ -78,9 +78,12 @@ def _half_angle(sum_sin, sum_cos) -> np.ndarray:
     return np.where(chi <= -np.pi / 2, np.pi / 2, chi)
 
 
-def chi_opt(profile: AngleProfile) -> float:
+def chi_opt(thetas) -> float:
     """Circular-mean optimal half-angle χ = atan2(Σ sin θ, Σ cos θ)/2 in (-π/2, π/2]."""
-    return float(_half_angle(profile.sum_sin, profile.sum_cos))
+    th = np.asarray(thetas, dtype=float)
+    if th.ndim != 1 or not th.size:
+        raise ValidationError(f"chi_opt needs a 1-D array of site angles, got shape {th.shape}")
+    return float(_half_angle(np.sum(np.sin(th)), np.sum(np.cos(th))))
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,29 +24,8 @@ from .hilbert import PAULI, DensityMatrix, StateVector, partial_trace
 # Sites whose Bloch vector is shorter than this have no usable direction;
 # the cosine metric is meaningless for (nearly) maximally mixed sites.
 DIRECTION_FLOOR = 1e-6
-
-
-@dataclass(frozen=True)
-class BlochVector:
-    """Real 3-vector v with |v| <= 1 representing rho = (I + v·sigma)/2."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if self.norm > 1.0 + 1e-10:
-            raise ValidationError(f"Bloch vector norm {self.norm!r} exceeds 1")
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.x**2 + self.y**2 + self.z**2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-
-Z_AXIS = BlochVector(0.0, 0.0, 1.0)
+# The rotation axis of U(χ): similarity_chain's angles are signed about +z.
+_Z_HAT = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,35 +46,6 @@ class SiteDirections:
     @property
     def n_sites(self) -> int:
         return len(self.bloch)
-
-
-@dataclass(frozen=True)
-class AngleProfile:
-    """Signed per-site angles from candidate to target Bloch vectors.
-
-    Angles are measured in the plane orthogonal to +z, positive when the
-    candidate vector must rotate counterclockwise (about +z) to meet the
-    target. The sums drive the rotation optimizer: sum_cos equals the chain
-    similarity whenever all vectors lie in the xy plane.
-    """
-
-    thetas: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.thetas:
-            raise ValidationError("angle profile needs at least one site")
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.thetas)
-
-    @property
-    def sum_sin(self) -> float:
-        return float(np.sum(np.sin(self.thetas)))
-
-    @property
-    def sum_cos(self) -> float:
-        return float(np.sum(np.cos(self.thetas)))
 
 
 class SubsetFunctionKind(enum.Enum):
@@ -128,16 +78,11 @@ def site_cosines(bloch_t: np.ndarray, bloch_c: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...i", bloch_t, bloch_c) / np.sqrt(nt2) / np.sqrt(nc2)
 
 
-def bloch_vector(rho: DensityMatrix) -> BlochVector:
-    """Bloch vector (tr ρX, tr ρY, tr ρZ) of a single-qubit density matrix."""
+def bloch_vector(rho: DensityMatrix) -> np.ndarray:
+    """Bloch vector (tr ρX, tr ρY, tr ρZ) of a single-qubit density matrix, shape (3,)."""
     if rho.dim != 2:
         raise ValidationError(f"expected a 2x2 density matrix, got dim {rho.dim}")
-    m = rho.entries
-    return BlochVector(
-        float(np.trace(m @ PAULI["X"]).real),
-        float(np.trace(m @ PAULI["Y"]).real),
-        float(np.trace(m @ PAULI["Z"]).real),
-    )
+    return np.array([np.trace(rho.entries @ PAULI[p]).real for p in "XYZ"])
 
 
 def cos_theta(rho_t: DensityMatrix, rho_c: DensityMatrix) -> float:
@@ -156,15 +101,17 @@ def cos_theta(rho_t: DensityMatrix, rho_c: DensityMatrix) -> float:
     return overlap / math.sqrt(nt2) / math.sqrt(nc2)
 
 
-def signed_theta(c: BlochVector, r: BlochVector, axis: BlochVector) -> float:
-    """Signed angle from c to r about ``axis``, in (-pi, pi].
+def signed_theta(c: np.ndarray, r: np.ndarray, axis: np.ndarray) -> float:
+    """Signed angle from Bloch 3-vector c to r about the unit 3-vector ``axis``, in (-pi, pi].
 
     Positive means c must rotate counterclockwise about the axis to meet r.
     Both vectors must have a non-negligible component orthogonal to the axis.
     """
-    if abs(axis.norm - 1.0) > 1e-12:
+    cv, rv, av = (np.asarray(v, dtype=float) for v in (c, r, axis))
+    if not cv.shape == rv.shape == av.shape == (3,):
+        raise ValidationError("signed_theta takes three 3-vectors")
+    if abs(math.sqrt(av @ av) - 1.0) > 1e-12:
         raise ValidationError("rotation axis must be a unit vector")
-    cv, rv, av = c.as_array(), r.as_array(), axis.as_array()
     c_par = float(cv @ av)
     r_par = float(rv @ av)
     c_perp2 = float(cv @ cv) - c_par**2
@@ -175,10 +122,11 @@ def signed_theta(c: BlochVector, r: BlochVector, axis: BlochVector) -> float:
     return math.pi if theta <= -math.pi else theta
 
 
-def similarity_chain(state_t: StateVector, state_c: StateVector) -> tuple[float, AngleProfile]:
-    """Chain similarity F = Σ_k cos θ_k plus the signed angle profile about +z.
+def similarity_chain(state_t: StateVector, state_c: StateVector) -> tuple[float, np.ndarray]:
+    """Chain similarity F = Σ_k cos θ_k and the (N,) signed angles θ_k about +z.
 
-    Both come from the states' cached per-site Bloch vectors.
+    Both come from the states' cached per-site Bloch vectors; θ_k turns
+    candidate site k onto target site k.
     """
     if state_t.n_sites != state_c.n_sites:
         raise ValidationError(
@@ -186,8 +134,7 @@ def similarity_chain(state_t: StateVector, state_c: StateVector) -> tuple[float,
         )
     bt, bc = state_t.bloch, state_c.bloch
     f = float(site_cosines(bt, bc).sum())
-    thetas = [signed_theta(BlochVector(*c), BlochVector(*r), Z_AXIS) for c, r in zip(bc, bt)]
-    return f, AngleProfile(tuple(thetas))
+    return f, np.array([signed_theta(c, r, _Z_HAT) for c, r in zip(bc, bt)])
 
 
 def enumerate_bipartition_subsets(n: int) -> list[int]:
@@ -213,18 +160,20 @@ def similarity_general(
     """Sum of the chosen per-subset function over reduced density matrix pairs."""
     if state_t.n_sites != state_c.n_sites:
         raise ValidationError("chains differ in length")
+    if not isinstance(kind, SubsetFunctionKind):
+        raise ValidationError(f"unknown subset function kind {kind!r}")
+    cosine = kind is SubsetFunctionKind.COSINE_SINGLE_SITE
     total = 0.0
     for mask in subsets:
-        if kind is SubsetFunctionKind.COSINE_SINGLE_SITE and mask.bit_count() != 1:
+        # partial_trace checks the mask before its bits are counted.
+        rho_t = partial_trace(state_t, mask)
+        rho_c = partial_trace(state_c, mask)
+        if not cosine:
+            total += purity_term(rho_t, rho_c)
+        elif mask.bit_count() == 1:
+            total += cos_theta(rho_t, rho_c)
+        else:
             raise ValidationError(
                 f"cosine similarity applies to singleton subsets only, got mask {mask:#x}"
             )
-        rho_t = partial_trace(state_t, mask)
-        rho_c = partial_trace(state_c, mask)
-        if kind is SubsetFunctionKind.COSINE_SINGLE_SITE:
-            total += cos_theta(rho_t, rho_c)
-        elif kind is SubsetFunctionKind.PURITY:
-            total += purity_term(rho_t, rho_c)
-        else:
-            raise ValidationError(f"unknown subset function kind {kind!r}")
     return total

@@ -110,14 +110,13 @@ def study(candidate_state) -> StudyData:
             h.entries @ gs.state.amplitudes - gs.energy * gs.state.amplitudes
         )
         gaps[tid] = gs.gap
-        f[tid], profile = similarity_chain(gs.state, candidate_state)
-        thetas[tid] = profile.thetas
-        chi[tid] = chi_opt(profile)
-        delta_f[tid] = delta_f_planar(profile.thetas, chi[tid])
+        f[tid], thetas[tid] = similarity_chain(gs.state, candidate_state)
+        chi[tid] = chi_opt(thetas[tid])
+        delta_f[tid] = delta_f_planar(thetas[tid], chi[tid])
         for k in range(N_SITES):
             rho = partial_trace(gs.state, 1 << k)
             rhos[tid, k] = rho.entries
-            bloch_z[tid, k] = bloch_vector(rho).z
+            bloch_z[tid, k] = bloch_vector(rho)[2]
     return StudyData(
         candidate_state=candidate_state,
         f=f,

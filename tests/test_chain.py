@@ -17,7 +17,6 @@ from spinalign import (
     hermitian_ground_state,
     mask_from_sites,
     partial_trace,
-    product_ground_bloch,
     product_ground_directions,
     site_operator,
     Operator,
@@ -88,7 +87,7 @@ def test_interacting_ground_state_has_no_z_polarization():
     gs = ground_state(ChainSpec(4, 1.0, (0.5, -0.25, 0.0, 0.25)))
     for k in range(1, 5):
         v = bloch_vector(partial_trace(gs.state, mask_from_sites([k], 4)))
-        assert abs(v.z) < 1e-8
+        assert abs(v[2]) < 1e-8
 
 
 def test_ground_energy_invariant_under_cyclic_relabeling():
@@ -116,6 +115,8 @@ def test_j_zero_limit_matches_product_state():
 
 
 class TestProductGroundBloch:
+    """product_ground_directions: the closed-form site direction of X + bY."""
+
     def test_array_form_is_bit_equal_to_the_scalar_formula(self):
         b = np.array([[0.0, -0.0, 0.5, -0.25], [1e-300, 5e-324, 1e200, -1e300]])
         dirs = product_ground_directions(b)
@@ -125,27 +126,22 @@ class TestProductGroundBloch:
             if math.isinf(s):  # b² overflows: the limit direction (-1/|b|, -sign b, 0)
                 s = abs(value)
             assert got.tobytes() == np.array([-1.0 / s, -value / s, 0.0]).tobytes()
-            v = product_ground_bloch(value)
-            assert np.array([v.x, v.y, v.z]).tobytes() == got.tobytes()
+            v = product_ground_directions(value)
+            assert v.shape == (3,) and v.tobytes() == got.tobytes()
 
     def test_zero_field(self):
-        v = product_ground_bloch(0.0)
-        assert (v.x, v.y, v.z) == (-1.0, 0.0, 0.0)
+        assert product_ground_directions(0.0).tolist() == [-1.0, 0.0, 0.0]
 
     def test_half_field(self):
-        v = product_ground_bloch(0.5)
-        assert v.x == pytest.approx(-0.894427, abs=1e-6)
-        assert v.y == pytest.approx(-0.447214, abs=1e-6)
-        assert v.z == 0.0
+        v = product_ground_directions(0.5)
+        assert v[:2] == pytest.approx([-0.894427, -0.447214], abs=1e-6)
+        assert v[2] == 0.0
 
     def test_matches_exact_diagonalization(self):
         for b in (-0.5, -0.1, 0.0, 0.3, 0.5):
             gs = ground_state(ChainSpec(2, 0.0, (b, b)))
             exact = bloch_vector(partial_trace(gs.state, 0b01))
-            closed = product_ground_bloch(b)
-            assert abs(exact.x - closed.x) < 1e-9
-            assert abs(exact.y - closed.y) < 1e-9
-            assert abs(exact.z - closed.z) < 1e-9
+            assert np.max(np.abs(exact - product_ground_directions(b))) < 1e-9
 
 
 class TestTargetEnumeration:
@@ -174,6 +170,16 @@ class TestTargetEnumeration:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("start, stop", [(-2, 1), (0, -1), (1.0, 3), (0, 2.5)])
+    def test_id_range_must_be_non_negative_integers(self, start, stop):
+        with pytest.raises(ValidationError, match="non-negative integers"):
+            target_field_array(ParameterGrid(-0.5, 0.5, 5), 4, start=start, stop=stop)
+
+    def test_id_range_is_a_slice_of_all_targets(self):
+        grid = ParameterGrid(-0.5, 0.5, 5)
+        every = target_field_array(grid, 4)
+        assert target_field_array(grid, 4, np.int64(620), 700).tobytes() == every[620:].tobytes()
 
 
 class TestSpecsAndGrids:

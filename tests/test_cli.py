@@ -261,6 +261,20 @@ class TestNoiseCommand:
     def test_empty_eps_rejected(self, tmp_path):
         assert main(["noise", "--eps", "", "--out", str(tmp_path)]) == 1
 
+    def test_negative_zero_epsilon_is_written_as_zero(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text('{"eps": [-0.0, 0.05]}')
+        runs = {"pos": ["--eps", "0,0.05"], "neg": ["--eps=-0,0.05"],
+                "file": ["--config", str(tmp_path / "cfg.json")]}
+        outputs = {}
+        for name, argv in runs.items():
+            out = tmp_path / name
+            assert main(["noise", "--n", "2", "--d", "3", "--trials", "20", *argv,
+                         "--out", str(out)]) == 0
+            outputs[name] = ((out / "noise.csv").read_text(),
+                             capsys.readouterr().out.replace(str(out), "OUT"))
+        assert outputs["neg"] == outputs["file"] == outputs["pos"]
+        assert outputs["neg"][0].splitlines()[1].startswith("0.000000000000e+00,")
+
     @pytest.mark.parametrize("argv", [
         ["--n", "2", "--d", "2", "--trials", "1"],
         ["--n", "2", "--d", "2", "--trials", "8191"],

@@ -130,6 +130,11 @@ class TestPartialTrace:
         with pytest.raises(ValidationError):
             partial_trace(basis_state(2, 0), 0b100)
 
+    @pytest.mark.parametrize("mask", [1.0, True, "1", None])
+    def test_non_integer_mask_rejected(self, mask):
+        with pytest.raises(ValidationError, match="integer"):
+            partial_trace(basis_state(2, 0), mask)
+
     def test_random_states_consistency(self):
         # every marginal of a normalized state is a valid density matrix;
         # the DensityMatrix constructor enforces trace/PSD/purity bounds
@@ -221,7 +226,7 @@ class TestBlochFastPath:
         state = _random_state(data, 1, 8)
         assert state.bloch.shape == (state.n_sites, 3)
         for k in range(state.n_sites):
-            want = bloch_vector(partial_trace(state, 1 << k)).as_array()
+            want = bloch_vector(partial_trace(state, 1 << k))
             assert np.max(np.abs(state.bloch[k] - want)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)

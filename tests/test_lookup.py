@@ -324,15 +324,13 @@ class TestCanonicalTies:
         cand_state = ground_state(candidate).state
         row_of = {int(t): i for i, t in enumerate(table.target_ids)}
         for tid, spec in enumerate_targets(grid, candidate.n_sites, coupling=coupling):
-            f, profile = similarity_chain(ground_state(spec).state, cand_state)
-            chi = chi_opt(profile)
+            f, thetas = similarity_chain(ground_state(spec).state, cand_state)
+            chi = chi_opt(thetas)
             row = row_of[tid]
             assert table.f[row] == pytest.approx(f, abs=1e-12)
             assert table.chi[row] == pytest.approx(chi, abs=1e-12)
-            assert table.delta_f[row] == pytest.approx(
-                delta_f_planar(profile.thetas, chi), abs=1e-12
-            )
-            assert table.sum_sin[row] == pytest.approx(profile.sum_sin, abs=1e-12)
+            assert table.delta_f[row] == pytest.approx(delta_f_planar(thetas, chi), abs=1e-12)
+            assert table.sum_sin[row] == pytest.approx(np.sum(np.sin(thetas)), abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -348,11 +346,11 @@ class TestCanonicalTies:
         cand_state = ground_state(candidate).state
         row_of = {int(t): i for i, t in enumerate(table.target_ids)}
         for tid, spec in enumerate_targets(grid, n, coupling=coupling):
-            f, profile = similarity_chain(ground_state(spec).state, cand_state)
-            chi = chi_opt(profile)
+            f, thetas = similarity_chain(ground_state(spec).state, cand_state)
+            chi = chi_opt(thetas)
             row = row_of[tid]
             got = (table.f[row], table.delta_f[row], table.sum_sin[row])
-            want = (f, delta_f_planar(profile.thetas, chi), profile.sum_sin)
+            want = (f, delta_f_planar(thetas, chi), np.sum(np.sin(thetas)))
             assert np.max(np.abs(np.subtract(got, want))) <= 1e-12, (tid, got, want)
             # χ and χ - π give the same rotation. Where Σ sin θ = 0 and
             # Σ cos θ < 0, rounding can put the eigensolver's χ just above

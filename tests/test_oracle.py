@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from spinalign import (
     ChainSpec,
-    MeasurementRecord,
     OracleKind,
     QueryBudgetError,
     ValidationError,
@@ -81,9 +80,9 @@ class TestMeasuredOracle:
     def test_aligned_target_is_deterministic(self, candidate_j1):
         oracle = make_oracle(CANDIDATE_SPEC, OracleKind.MEASURED, budget=200, seed=2)
         for _ in range(200):
-            f_est, record = query_measured(oracle, candidate_j1)
+            f_est, bits = query_measured(oracle, candidate_j1)
             assert f_est == 4.0
-            assert record.bits == (1, 1, 1, 1)
+            assert bits.tolist() == [True] * 4
 
     def test_antipodal_candidate_is_deterministic(self):
         # target Bloch vectors point along -x; the |+...+> product state points
@@ -93,22 +92,23 @@ class TestMeasuredOracle:
         plus = np.array([1, 1]) / np.sqrt(2)
         anti = product_state([plus] * 4)
         for _ in range(200):
-            f_est, record = query_measured(oracle, anti)
+            f_est, bits = query_measured(oracle, anti)
             assert f_est == -4.0
-            assert record.bits == (0, 0, 0, 0)
+            assert bits.tolist() == [False] * 4
 
     def test_estimate_matches_bit_count(self, candidate_j1):
         oracle = make_oracle(TARGET, OracleKind.MEASURED, budget=50, seed=4)
         for _ in range(50):
-            f_est, record = query_measured(oracle, candidate_j1)
-            assert f_est == 2 * sum(record.bits) - 4
+            f_est, bits = query_measured(oracle, candidate_j1)
+            assert bits.shape == (4,) and bits.dtype == bool
+            assert f_est == 2 * bits.sum() - 4
 
     def test_variance_matches_binomial_formula(self, candidate_j1):
         from spinalign import similarity_chain
 
         target_state = ground_state(TARGET).state
-        _, profile = similarity_chain(target_state, candidate_j1)
-        probs = (np.cos(profile.thetas) + 1) / 2
+        _, thetas = similarity_chain(target_state, candidate_j1)
+        probs = (np.cos(thetas) + 1) / 2
         expected_std = 2 * np.sqrt(np.sum(probs * (1 - probs)))
         trials = 10_000
         oracle = make_oracle(TARGET, OracleKind.MEASURED, budget=trials, seed=5)
@@ -235,14 +235,8 @@ class TestSample:
         want = [query_measured(looped, candidate)[0] for _ in range(shots)]
         assert got.tolist() == want
         # The stream continues where the batch left off.
-        assert query_measured(batched, candidate) == query_measured(looped, candidate)
-
-
-class TestMeasurementRecord:
-    def test_estimate_identity_enforced(self):
-        MeasurementRecord((1, 0, 1, 1), 2.0)
-        with pytest.raises(ValidationError):
-            MeasurementRecord((1, 0, 1, 1), 1.0)
+        (f_b, bits_b), (f_l, bits_l) = (query_measured(o, candidate) for o in (batched, looped))
+        assert f_b == f_l and bits_b.tolist() == bits_l.tolist()
 
 
 def test_make_oracle_validates_inputs():

@@ -4,8 +4,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spinalign import (
-    AngleProfile,
-    BlochVector,
     ChainSpec,
     DensityMatrix,
     PAULI,
@@ -13,14 +11,14 @@ from spinalign import (
     SubsetFunctionKind,
     UndefinedDirectionError,
     ValidationError,
-    Z_AXIS,
     apply_unitary,
     bloch_vector,
+    chi_opt,
     cos_theta,
     enumerate_bipartition_subsets,
     global_rotation,
     ground_state,
-    product_ground_bloch,
+    product_ground_directions,
     purity_term,
     signed_theta,
     similarity_chain,
@@ -34,20 +32,21 @@ def rho_from_bloch(v: np.ndarray) -> DensityMatrix:
     return DensityMatrix(m)
 
 
-class TestBlochVector:
+Z = np.array([0.0, 0.0, 1.0])
+
+
+class TestBlochReadoff:
     def test_maximally_mixed(self):
         v = bloch_vector(DensityMatrix(np.eye(2) / 2))
-        assert (v.x, v.y, v.z) == (0.0, 0.0, 0.0)
+        assert v.shape == (3,) and v.tolist() == [0.0, 0.0, 0.0]
 
     def test_computational_zero(self):
         v = bloch_vector(DensityMatrix(np.diag([1.0, 0.0])))
-        assert (v.x, v.y, v.z) == (0.0, 0.0, 1.0)
+        assert v.tolist() == [0.0, 0.0, 1.0]
 
     def test_readoff(self):
         v = bloch_vector(rho_from_bloch(np.array([0.6, -0.8, 0.0])))
-        assert v.x == pytest.approx(0.6, abs=1e-12)
-        assert v.y == pytest.approx(-0.8, abs=1e-12)
-        assert v.z == pytest.approx(0.0, abs=1e-12)
+        assert v == pytest.approx([0.6, -0.8, 0.0], abs=1e-12)
 
     def test_reconstruction_round_trip(self):
         rng = np.random.default_rng(7)
@@ -56,7 +55,7 @@ class TestBlochVector:
             v *= rng.uniform(0, 1) / np.linalg.norm(v)
             rho = rho_from_bloch(v)
             w = bloch_vector(rho)
-            back = rho_from_bloch(w.as_array())
+            back = rho_from_bloch(w)
             assert np.max(np.abs(back.entries - rho.entries)) < 1e-10
 
     def test_wrong_dimension(self):
@@ -64,8 +63,9 @@ class TestBlochVector:
             bloch_vector(DensityMatrix(np.eye(4) / 4))
 
     def test_norm_bound_enforced(self):
+        # A Bloch vector longer than 1 has no density matrix to be read from.
         with pytest.raises(ValidationError):
-            BlochVector(1.0, 1.0, 0.0)
+            rho_from_bloch(np.array([1.0, 1.0, 0.0]))
 
 
 class TestCosTheta:
@@ -115,13 +115,13 @@ class TestCosTheta:
 
 class TestSignedTheta:
     def test_zero_for_equal_vectors(self):
-        v = BlochVector(0.4, 0.3, 0.0)
-        assert signed_theta(v, v, Z_AXIS) == 0.0
+        v = np.array([0.4, 0.3, 0.0])
+        assert signed_theta(v, v, Z) == 0.0
 
     def test_product_ground_pair(self):
-        c = product_ground_bloch(-0.5)
-        r = product_ground_bloch(+0.5)
-        theta = signed_theta(c, r, Z_AXIS)
+        c = product_ground_directions(-0.5)
+        r = product_ground_directions(+0.5)
+        theta = signed_theta(c, r, Z)
         assert theta == pytest.approx(2 * np.arctan(0.5), abs=1e-12)
         assert theta == pytest.approx(0.927295, abs=1e-6)
 
@@ -129,13 +129,11 @@ class TestSignedTheta:
         rng = np.random.default_rng(10)
         for _ in range(50):
             u, v = rng.normal(size=(2, 3))
-            a = BlochVector(*(u * rng.uniform(0.05, 1.0) / np.linalg.norm(u)))
-            b = BlochVector(*(v * rng.uniform(0.05, 1.0) / np.linalg.norm(v)))
-            if min(np.hypot(a.x, a.y), np.hypot(b.x, b.y)) < 1e-3:
+            a = u * rng.uniform(0.05, 1.0) / np.linalg.norm(u)
+            b = v * rng.uniform(0.05, 1.0) / np.linalg.norm(v)
+            if min(np.hypot(*a[:2]), np.hypot(*b[:2])) < 1e-3:
                 continue
-            assert signed_theta(a, b, Z_AXIS) == pytest.approx(
-                -signed_theta(b, a, Z_AXIS), abs=1e-12
-            )
+            assert signed_theta(a, b, Z) == pytest.approx(-signed_theta(b, a, Z), abs=1e-12)
 
     def test_consistent_with_cos_theta_in_plane(self):
         rng = np.random.default_rng(13)
@@ -144,38 +142,42 @@ class TestSignedTheta:
             r1, r2 = rng.uniform(0.1, 1.0, size=2)
             a = np.array([r1 * np.cos(phi1), r1 * np.sin(phi1), 0.0])
             b = np.array([r2 * np.cos(phi2), r2 * np.sin(phi2), 0.0])
-            th = signed_theta(BlochVector(*a), BlochVector(*b), Z_AXIS)
+            th = signed_theta(a, b, Z)
             assert abs(np.cos(th) - cos_theta(rho_from_bloch(a), rho_from_bloch(b))) < 1e-9
 
     def test_axis_aligned_vector_rejected(self):
         with pytest.raises(UndefinedDirectionError):
-            signed_theta(BlochVector(0, 0, 1.0), BlochVector(1.0, 0, 0), Z_AXIS)
+            signed_theta(np.array([0, 0, 1.0]), np.array([1.0, 0, 0]), Z)
 
     def test_axis_must_be_unit(self):
         with pytest.raises(ValidationError):
-            signed_theta(BlochVector(1, 0, 0), BlochVector(0, 1, 0), BlochVector(0, 0, 0.5))
+            signed_theta(np.array([1, 0, 0]), np.array([0, 1, 0]), np.array([0, 0, 0.5]))
+
+    def test_three_vectors_required(self):
+        with pytest.raises(ValidationError):
+            signed_theta(np.array([1.0, 0.0]), np.array([0.0, 1.0]), Z[:2])
 
 
 class TestSimilarityChain:
     def test_equal_states_give_n(self):
         gs = ground_state(ChainSpec(4, 1.0, (0.25,) * 4)).state
-        f, profile = similarity_chain(gs, gs)
+        f, thetas = similarity_chain(gs, gs)
         assert f == pytest.approx(4.0, abs=1e-12)
-        assert np.allclose(profile.thetas, 0.0)
+        assert thetas.shape == (4,) and np.allclose(thetas, 0.0)
 
     def test_uniform_product_chains(self):
         target = ground_state(ChainSpec(4, 0.0, (0.5,) * 4)).state
         cand = ground_state(ChainSpec(4, 0.0, (-0.5,) * 4)).state
-        f, profile = similarity_chain(target, cand)
+        f, thetas = similarity_chain(target, cand)
         assert f == pytest.approx(4 * np.cos(2 * np.arctan(0.5)), abs=1e-9)
         assert f == pytest.approx(2.4, abs=1e-9)
-        assert np.allclose(profile.thetas, 2 * np.arctan(0.5), atol=1e-9)
+        assert np.allclose(thetas, 2 * np.arctan(0.5), atol=1e-9)
 
     def test_profile_sums_match_f(self):
         target = ground_state(ChainSpec(4, 1.0, (0.5, 0.0, -0.25, 0.25))).state
         cand = ground_state(ChainSpec(4, 1.0, (-0.5,) * 4)).state
-        f, profile = similarity_chain(target, cand)
-        assert profile.sum_cos == pytest.approx(f, abs=1e-10)
+        f, thetas = similarity_chain(target, cand)
+        assert np.sum(np.cos(thetas)) == pytest.approx(f, abs=1e-10)
 
     def test_length_mismatch(self):
         a = ground_state(ChainSpec(2, 0.0, (0.0, 0.0))).state
@@ -260,10 +262,24 @@ class TestSimilarityGeneral:
         with pytest.raises(ValidationError):
             similarity_general(gs, gs, [0b11], SubsetFunctionKind.COSINE_SINGLE_SITE)
 
+    @pytest.mark.parametrize("subsets", [[], [0b01]])
+    def test_kind_checked_before_any_subset(self, subsets):
+        gs = ground_state(ChainSpec(2, 0.0, (0.0, 0.0))).state
+        with pytest.raises(ValidationError, match="kind"):
+            similarity_general(gs, gs, subsets, "bogus")
+
+    @pytest.mark.parametrize("kind", list(SubsetFunctionKind))
+    def test_float_mask_rejected(self, kind):
+        gs = ground_state(ChainSpec(2, 0.0, (0.0, 0.0))).state
+        with pytest.raises(ValidationError, match="integer"):
+            similarity_general(gs, gs, [1.0], kind)
+
 
 def test_angle_profile_requires_sites():
-    with pytest.raises(ValidationError):
-        AngleProfile(())
+    # chi_opt takes the (N,) angles similarity_chain returns.
+    for thetas in ([], np.zeros((2, 3)), 0.5):
+        with pytest.raises(ValidationError, match="1-D"):
+            chi_opt(thetas)
 
 
 # Components near zero put whole sites below the direction floor.
