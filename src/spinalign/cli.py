@@ -27,12 +27,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import (DEFAULT_SWEEP_BUDGET, ChainSpec, ParameterGrid, enumerate_targets,
-                    product_ground_directions)
+from .chain import (DEFAULT_SWEEP_BUDGET, ChainSpec, ParameterGrid, product_ground_directions,
+                    target_field_array)
 from .errors import SpinAlignError, ValidationError
-from .oracle import OracleKind, make_oracle
-from .protocol import build_table, nearest_runs, sweep_exact, target_angles
-from .similarity import SiteDirections
+from .oracle import target_streams
+from .protocol import SWEEP_BLOCK_TARGETS, build_table, nearest_runs, sweep_exact, target_angles
+from .similarity import site_cosines
 
 # Gates used by --check; they assume the reference configuration below.
 REFERENCE_KEYS = {"n": 4, "j": 1.0, "bmin": -0.5, "bmax": 0.5, "d": 5}
@@ -235,14 +235,6 @@ def cmd_sweep(cfg: RunConfig) -> None:
             raise CheckFailure("; ".join(failures))
 
 
-def _uint32_words(value: int) -> list[int]:
-    """Little-endian 32-bit words of ``value`` >= 0, as SeedSequence splits it (0 -> [0])."""
-    words = [value & 0xFFFFFFFF]
-    while value := value >> 32:
-        words.append(value & 0xFFFFFFFF)
-    return words
-
-
 def cmd_noise(cfg: RunConfig) -> None:
     if not cfg.eps:
         raise ValidationError("noise needs a non-empty --eps list")
@@ -262,32 +254,31 @@ def cmd_noise(cfg: RunConfig) -> None:
     # by the block's queries; otherwise they are computed per trial.
     per_run = len(chi_run) <= trials
 
-    # Each target keeps its own noise stream, default_rng([seed, eps_index,
-    # target_id]), whose entropy is passed as the uint32 words SeedSequence
-    # makes of that list. Ids and indices are below 2^32: one word each.
-    entropy = np.array(_uint32_words(cfg.seed) + [0, 0], dtype=np.uint32)
     # A block of targets is looked up in one call, one row of trials per target.
     block = max(1, NOISE_BLOCK_QUERIES // trials)
     noise = np.empty((block, trials))
     rows = []
     for eps_index, eps in enumerate(cfg.eps):
-        entropy[-2] = eps_index
+        # Each target keeps its own noise stream, seeded by [seed, eps_index, target_id].
+        streams = target_streams([cfg.seed, eps_index], n_targets) if eps != 0.0 else None
         errors = np.empty(n_targets)
         gains = np.empty(n_targets)
         for start in range(0, n_targets, block):
             stop = min(start + block, n_targets)
             ids = slice(start, stop)
-            draws = noise[:stop - start]
-            if eps == 0.0:
-                draws.fill(0.0)  # uniform(-0.0, 0.0) draws exactly +0.0; no stream needed
+            if streams is None:
+                # Each query is its target's own F, which is its run's F: the
+                # nearest run, at distance 0, with no stream and no lookup.
+                own_run = table._run_f.searchsorted(f_true[ids])
+                hit = np.repeat(own_run[:, None], trials, axis=1)
             else:
-                for row, target_id in enumerate(range(start, stop)):
-                    entropy[-1] = target_id
-                    np.random.default_rng(entropy).random(out=draws[row])
+                draws = noise[:stop - start]
+                for row in draws:
+                    next(streams).random(out=row)
                 # uniform(-eps, eps) is -eps + (eps - -eps) * random(), value for value.
                 draws *= 2.0 * eps
                 draws -= eps
-            hit = nearest_runs(table, f_true[ids, None] + draws)
+                hit = nearest_runs(table, f_true[ids, None] + draws)
             at = slice(None) if per_run else hit
             sin_hat = sin_run[at]
             # Gain at the looked-up angle needs only (sum_sin, F) of the truth:
@@ -340,19 +331,31 @@ def cmd_measure(cfg: RunConfig) -> None:
     trials = cfg.trials if cfg.trials is not None else 10_000
     if trials < 1:
         raise ValidationError("--trials must be at least 1")
-    candidate = SiteDirections(product_ground_directions(cfg.candidate().fields))
-    cos_thetas = np.cos(target_angles(cfg.grid(), cfg.candidate()))
+    grid, candidate = cfg.grid(), cfg.candidate()
+    cos_thetas = np.cos(target_angles(grid, candidate))
     f_exact = cos_thetas.sum(axis=1)
     probs = (cos_thetas + 1.0) / 2.0
     binomial_std = 2.0 * np.sqrt(np.sum(probs * (1.0 - probs), axis=1))
-    means, stds = np.empty((2, len(f_exact)))
-    for target_id, spec in enumerate_targets(cfg.grid(), cfg.n, coupling=cfg.j):
-        oracle = make_oracle(
-            spec, OracleKind.MEASURED, budget=trials, seed=[cfg.seed, target_id]
-        )
-        estimates = oracle.sample(candidate, trials)
-        means[target_id] = estimates.mean()
-        stds[target_id] = estimates.std(ddof=1) if trials > 1 else 0.0
+    del cos_thetas, probs
+    n_targets = len(f_exact)
+    candidate_dirs = product_ground_directions(candidate.fields)
+    # Each target keeps its own stream, seeded by [seed, target_id].
+    streams = target_streams([cfg.seed], n_targets)
+    # One (trials, N) buffer takes each target's draws and then its outcomes.
+    shots = np.empty((trials, cfg.n))
+    twos = np.full(cfg.n, 2.0)
+    means, stds = np.empty((2, n_targets))
+    for start in range(0, n_targets, SWEEP_BLOCK_TARGETS):
+        stop = min(start + SWEEP_BLOCK_TARGETS, n_targets)
+        dirs = product_ground_directions(target_field_array(grid, cfg.n, start=start, stop=stop))
+        # The oracle's probabilities (cos theta_k + 1)/2, bit for bit.
+        block_probs = (site_cosines(dirs, candidate_dirs) + 1.0) / 2.0
+        for target_id, p in enumerate(block_probs, start):
+            # Oracle.sample's outcomes m_k = u < p and exact counts 2·Σm_k - N.
+            np.less(next(streams).random(out=shots), p, out=shots)
+            estimates = shots @ twos - cfg.n
+            means[target_id] = estimates.mean()
+            stds[target_id] = estimates.std(ddof=1) if trials > 1 else 0.0
     out = Path(cfg.out) / "measure.csv"
     _write_csv(out, "target_id,F_exact,F_est_mean,F_est_std,binomial_std",
                (np.arange(len(means)), f_exact, means, stds, binomial_std))

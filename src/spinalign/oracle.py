@@ -8,6 +8,10 @@ per-site Bloch vectors (a state's cached ``bloch``, or closed-form
 a single-shot projective-measurement estimate. The target's fields are never exposed;
 the public surface is the behavior kind, the remaining budget, a
 fingerprint of the construction parameters, and the query operations.
+
+The module also starts many per-target random streams at once:
+:func:`target_streams` yields the generators ``default_rng(prefix +
+[target_id])`` would make, seeded in vectorized passes.
 """
 
 from __future__ import annotations
@@ -15,16 +19,120 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
+from collections.abc import Iterator
 from functools import cached_property
 
 import numpy as np
 
 from .chain import ChainSpec, product_ground_directions
-from .errors import QueryBudgetError, ValidationError
+from .errors import QueryBudgetError, SpinAlignError, ValidationError
 from .hilbert import StateVector
 from .similarity import SiteDirections, site_cosines
 
 Candidate = StateVector | SiteDirections  # a reply reads only ``bloch`` and ``n_sites``
+
+# numpy's SeedSequence hash constants and pool size, and PCG64's 128-bit
+# multiplier, which seeded_streams replays.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# target_streams seeds this many targets per vectorized pass, which bounds its temporaries.
+STREAM_CHUNK_ROWS = 2**9
+
+
+def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
+    """Per row of (R, L) uint32 ``entropy``, SeedSequence(row).generate_state(4, uint64), shape (R, 4).
+
+    numpy's hashmix and mix steps in uint32 array arithmetic, which wraps as
+    the C code does; the hash constant advances in Python ints, since it is
+    the same for every row.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value *= const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    rows, length = entropy.shape
+    zero = np.zeros(rows, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < length else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, length):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    const = _INIT_B
+    words = np.empty((rows, 8), dtype=np.uint64)
+    for i in range(8):
+        word = pool[i % _POOL_SIZE] ^ const
+        const = const * _MULT_B & _MASK32
+        word *= const
+        words[:, i] = word ^ (word >> 16)
+    # Little-endian word pairs, taken without a byte-order dependent view.
+    return words[:, 0::2] | words[:, 1::2] << 32
+
+
+def seeded_streams(entropy: np.ndarray) -> Iterator[np.random.Generator]:
+    """One generator per row of the (R, L) uint32 ``entropy``, as ``default_rng(row)`` starts.
+
+    The rows' seeds are computed in one vectorized pass (:func:`_pcg64_seeds`);
+    PCG64 then starts at (inc + seed)·M + inc mod 2^128 with inc =
+    2·initseq + 1. The same Generator is re-stated for every row, so a
+    row's stream lasts until the next row is taken. The first row is
+    checked against ``default_rng``: SpinAlignError if this numpy seeds
+    differently.
+    """
+    seeds = _pcg64_seeds(entropy).tolist()
+    generator = np.random.Generator(np.random.PCG64(0))
+    inner = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
+    for row, (seed_hi, seed_lo, seq_hi, seq_lo) in enumerate(seeds):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        inner["state"] = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+        inner["inc"] = inc
+        if row == 0 and state != np.random.default_rng(entropy[0]).bit_generator.state:
+            raise SpinAlignError(f"seeded streams do not match numpy {np.__version__}'s "
+                                 f"default_rng")
+        generator.bit_generator.state = state
+        yield generator
+
+
+def _uint32_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of ``value`` >= 0, as SeedSequence splits it (0 -> [0])."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def target_streams(prefix: list[int], n_targets: int) -> Iterator[np.random.Generator]:
+    """The streams default_rng(prefix + [target_id]) for target ids 0 to n_targets - 1, in order.
+
+    Each row of entropy is the uint32 words SeedSequence makes of that list
+    (the 32-bit words of each entry; ids below 2^32 are one word). Each
+    :func:`seeded_streams` call seeds STREAM_CHUNK_ROWS targets, so memory
+    stays bounded at any count. The generator yielded is re-stated for the
+    next target.
+    """
+    words = [word for value in prefix for word in _uint32_words(value)]
+    entropy = np.empty((STREAM_CHUNK_ROWS, len(words) + 1), dtype=np.uint32)
+    entropy[:, :-1] = words
+    for start in range(0, n_targets, STREAM_CHUNK_ROWS):
+        chunk = entropy[:min(STREAM_CHUNK_ROWS, n_targets - start)]
+        chunk[:, -1] = np.arange(start, start + len(chunk))
+        yield from seeded_streams(chunk)
 
 
 class OracleKind(enum.Enum):
@@ -49,7 +157,8 @@ class Oracle:
             raise ValidationError(f"kind must be an OracleKind, got {kind!r}")
         self._budget = _count(budget, "budget")
         try:
-            epsilon = float(epsilon)
+            # Adding +0.0 turns -0 into +0, so both give one fingerprint.
+            epsilon = float(epsilon) + 0.0
         except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"epsilon must be a number, got {epsilon!r}") from None
         # Each noise draw spans 2·ε, which must be a finite width.

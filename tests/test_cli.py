@@ -16,8 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 import spinalign
 from spinalign import chain, cli, hilbert, protocol
+from spinalign import oracle as oracle_module
 from spinalign.chain import enumerate_targets
 from spinalign.oracle import OracleKind, make_oracle
+from spinalign.similarity import SiteDirections
 from spinalign.cli import (
     RunConfig,
     _build_parser,
@@ -294,29 +296,71 @@ class TestNoiseCommand:
             assert (out / "blocked" / "noise.csv").read_bytes() == (out / "loop.csv").read_bytes()
 
     def test_zero_epsilon_makes_no_stream(self, tmp_path, monkeypatch):
-        seeds = []
-        original = np.random.default_rng
+        seeded = []
+        original = oracle_module.seeded_streams
 
-        def counting(seed=None):
-            seeds.append([int(word) for word in seed])  # a copy: the caller may reuse its array
-            return original(seed)
+        def counting(entropy):
+            seeded.extend(entropy.tolist())  # a copy: the caller reuses its array
+            return original(entropy)
 
-        monkeypatch.setattr(np.random, "default_rng", counting)
+        monkeypatch.setattr(oracle_module, "seeded_streams", counting)
         argv = ["noise", "--n", "2", "--d", "3", "--eps", "0,0.05,0", "--trials", "50"]
         assert main([*argv, "--out", str(tmp_path)]) == 0
         monkeypatch.undo()
-        # Only epsilon index 1 draws: one stream per target.
-        assert [seed[1] for seed in seeds] == [1] * 9
+        # Only epsilon index 1 draws: one stream per target, rows [seed, 1, target_id].
+        assert seeded == [[30, 1, target_id] for target_id in range(9)]
         write_rows(tmp_path / "loop.csv", "epsilon,mean_abs_chi_error,mean_delta_f",
                    per_target_noise_rows(_resolve(argv)))
         assert (tmp_path / "noise.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
-    # Calls are 3 epsilons x ceil(targets / block), block = max(1, 8192 // trials).
-    @pytest.mark.parametrize("n, d, trials, calls", [
+    def test_streams_are_seeded_a_chunk_at_a_time(self, tmp_path, monkeypatch):
+        # 25 targets in chunks of 10; each chunk is one seeding call.
+        calls = []
+        original = oracle_module.seeded_streams
+
+        def counting(entropy):
+            calls.append(len(entropy))
+            return original(entropy)
+
+        monkeypatch.setattr(oracle_module, "seeded_streams", counting)
+        monkeypatch.setattr(oracle_module, "STREAM_CHUNK_ROWS", 10)
+        argv = ["noise", "--n", "2", "--d", "5", "--eps", "0.05,0.1", "--trials", "3"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        monkeypatch.undo()
+        assert calls == [10, 10, 5] * 2
+        write_rows(tmp_path / "loop.csv", "epsilon,mean_abs_chi_error,mean_delta_f",
+                   per_target_noise_rows(_resolve(argv)))
+        assert (tmp_path / "noise.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+    def test_streams_are_seeded_in_bounded_memory(self, tmp_path, monkeypatch):
+        # 15,625 targets. The table is built before tracing, so the trace
+        # holds the noise study and its CSV write.
+        cfg = RunConfig(n=6, d=5)
+        table = protocol.build_table(cfg.grid(), cfg.candidate())
+        monkeypatch.setattr(cli, "build_table", lambda grid, candidate: table)
+        next(oracle_module.seeded_streams(np.zeros((1, 1), dtype=np.uint32)))  # imports numpy.random
+        tracemalloc.start()
+        try:
+            assert main(["noise", "--n", "6", "--d", "5", "--eps", "0.05",
+                         "--out", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_target = 5 * len(table) * 8  # truth (3, T), errors and gains
+        per_block = 12 * cli.NOISE_BLOCK_QUERIES * 8  # (block, trials) temporaries
+        assert oracle_module.STREAM_CHUNK_ROWS <= 2**10
+        per_chunk = 500 * 2**10  # one chunk's seeds as Python ints
+        # Chunked seeding peaks at ~1.6 MB traced; seeding all 15,625 rows of
+        # an epsilon at once took ~6.5 MB.
+        assert peak <= per_target + per_block + per_chunk
+
+    # Blocks are 3 epsilons x ceil(targets / block), block = max(1, 8192 // trials).
+    # At eps = 0 each query is its target's own F, so a third of them make no call.
+    @pytest.mark.parametrize("n, d, trials, blocks", [
         (2, 2, 1, 3), (2, 2, 8192, 12), (2, 2, 8193, 12), (2, 3, 3000, 15),
         (4, 5, 400, 96),  # the reference grid made 1,875 calls, one per target and epsilon
     ])
-    def test_one_lookup_call_per_block(self, tmp_path, monkeypatch, n, d, trials, calls):
+    def test_one_lookup_call_per_block(self, tmp_path, monkeypatch, n, d, trials, blocks):
         sizes = []
         original = cli.nearest_runs
 
@@ -327,9 +371,9 @@ class TestNoiseCommand:
         monkeypatch.setattr(cli, "nearest_runs", counting)
         assert main(["noise", "--n", str(n), "--d", str(d), "--eps", "0,0.05,0.1",
                      "--trials", str(trials), "--out", str(tmp_path)]) == 0
-        assert len(sizes) == calls
+        assert len(sizes) == blocks // 3 * 2
         assert max(sizes) <= max(trials, cli.NOISE_BLOCK_QUERIES)  # the memory bound
-        assert sum(sizes) == 3 * d**n * trials
+        assert sum(sizes) == 2 * d**n * trials
 
 
 def per_target_noise_rows(cfg: RunConfig) -> list[tuple[float, float, float]]:
@@ -389,17 +433,80 @@ class TestMeasureCommand:
         assert len(rows) == 2**11
 
     def test_solves_only_the_candidate(self, tmp_path, monkeypatch):
-        solved = []
+        shapes = []
         original = cli.product_ground_directions
 
         def counting(fields):
-            solved.append(tuple(fields))
+            shapes.append(np.shape(fields))
             return original(fields)
 
         monkeypatch.setattr(cli, "product_ground_directions", counting)
+        monkeypatch.setattr(cli, "SWEEP_BLOCK_TARGETS", 3)
         args = ["measure", "--n", "3", "--d", "2", "--trials", "5", "--out", str(tmp_path)]
         assert main(args) == 0
-        assert solved == [tuple(RunConfig(n=3, d=2).candidate().fields)]
+        # The candidate, then each block of 3 of the 8 targets; none per target.
+        assert shapes == [(3,), (3, 3), (3, 3), (2, 3)]
+
+    @pytest.mark.parametrize("seed", [0, 30, 2**32, 2**64 + 3])
+    @pytest.mark.parametrize("trials", [1, 2, 777])
+    @pytest.mark.parametrize("block", [None, 16], ids=["one-block", "two-blocks"])
+    def test_array_pass_equals_per_target_loop(self, tmp_path, monkeypatch, seed, trials, block):
+        # 27 targets: one block, or with 16-target blocks two, the last one short.
+        if block is not None:
+            monkeypatch.setattr(cli, "SWEEP_BLOCK_TARGETS", block)
+        argv = ["measure", "--n", "3", "--d", "3", "--trials", str(trials), "--seed", str(seed)]
+        assert main([*argv, "--out", str(tmp_path / "array")]) == 0
+        write_rows(tmp_path / "loop.csv", MEASURE_HEADER, per_target_measure_rows(_resolve(argv)))
+        assert ((tmp_path / "array" / "measure.csv").read_bytes()
+                == (tmp_path / "loop.csv").read_bytes())
+
+    def test_two_full_size_blocks_equal_per_target_loop(self, tmp_path):
+        # 8,281 targets: one block of SWEEP_BLOCK_TARGETS and a short one, and
+        # many stream chunks.
+        argv = ["measure", "--n", "2", "--d", "91", "--trials", "2", "--seed", str(2**64 + 3)]
+        assert main([*argv, "--out", str(tmp_path / "array")]) == 0
+        write_rows(tmp_path / "loop.csv", MEASURE_HEADER, per_target_measure_rows(_resolve(argv)))
+        assert ((tmp_path / "array" / "measure.csv").read_bytes()
+                == (tmp_path / "loop.csv").read_bytes())
+
+    def test_targets_are_sampled_per_block(self, tmp_path, monkeypatch):
+        # 8,192 targets in 16 blocks of 512; the CSV writer, which has its own
+        # test, is left out. Whole (T, N) arrays remain only for F_exact and
+        # binomial_std.
+        monkeypatch.setattr(cli, "SWEEP_BLOCK_TARGETS", 512)
+        monkeypatch.setattr(cli, "_write_csv", lambda path, header, columns: None)
+        tracemalloc.start()
+        try:
+            assert main(["measure", "--n", "13", "--d", "2", "--trials", "2",
+                         "--out", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        whole = 3 * 2**13 * 13 * 8  # three (T, N) float arrays at once
+        per_block = 4 * 512 * 13 * 3 * 8  # four (block, N, 3) arrays
+        # Blocked, the pass peaks at ~2.9 MB traced; the (T, N, 3) directions
+        # of every target at once took ~5.7 MB.
+        assert peak <= whole + per_block
+
+
+MEASURE_HEADER = "target_id,F_exact,F_est_mean,F_est_std,binomial_std"
+
+
+def per_target_measure_rows(cfg: RunConfig) -> list[tuple[int, float, float, float, float]]:
+    """Reference measure study: one measured oracle and one Oracle.sample call per target."""
+    trials = cfg.trials if cfg.trials is not None else 10_000
+    candidate = SiteDirections(chain.product_ground_directions(cfg.candidate().fields))
+    cos_thetas = np.cos(protocol.target_angles(cfg.grid(), cfg.candidate()))
+    f_exact = cos_thetas.sum(axis=1)
+    probs = (cos_thetas + 1.0) / 2.0
+    binomial_std = 2.0 * np.sqrt(np.sum(probs * (1.0 - probs), axis=1))
+    rows = []
+    for target_id, spec in enumerate_targets(cfg.grid(), cfg.n, coupling=cfg.j):
+        oracle = make_oracle(spec, OracleKind.MEASURED, budget=trials, seed=[cfg.seed, target_id])
+        estimates = oracle.sample(candidate, trials)
+        rows.append((target_id, f_exact[target_id], estimates.mean(),
+                     estimates.std(ddof=1) if trials > 1 else 0.0, binomial_std[target_id]))
+    return rows
 
 
 def test_no_subcommand_solves_an_eigenproblem(tmp_path, monkeypatch):
@@ -453,6 +560,17 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert out.startswith("table: 625 entries") and "[PASS]" not in out
         assert _build_parser() is _build_parser()
+
+    @pytest.mark.parametrize("command", ["noise", "measure"])
+    def test_streams_unlike_default_rng_are_one_error(self, tmp_path, monkeypatch, capsys,
+                                                      command):
+        monkeypatch.setattr(oracle_module, "_PCG64_MULT", oracle_module._PCG64_MULT + 2)
+        assert main([command, "--n", "2", "--d", "2", "--trials", "3",
+                     "--out", str(tmp_path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert np.__version__ in lines[0]
+        assert not list(tmp_path.iterdir())
 
     def test_failed_gate_is_three(self, tmp_path):
         # 30 shots cannot resolve the binomial std to 5%; the gate must trip

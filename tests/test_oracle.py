@@ -19,6 +19,7 @@ from spinalign import (
     query_measured,
     query_noisy,
 )
+from spinalign import oracle as oracle_module
 
 from conftest import product_state
 
@@ -277,6 +278,62 @@ def test_fingerprint_hashes_the_construction_values():
     oracle = make_oracle(TARGET, OracleKind.NOISY, budget=3, seed=[30, 7], epsilon=0.1)
     params = (4, 1.0, (0.5,) * 4, "noisy", 3, [30, 7], 0.1)
     assert oracle.fingerprint == hashlib.sha256(repr(params).encode()).hexdigest()
+
+
+
+def test_negative_zero_epsilon_has_the_zero_fingerprint():
+    # -0.0 and 0.0 answer every query alike, so they fingerprint alike.
+    zero = make_oracle(TARGET, OracleKind.NOISY, budget=1, epsilon=0.0)
+    negative_zero = make_oracle(TARGET, OracleKind.NOISY, budget=1, epsilon=-0.0)
+    assert negative_zero.fingerprint == zero.fingerprint
+
+
+class TestSeededStreams:
+    @staticmethod
+    def assert_streams_equal_default_rng(entropy):
+        streams = oracle_module.seeded_streams(entropy)
+        count = 0
+        for row, stream in zip(entropy, streams):
+            reference = np.random.default_rng(row)
+            assert stream.bit_generator.state == reference.bit_generator.state
+            assert np.array_equal(stream.random(64), reference.random(64))
+            count += 1
+        assert count == len(entropy)
+
+    @pytest.mark.parametrize("length", range(1, 10))
+    def test_rows_equal_default_rng(self, length):
+        # Lengths beyond the 4-word pool take the extra mixing loop; 600 rows
+        # span a chunk boundary.
+        rng = np.random.default_rng(length)
+        entropy = rng.integers(0, 2**32, size=(600, length), dtype=np.uint32)
+        entropy[0] = 0
+        entropy[1] = 2**32 - 1
+        entropy[2, ::2] = 2**32 - 1
+        self.assert_streams_equal_default_rng(entropy)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=9),
+                         min_size=1, max_size=8).filter(lambda r: len({len(x) for x in r}) == 1))
+    def test_property_rows_equal_default_rng(self, rows):
+        self.assert_streams_equal_default_rng(np.array(rows, dtype=np.uint32))
+
+    @pytest.mark.parametrize("prefix", [[0], [30, 2], [2**32, 1], [2**64 + 3]])
+    def test_target_streams_equal_default_rng_of_the_list(self, monkeypatch, prefix):
+        # 10 targets in chunks of 3, the last one short.
+        monkeypatch.setattr(oracle_module, "STREAM_CHUNK_ROWS", 3)
+        streams = oracle_module.target_streams(prefix, 10)
+        for target_id, stream in enumerate(streams):
+            reference = np.random.default_rng([*prefix, target_id])
+            assert np.array_equal(stream.random(8), reference.random(8))
+        assert target_id == 9
+
+    def test_no_rows_no_streams(self):
+        assert list(oracle_module.seeded_streams(np.empty((0, 3), dtype=np.uint32))) == []
+
+    def test_a_mismatch_with_default_rng_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(oracle_module, "_PCG64_MULT", oracle_module._PCG64_MULT + 2)
+        with pytest.raises(oracle_module.SpinAlignError, match=np.__version__):
+            next(oracle_module.seeded_streams(np.zeros((2, 3), dtype=np.uint32)))
 
 
 class TestClosedFormTarget:
