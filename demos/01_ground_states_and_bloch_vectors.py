@@ -23,9 +23,9 @@ def main():
     print("1. A four-site chain with site-dependent fields")
     print("=" * 64)
     spec = ChainSpec(n_sites=4, coupling=1.0, fields=(0.5, -0.25, 0.0, 0.25))
-    h = build_hamiltonian(spec)
-    dev = np.max(np.abs(h.entries - h.entries.conj().T))
-    print(f"Hamiltonian dimension: {h.dim} x {h.dim}, max |H - H†| = {dev:.1e}")
+    h = build_hamiltonian(spec)  # a read-only complex array
+    dev = np.max(np.abs(h - h.conj().T))
+    print(f"Hamiltonian dimension: {len(h)} x {len(h)}, max |H - H†| = {dev:.1e}")
 
     gs = ground_state(spec)
     print(f"ground energy  E0  = {gs.energy:+.6f}")

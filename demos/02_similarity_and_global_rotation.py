@@ -32,7 +32,8 @@ def main():
     print("=" * 64)
     print("1. Similarity and the signed angle profile")
     print("=" * 64)
-    f0, thetas = similarity_chain(target, candidate)
+    # Chains are compared through their (N, 3) per-site Bloch vectors.
+    f0, thetas = similarity_chain(target.bloch, candidate.bloch)
     print(f"F (sum of cosines)   = {f0:.6f}  of a maximum of 4")
     print(f"per-site angles      = {np.round(thetas, 6)}")
     print(f"sum of sines/cosines = {np.sum(np.sin(thetas)):.6f} / {np.sum(np.cos(thetas)):.6f}")
@@ -47,7 +48,7 @@ def main():
     print("   chi      F after rotation   planar formula")
     for chi in np.linspace(0.0, 0.5, 6).tolist() + [chi_best]:
         rotated = apply_unitary(global_rotation(chi, 4), candidate)
-        f_chi, _ = similarity_chain(target, rotated)
+        f_chi, _ = similarity_chain(target.bloch, rotated.bloch)
         marker = "  <- chi_opt" if chi == chi_best else ""
         print(f"  {chi:6.4f}   {f_chi:12.6f}     {f0 + delta_f_planar(thetas, chi):12.6f}{marker}")
     print(f"\ncircular-mean optimum: chi_opt = {chi_best:.6f} "

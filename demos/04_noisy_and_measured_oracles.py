@@ -54,18 +54,19 @@ def main():
     print("=" * 64)
     print("2. Measurement-based queries: one shot per site")
     print("=" * 64)
-    candidate_state = ground_state(CANDIDATE).state
+    # An oracle reads a candidate as its (N, 3) per-site Bloch vectors.
+    candidate = ground_state(CANDIDATE).state.bloch
     hidden = ChainSpec(4, 1.0, (0.5, 0.0, 0.25, -0.25))
     shots = 4000
     oracle = make_oracle(hidden, OracleKind.MEASURED, budget=shots, seed=7)
     estimates = np.empty(shots)
     for i in range(3):
-        estimates[i], bits = query_measured(oracle, candidate_state)
+        estimates[i], bits = query_measured(oracle, candidate)
         print(f"  shot {i}: outcomes m = {bits.astype(int)}  ->  F_est = {estimates[i]:+.0f}")
     # The rest in one draw: the same stream, so the same values as more shot-by-shot queries.
-    estimates[3:] = oracle.sample(candidate_state, shots - 3)
+    estimates[3:] = oracle.sample(candidate, shots - 3)
 
-    f_exact, thetas = similarity_chain(ground_state(hidden).state, candidate_state)
+    f_exact, thetas = similarity_chain(ground_state(hidden).state.bloch, candidate)
     probs = (np.cos(thetas) + 1.0) / 2.0
     print(f"\n  per-site 'yes' probabilities: {np.round(probs, 4)}")
     print(f"  exact F                    = {f_exact:.4f}")

@@ -27,7 +27,6 @@ from .hilbert import (
     DENSE_SITE_CAP,
     DensityMatrix,
     GroundState,
-    Operator,
     PAULI,
     StateVector,
     apply_unitary,
@@ -60,7 +59,6 @@ from .protocol import (
     target_angles,
 )
 from .similarity import (
-    SiteDirections,
     SubsetFunctionKind,
     bloch_vector,
     cos_theta,

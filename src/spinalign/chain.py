@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .hilbert import DENSE_SITE_CAP, GroundState, Operator, hermitian_ground_state
+from .hilbert import DENSE_SITE_CAP, GroundState, hermitian_ground_state
 
 DEFAULT_SWEEP_BUDGET = 1_000_000
 
@@ -72,14 +72,14 @@ class ParameterGrid:
         return np.linspace(self.b_min, self.b_max, self.levels)
 
 
-def build_hamiltonian(spec: ChainSpec) -> Operator:
+def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     """Dense chain Hamiltonian Σ_k (X_k + b_k Y_k + J Z_k Z_{k+1}), periodic, from bit flips.
 
     Site 1 is the most significant bit; s_k = ±1 is site k's Z eigenvalue in
     basis state i. X_k + b_k Y_k maps |i> to (1 + i·b_k·s_k)|i with bit k
     flipped>, and the ZZ terms form one real diagonal. Summing that diagonal
     in site order k = 1..N keeps H bit-equal to the sum of ``site_operator``
-    kron terms.
+    kron terms. The result is a read-only complex array.
     """
     n = spec.n_sites
     if n > DENSE_SITE_CAP:
@@ -92,7 +92,8 @@ def build_hamiltonian(spec: ChainSpec) -> Operator:
         h[basis ^ (1 << (n - 1 - k)), basis] = 1 + 1j * spec.fields[k] * spins[k]
         zz += spec.coupling * spins[k] * spins[(k + 1) % n]
     h[basis, basis] = zz
-    return Operator(h)
+    h.setflags(write=False)
+    return h
 
 
 def ground_state(spec: ChainSpec) -> GroundState:

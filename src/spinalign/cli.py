@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain import (DEFAULT_SWEEP_BUDGET, ChainSpec, ParameterGrid, product_ground_directions,
-                    target_field_array)
+                    target_count, target_field_array)
 from .errors import SpinAlignError, ValidationError
 from .oracle import target_streams
 from .protocol import SWEEP_BLOCK_TARGETS, build_table, nearest_runs, sweep_exact, target_angles
@@ -332,21 +332,20 @@ def cmd_measure(cfg: RunConfig) -> None:
     if trials < 1:
         raise ValidationError("--trials must be at least 1")
     grid, candidate = cfg.grid(), cfg.candidate()
-    cos_thetas = np.cos(target_angles(grid, candidate))
-    f_exact = cos_thetas.sum(axis=1)
-    probs = (cos_thetas + 1.0) / 2.0
-    binomial_std = 2.0 * np.sqrt(np.sum(probs * (1.0 - probs), axis=1))
-    del cos_thetas, probs
-    n_targets = len(f_exact)
+    n_targets = target_count(grid, cfg.n)
     candidate_dirs = product_ground_directions(candidate.fields)
     # Each target keeps its own stream, seeded by [seed, target_id].
     streams = target_streams([cfg.seed], n_targets)
     # One (trials, N) buffer takes each target's draws and then its outcomes.
     shots = np.empty((trials, cfg.n))
     twos = np.full(cfg.n, 2.0)
-    means, stds = np.empty((2, n_targets))
+    f_exact, binomial_std, means, stds = np.empty((4, n_targets))
     for start in range(0, n_targets, SWEEP_BLOCK_TARGETS):
         stop = min(start + SWEEP_BLOCK_TARGETS, n_targets)
+        cos_thetas = np.cos(target_angles(grid, candidate, start, stop))
+        f_exact[start:stop] = cos_thetas.sum(axis=1)
+        probs = (cos_thetas + 1.0) / 2.0
+        binomial_std[start:stop] = 2.0 * np.sqrt(np.sum(probs * (1.0 - probs), axis=1))
         dirs = product_ground_directions(target_field_array(grid, cfg.n, start=start, stop=stop))
         # The oracle's probabilities (cos theta_k + 1)/2, bit for bit.
         block_probs = (site_cosines(dirs, candidate_dirs) + 1.0) / 2.0

@@ -1,11 +1,14 @@
 """Dense complex linear algebra for small qubit registers: the exact verifier.
 
-Operators, state vectors, ground-state eigensolving and partial traces for
-up to ``DENSE_SITE_CAP`` sites. No CLI path solves: the tests tie the
-closed-form site directions the CLI uses to the states here. Similarity
-replies read a state's cached per-site Bloch vectors (``StateVector.bloch``);
-``partial_trace`` and ``DensityMatrix`` are the trace-form reference. All
-values are plain numpy arrays, immutable and safe to share across threads.
+State vectors, ground-state eigensolving and partial traces for up to
+``DENSE_SITE_CAP`` sites. Operators are plain square complex arrays; the
+ones built here are read-only, and each function that takes one checks it
+(square, and Hermitian or unitary as it needs). No CLI path solves: the
+tests tie the closed-form site directions the CLI uses to the states here.
+A state's per-site Bloch vectors (``StateVector.bloch``, an (N, 3) array)
+are what similarity replies compare; ``partial_trace`` and
+``DensityMatrix`` are the trace-form reference. All values are immutable
+and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -70,7 +73,8 @@ class StateVector:
                 f"state of {self.n_sites} sites needs {2**self.n_sites} amplitudes, got {amps.shape}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        # Written so that a NaN or inf norm fails too.
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValidationError(f"state is not normalized: |psi| = {norm!r}")
 
     @property
@@ -93,20 +97,6 @@ class StateVector:
                       np.vdot(up, up).real - np.vdot(down, down).real)
         out.setflags(write=False)
         return out
-
-
-@dataclass(frozen=True, eq=False)
-class Operator:
-    """Dense square matrix, stored read-only; :func:`hermitian_ground_state` checks A = A†."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _as_complex_matrix(self.entries))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,8 +153,8 @@ def mask_from_sites(sites: Iterable[int], n_sites: int) -> int:
 
 # --- operations -------------------------------------------------------------
 
-def site_operator(pauli: str, site: int, n_sites: int) -> Operator:
-    """Single-site Pauli embedded at ``site`` (1-based) in an ``n_sites`` register."""
+def site_operator(pauli: str, site: int, n_sites: int) -> np.ndarray:
+    """Read-only single-site Pauli embedded at ``site`` (1-based) in an ``n_sites`` register."""
     if pauli not in PAULI:
         raise ValidationError(f"unknown Pauli label {pauli!r}")
     if n_sites > DENSE_SITE_CAP:
@@ -174,11 +164,12 @@ def site_operator(pauli: str, site: int, n_sites: int) -> Operator:
     out = np.array([[1.0 + 0j]])
     for k in range(1, n_sites + 1):
         out = np.kron(out, PAULI[pauli] if k == site else _I2)
-    return Operator(out)
+    out.setflags(write=False)
+    return out
 
 
-def hermitian_ground_state(h: Operator) -> GroundState:
-    """Ground eigenpair of a Hermitian operator.
+def hermitian_ground_state(h) -> GroundState:
+    """Ground eigenpair of a Hermitian matrix ``h``.
 
     The eigenvector phase is fixed by making the first non-negligible
     amplitude real and positive, so identical inputs give bit-identical
@@ -186,13 +177,13 @@ def hermitian_ground_state(h: Operator) -> GroundState:
     such ground spaces are convention dependent and consumers must treat
     them accordingly.
     """
-    m = h.entries
-    if h.dim < 2:
+    m = _as_complex_matrix(h)
+    if len(m) < 2:
         raise ValidationError("ground-state solving needs at least a 2x2 operator")
     dev = np.max(np.abs(m - m.conj().T))
-    if dev >= HERMITIAN_TOL:
+    if not dev < HERMITIAN_TOL:
         raise ValidationError(f"operator is not Hermitian: max |A - A†| = {dev:g}")
-    n_sites = _n_sites_for_dim(h.dim)
+    n_sites = _n_sites_for_dim(len(m))
     w, v = np.linalg.eigh(m)
     psi = np.array(v[:, 0], dtype=complex)
     idx = int(np.argmax(np.abs(psi) > _PHASE_FLOOR))
@@ -227,13 +218,13 @@ def partial_trace(state: StateVector, keep: int) -> DensityMatrix:
     return DensityMatrix(mat @ mat.conj().T)
 
 
-def apply_unitary(u: Operator, state: StateVector) -> StateVector:
-    """Apply a unitary to a state; rejects non-unitary input."""
-    m = u.entries
-    if m.shape[0] != state.dim:
-        raise ValidationError(f"operator dim {m.shape[0]} != state dim {state.dim}")
-    dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-    if dev > UNITARY_TOL:
+def apply_unitary(u, state: StateVector) -> StateVector:
+    """Apply the unitary matrix ``u`` to a state; rejects non-unitary input."""
+    m = _as_complex_matrix(u)
+    if len(m) != state.dim:
+        raise ValidationError(f"operator dim {len(m)} != state dim {state.dim}")
+    dev = np.max(np.abs(m.conj().T @ m - np.eye(len(m))))
+    if not dev <= UNITARY_TOL:
         raise ValidationError(f"operator is not unitary: max |U†U - I| = {dev:g}")
     return StateVector(m @ state.amplitudes, state.n_sites)
 

@@ -2,12 +2,13 @@
 
 An oracle is constructed from a target chain spec, stores each site's
 closed-form unit target Bloch direction as one row of an (N, 3) array, and
-afterwards answers only similarity queries against the candidate's
-per-site Bloch vectors (a state's cached ``bloch``, or closed-form
-``SiteDirections``): the exact value, a bounded uniformly-noisy value, or
-a single-shot projective-measurement estimate. The target's fields are never exposed;
-the public surface is the behavior kind, the remaining budget, a
-fingerprint of the construction parameters, and the query operations.
+afterwards answers only similarity queries. A candidate is its (N, 3)
+array of per-site Bloch vectors (a state's ``bloch``, or closed-form
+directions as they are); a reply is the exact value, a bounded
+uniformly-noisy value, or a single-shot projective-measurement estimate.
+The target's fields are never exposed; the public surface is the behavior
+kind, the remaining budget, a fingerprint of the construction parameters,
+and the query operations.
 
 The module also starts many per-target random streams at once:
 :func:`target_streams` yields the generators ``default_rng(prefix +
@@ -26,10 +27,7 @@ import numpy as np
 
 from .chain import ChainSpec, product_ground_directions
 from .errors import QueryBudgetError, SpinAlignError, ValidationError
-from .hilbert import StateVector
-from .similarity import SiteDirections, site_cosines
-
-Candidate = StateVector | SiteDirections  # a reply reads only ``bloch`` and ``n_sites``
+from .similarity import _site_array, site_cosines
 
 # numpy's SeedSequence hash constants and pool size, and PCG64's 128-bit
 # multiplier, which seeded_streams replays.
@@ -177,8 +175,6 @@ class Oracle:
         # Unit site directions; site_cosines ignores the Bloch length.
         self._target_bloch = product_ground_directions(target.fields)
         self._n_sites = target.n_sites
-        self._cached_state: Candidate | None = None
-        self._cached_probs: np.ndarray | None = None
 
     @property
     def kind(self) -> OracleKind:
@@ -202,27 +198,26 @@ class Oracle:
         """The seeded stream, made on the first noisy or measured draw."""
         return np.random.default_rng(self._seed)
 
-    def _check_sites(self, candidate: Candidate) -> None:
-        if candidate.n_sites != self._n_sites:
-            raise ValidationError(
-                f"candidate has {candidate.n_sites} sites, oracle target has {self._n_sites}"
-            )
+    def _cosines(self, candidate) -> np.ndarray:
+        """Per-site cos θ_k of target and candidate; site_cosines checks the site count."""
+        return site_cosines(self._target_bloch, _site_array(candidate))
 
-    def _admit(self, kind: OracleKind, candidate: Candidate, count: int = 1) -> None:
-        """Check kind, then site count, then budget; charge ``count`` only if all pass."""
+    def _admit(self, kind: OracleKind, candidate, count: int = 1) -> np.ndarray:
+        """Check kind, then the candidate, then budget; charge ``count`` only if all pass.
+
+        Returns the candidate's per-site cosines, computed before anything is charged.
+        """
         if self._kind is not kind:
             raise ValidationError(f"oracle kind is {self._kind.value}, not {kind.value}")
-        self._check_sites(candidate)
+        cosines = self._cosines(candidate)
         if self._budget < count:
             raise QueryBudgetError(
                 f"oracle query budget exhausted: {count} requested, {self._budget} left"
             )
         self._budget -= count
+        return cosines
 
-    def _exact_f(self, candidate: Candidate) -> float:
-        return float(site_cosines(self._target_bloch, candidate.bloch).sum())
-
-    def query(self, candidate: Candidate) -> float:
+    def query(self, candidate) -> float:
         """Budgeted similarity reply according to the oracle's behavior kind."""
         if self._kind is OracleKind.EXACT:
             return query_exact(self, candidate)
@@ -230,12 +225,11 @@ class Oracle:
             return query_noisy(self, candidate)
         return query_measured(self, candidate)[0]
 
-    def verification_query(self, candidate: Candidate) -> float:
+    def verification_query(self, candidate) -> float:
         """Diagnostic exact similarity; unbudgeted, for reporting only."""
-        self._check_sites(candidate)
-        return self._exact_f(candidate)
+        return float(self._cosines(candidate).sum())
 
-    def sample(self, candidate: Candidate, shots: int) -> np.ndarray:
+    def sample(self, candidate, shots: int) -> np.ndarray:
         """F estimates of ``shots`` consecutive :func:`query_measured` calls, in one draw.
 
         The whole count is charged at once; a count above the remaining
@@ -246,37 +240,30 @@ class Oracle:
         # faster than a boolean sum over the short site axis.
         return bits.astype(float) @ np.full(self._n_sites, 2.0) - self._n_sites
 
-    def _measure(self, candidate: Candidate, shots: int) -> np.ndarray:
+    def _measure(self, candidate, shots: int) -> np.ndarray:
         """Boolean (shots, N) outcomes m_k ~ Bernoulli((cos θ_k + 1)/2); the one sampling path.
 
         One rng.random((shots, N)) draw consumes the stream exactly as
         ``shots`` successive rng.random(N) draws do.
         """
-        self._admit(OracleKind.MEASURED, candidate, shots)
-        # Per-site probabilities are cached per candidate object so repeated
-        # shots against the same state stay cheap.
-        if self._cached_state is not candidate:
-            self._cached_probs = (site_cosines(self._target_bloch, candidate.bloch) + 1.0) / 2.0
-            self._cached_state = candidate
-        return self._rng.random((shots, self._n_sites)) < self._cached_probs
+        probs = (self._admit(OracleKind.MEASURED, candidate, shots) + 1.0) / 2.0
+        return self._rng.random((shots, self._n_sites)) < probs
 
 
-def query_exact(oracle: Oracle, candidate: Candidate) -> float:
-    """Exact chain similarity between the hidden target and the candidate."""
-    oracle._admit(OracleKind.EXACT, candidate)
-    return oracle._exact_f(candidate)
+def query_exact(oracle: Oracle, candidate) -> float:
+    """Exact chain similarity between the hidden target and the (N, 3) candidate."""
+    return float(oracle._admit(OracleKind.EXACT, candidate).sum())
 
 
-def query_noisy(oracle: Oracle, candidate: Candidate) -> float:
+def query_noisy(oracle: Oracle, candidate) -> float:
     """Similarity plus uniform noise on (-ε, ε) from the oracle's seeded stream."""
-    oracle._admit(OracleKind.NOISY, candidate)
-    f = oracle._exact_f(candidate)
+    f = float(oracle._admit(OracleKind.NOISY, candidate).sum())
     if oracle._epsilon == 0.0:
         return f
     return f + oracle._rng.uniform(-oracle._epsilon, oracle._epsilon)
 
 
-def query_measured(oracle: Oracle, candidate: Candidate) -> tuple[float, np.ndarray]:
+def query_measured(oracle: Oracle, candidate) -> tuple[float, np.ndarray]:
     """One projective shot per site: m_k ~ Bernoulli((cos θ_k + 1)/2), F = 2 Σ m_k - N.
 
     Returns the estimate F and the (N,) boolean outcomes m_k it counts.

@@ -23,8 +23,8 @@ import numpy as np
 from .chain import (ChainSpec, ParameterGrid, product_ground_directions, target_count,
                     target_field_array)
 from .errors import CapacityError, IndeterminateOptimumError, ValidationError
-from .hilbert import DENSE_SITE_CAP, Operator
-from .similarity import SiteDirections, site_cosines
+from .hilbert import DENSE_SITE_CAP
+from .similarity import site_cosines
 
 # Below this resultant length the gain is flat in χ and no optimum exists.
 _RESULTANT_FLOOR = 1e-12
@@ -43,11 +43,13 @@ def _z_phases(chi: float, n_sites: int) -> np.ndarray:
     return np.exp(-1j * chi * (n_sites - 2.0 * weights))
 
 
-def global_rotation(chi: float, n_sites: int) -> Operator:
-    """U = exp(-i χ Σ_k Z_k): every Bloch vector rotates by +2χ about +z."""
+def global_rotation(chi: float, n_sites: int) -> np.ndarray:
+    """Read-only U = exp(-i χ Σ_k Z_k): every Bloch vector rotates by +2χ about +z."""
     if n_sites > DENSE_SITE_CAP:
         raise CapacityError(f"n_sites {n_sites} exceeds dense cap {DENSE_SITE_CAP}")
-    return Operator(np.diag(_z_phases(chi, n_sites)))
+    u = np.diag(_z_phases(chi, n_sites))
+    u.setflags(write=False)
+    return u
 
 
 def rotate_directions(bloch: np.ndarray, chi) -> np.ndarray:
@@ -146,8 +148,12 @@ class LookupTable:
         return _run_index(self._run_f, self._run_id)
 
 
-def target_angles(grid: ParameterGrid, candidate: ChainSpec) -> np.ndarray:
-    """Signed candidate-to-target angles θ of every target, shape (D^N, N), row = target id.
+def target_angles(grid: ParameterGrid, candidate: ChainSpec, start: int = 0,
+                  stop: int | None = None) -> np.ndarray:
+    """Signed candidate-to-target angles θ of targets ``start`` <= id < ``stop``, one row each.
+
+    The default range is every target, shape (D^N, N) with row = target id;
+    ids are taken as :func:`target_field_array` takes them.
 
     X_k + b_k Y_k is sqrt(1+b_k²) times X_k turned about z by atan b_k, and
     Z_k Z_{k+1} commutes with z-rotations, so each chain is a transverse-field
@@ -157,7 +163,7 @@ def target_angles(grid: ParameterGrid, candidate: ChainSpec) -> np.ndarray:
     for every N and J, with no eigensolve. Raises CapacityError before
     allocating when the grid has more than DEFAULT_SWEEP_BUDGET targets.
     """
-    thetas = target_field_array(grid, candidate.n_sites)
+    thetas = target_field_array(grid, candidate.n_sites, start, stop)
     np.arctan(thetas, out=thetas)
     thetas -= np.arctan(candidate.fields)
     return thetas
@@ -340,15 +346,14 @@ def run_protocol(
     The oracle is used strictly through its scalar replies: one budgeted
     query for F and one unbudgeted verification query for the diagnostic
     F_after. Target parameters and states are never read. The candidate is
-    its closed-form site directions, turned by :func:`rotate_directions`.
+    its (N, 3) closed-form site directions, turned by :func:`rotate_directions`.
     """
     if candidate != table.candidate:
         raise ValidationError("candidate spec does not match the lookup table")
-    directions = SiteDirections(product_ground_directions(candidate.fields))
+    directions = product_ground_directions(candidate.fields)
     f_before = float(oracle.query(directions))
     row = int(nearest_rows(table, np.array([f_before]))[0])
-    rotated = SiteDirections(rotate_directions(directions.bloch, table.chi[row]))
-    f_after = float(oracle.verification_query(rotated))
+    f_after = float(oracle.verification_query(rotate_directions(directions, table.chi[row])))
     return ProtocolReport(
         f_before=f_before,
         chi=float(table.chi[row]),

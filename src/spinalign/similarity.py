@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,26 +27,6 @@ DIRECTION_FLOOR = 1e-6
 _Z_HAT = np.array([0.0, 0.0, 1.0])
 
 
-@dataclass(frozen=True, eq=False)
-class SiteDirections:
-    """Read-only (N, 3) site Bloch directions, row k-1 for site k: a candidate without a state.
-
-    Similarity replies read only ``bloch`` and ``n_sites``, as a ``StateVector``
-    offers them, so closed-form directions are queried as they are.
-    """
-
-    bloch: np.ndarray
-
-    def __post_init__(self):
-        bloch = np.array(self.bloch, dtype=float)
-        bloch.setflags(write=False)
-        object.__setattr__(self, "bloch", bloch)
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.bloch)
-
-
 class SubsetFunctionKind(enum.Enum):
     """Per-subset comparison functions available to the general similarity."""
 
@@ -56,11 +35,24 @@ class SubsetFunctionKind(enum.Enum):
 
 
 def _require_directions(norms2: np.ndarray) -> None:
-    """Reject any squared Bloch length below DIRECTION_FLOOR²: its angle is undefined."""
-    if np.any(norms2 < DIRECTION_FLOOR**2):
+    """Reject a squared Bloch length below DIRECTION_FLOOR², or not finite: no defined angle."""
+    # One min and one max, with no temporary array; both carry a NaN, which fails the test.
+    if norms2.size and not DIRECTION_FLOOR**2 <= norms2.min() <= norms2.max() < math.inf:
         raise UndefinedDirectionError(
-            "Bloch norm below direction floor; angle undefined for a maximally mixed site"
+            "Bloch norm below direction floor or not finite; angle undefined"
         )
+
+
+def _site_array(bloch) -> np.ndarray:
+    """``bloch`` as an (N, 3) float array of per-site Bloch vectors; ValidationError otherwise."""
+    try:
+        # A float conversion would drop an imaginary part with only a warning.
+        out = None if np.iscomplexobj(bloch) else np.asarray(bloch, dtype=float)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out.ndim != 2 or out.shape[1] != 3:
+        raise ValidationError("expected an (N, 3) array of real site Bloch vectors")
+    return out
 
 
 def site_cosines(bloch_t: np.ndarray, bloch_c: np.ndarray) -> np.ndarray:
@@ -122,17 +114,13 @@ def signed_theta(c: np.ndarray, r: np.ndarray, axis: np.ndarray) -> float:
     return math.pi if theta <= -math.pi else theta
 
 
-def similarity_chain(state_t: StateVector, state_c: StateVector) -> tuple[float, np.ndarray]:
+def similarity_chain(bloch_t, bloch_c) -> tuple[float, np.ndarray]:
     """Chain similarity F = Σ_k cos θ_k and the (N,) signed angles θ_k about +z.
 
-    Both come from the states' cached per-site Bloch vectors; θ_k turns
-    candidate site k onto target site k.
+    Both chains are given by their (N, 3) per-site Bloch vectors, such as a
+    state's ``bloch``; θ_k turns candidate site k onto target site k.
     """
-    if state_t.n_sites != state_c.n_sites:
-        raise ValidationError(
-            f"chains differ in length: {state_t.n_sites} vs {state_c.n_sites}"
-        )
-    bt, bc = state_t.bloch, state_c.bloch
+    bt, bc = _site_array(bloch_t), _site_array(bloch_c)
     f = float(site_cosines(bt, bc).sum())
     return f, np.array([signed_theta(c, r, _Z_HAT) for c, r in zip(bc, bt)])
 

@@ -107,10 +107,10 @@ def study(candidate_state) -> StudyData:
         h = build_hamiltonian(spec)
         gs = ground_state(spec)
         residuals[tid] = np.linalg.norm(
-            h.entries @ gs.state.amplitudes - gs.energy * gs.state.amplitudes
+            h @ gs.state.amplitudes - gs.energy * gs.state.amplitudes
         )
         gaps[tid] = gs.gap
-        f[tid], thetas[tid] = similarity_chain(gs.state, candidate_state)
+        f[tid], thetas[tid] = similarity_chain(gs.state.bloch, candidate_state.bloch)
         chi[tid] = chi_opt(thetas[tid])
         delta_f[tid] = delta_f_planar(thetas[tid], chi[tid])
         for k in range(N_SITES):

@@ -166,7 +166,7 @@ def test_criterion_07_measurement_oracle(study, candidate_state):
         oracle = make_oracle(
             spec, OracleKind.MEASURED, budget=trials, seed=[DEFAULT_SEED, target_id]
         )
-        estimates = oracle.sample(candidate_state, trials)
+        estimates = oracle.sample(candidate_state.bloch, trials)
         s = float(estimates.std(ddof=1))
         worst_sigma = max(worst_sigma, s)
         if binom > 1e-6:

@@ -19,7 +19,6 @@ from spinalign import (
     partial_trace,
     product_ground_directions,
     site_operator,
-    Operator,
     PAULI,
 )
 
@@ -30,23 +29,23 @@ from conftest import kron_hamiltonian
 
 def test_hamiltonian_decoupled_two_sites():
     h = build_hamiltonian(ChainSpec(2, 0.0, (0.0, 0.0)))
-    expected = site_operator("X", 1, 2).entries + site_operator("X", 2, 2).entries
-    assert np.allclose(h.entries, expected)
+    expected = site_operator("X", 1, 2) + site_operator("X", 2, 2)
+    assert np.allclose(h, expected)
 
 
 def test_hamiltonian_two_site_ring_double_counts_the_bond():
     # the periodic sum visits (1,2) and (2,1), which is the same physical bond
     h = build_hamiltonian(ChainSpec(2, 1.0, (0.0, 0.0)))
-    zz = site_operator("Z", 1, 2).entries @ site_operator("Z", 2, 2).entries
-    expected = site_operator("X", 1, 2).entries + site_operator("X", 2, 2).entries + 2 * zz
-    assert np.allclose(h.entries, expected)
+    zz = site_operator("Z", 1, 2) @ site_operator("Z", 2, 2)
+    expected = site_operator("X", 1, 2) + site_operator("X", 2, 2) + 2 * zz
+    assert np.allclose(h, expected)
 
 
 def test_hamiltonian_traceless_and_hermitian():
     spec = ChainSpec(3, 0.7, (0.1, -0.4, 0.25))
     h = build_hamiltonian(spec)
-    assert abs(np.trace(h.entries)) < 1e-12
-    assert np.max(np.abs(h.entries - h.entries.conj().T)) < 1e-12
+    assert abs(np.trace(h)) < 1e-12
+    assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -55,7 +54,7 @@ def test_property_hamiltonian_equals_kron_sum(data):
     n = data.draw(st.integers(2, 6), label="n")
     fields = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n), label="b")
     spec = ChainSpec(n, data.draw(st.floats(-5.0, 5.0), label="J"), fields)
-    assert np.array_equal(build_hamiltonian(spec).entries, kron_hamiltonian(spec))
+    assert np.array_equal(build_hamiltonian(spec), kron_hamiltonian(spec))
 
 
 def test_hamiltonian_capacity_cap():
@@ -72,7 +71,7 @@ def test_ground_state_decoupled_is_minus_minus():
 
 def test_ground_state_uniform_j0_is_product_of_site_grounds():
     gs = ground_state(ChainSpec(4, 0.0, (0.5,) * 4))
-    site = hermitian_ground_state(Operator(PAULI["X"] + 0.5 * PAULI["Y"]))
+    site = hermitian_ground_state(PAULI["X"] + 0.5 * PAULI["Y"])
     single = site.state.amplitudes
     prod = single
     for _ in range(3):
@@ -104,7 +103,7 @@ def test_j_zero_limit_matches_product_state():
         fields = tuple(rng.uniform(-0.5, 0.5, size=3))
         gs = ground_state(ChainSpec(3, 0.0, fields))
         singles = [
-            hermitian_ground_state(Operator(PAULI["X"] + b * PAULI["Y"])).state.amplitudes
+            hermitian_ground_state(PAULI["X"] + b * PAULI["Y"]).state.amplitudes
             for b in fields
         ]
         prod = singles[0]

@@ -19,7 +19,6 @@ from spinalign import chain, cli, hilbert, protocol
 from spinalign import oracle as oracle_module
 from spinalign.chain import enumerate_targets
 from spinalign.oracle import OracleKind, make_oracle
-from spinalign.similarity import SiteDirections
 from spinalign.cli import (
     RunConfig,
     _build_parser,
@@ -471,10 +470,13 @@ class TestMeasureCommand:
 
     def test_targets_are_sampled_per_block(self, tmp_path, monkeypatch):
         # 8,192 targets in 16 blocks of 512; the CSV writer, which has its own
-        # test, is left out. Whole (T, N) arrays remain only for F_exact and
-        # binomial_std.
+        # test, is left out. Every column, F_exact and binomial_std too, is
+        # made per block, so only the T-long output columns span the grid.
         monkeypatch.setattr(cli, "SWEEP_BLOCK_TARGETS", 512)
         monkeypatch.setattr(cli, "_write_csv", lambda path, header, columns: None)
+        # A first run imports what the pass uses, so the traced run counts arrays.
+        assert main(["measure", "--n", "2", "--d", "2", "--trials", "2",
+                     "--out", str(tmp_path)]) == 0
         tracemalloc.start()
         try:
             assert main(["measure", "--n", "13", "--d", "2", "--trials", "2",
@@ -482,11 +484,11 @@ class TestMeasureCommand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        whole = 3 * 2**13 * 13 * 8  # three (T, N) float arrays at once
-        per_block = 4 * 512 * 13 * 3 * 8  # four (block, N, 3) arrays
-        # Blocked, the pass peaks at ~2.9 MB traced; the (T, N, 3) directions
-        # of every target at once took ~5.7 MB.
-        assert peak <= whole + per_block
+        columns = 5 * 2**13 * 8  # the four output columns and |std - binomial|
+        per_block = 6 * 512 * 13 * 3 * 8  # six (block, N, 3) arrays' worth
+        # The pass peaks at ~1.1 MB traced. With F_exact and binomial_std from
+        # whole (T, N) arrays it took ~2.7 MB, and unblocked ~5.4 MB.
+        assert peak <= columns + per_block
 
 
 MEASURE_HEADER = "target_id,F_exact,F_est_mean,F_est_std,binomial_std"
@@ -495,7 +497,7 @@ MEASURE_HEADER = "target_id,F_exact,F_est_mean,F_est_std,binomial_std"
 def per_target_measure_rows(cfg: RunConfig) -> list[tuple[int, float, float, float, float]]:
     """Reference measure study: one measured oracle and one Oracle.sample call per target."""
     trials = cfg.trials if cfg.trials is not None else 10_000
-    candidate = SiteDirections(chain.product_ground_directions(cfg.candidate().fields))
+    candidate = chain.product_ground_directions(cfg.candidate().fields)
     cos_thetas = np.cos(protocol.target_angles(cfg.grid(), cfg.candidate()))
     f_exact = cos_thetas.sum(axis=1)
     probs = (cos_thetas + 1.0) / 2.0

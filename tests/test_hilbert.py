@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinalign import (
+    ChainSpec,
     DensityMatrix,
-    Operator,
     PAULI,
     StateVector,
     ValidationError,
     apply_unitary,
     bloch_vector,
+    build_hamiltonian,
     global_rotation,
     hermitian_ground_state,
     mask_from_sites,
@@ -20,21 +21,19 @@ from spinalign.protocol import _z_phases
 
 from conftest import basis_state, product_state
 
-I2 = Operator(PAULI["I"])
-X = Operator(PAULI["X"])
-Z = Operator(PAULI["Z"])
+I2, X, Z = PAULI["I"], PAULI["X"], PAULI["Z"]
 
 
 class TestSiteOperator:
     def test_single_site(self):
-        assert np.allclose(site_operator("X", 1, 1).entries, PAULI["X"])
+        assert np.allclose(site_operator("X", 1, 1), PAULI["X"])
 
     def test_involution(self):
         z2 = site_operator("Z", 2, 2)
-        assert np.allclose(z2.entries @ z2.entries, np.eye(4))
+        assert np.allclose(z2 @ z2, np.eye(4))
 
     def test_traceless(self):
-        assert abs(np.trace(site_operator("Y", 3, 4).entries)) == 0
+        assert abs(np.trace(site_operator("Y", 3, 4))) == 0
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
@@ -43,6 +42,13 @@ class TestSiteOperator:
     def test_unknown_label(self):
         with pytest.raises(ValidationError):
             site_operator("Q", 1, 2)
+
+    def test_built_matrices_are_read_only(self):
+        for m in (site_operator("X", 1, 2), build_hamiltonian(ChainSpec(2, 1.0, (0.0, 0.5))),
+                  global_rotation(0.3, 2)):
+            assert m.dtype == complex and m.shape == (4, 4)
+            with pytest.raises(ValueError):
+                m[0, 0] = 1.0
 
 
 class TestGroundState:
@@ -60,17 +66,17 @@ class TestGroundState:
 
     def test_tilted_field_closed_form(self):
         # eigenvalues of X + bY are ±sqrt(1 + b²)
-        res = hermitian_ground_state(Operator(PAULI["X"] + 0.5 * PAULI["Y"]))
+        res = hermitian_ground_state(PAULI["X"] + 0.5 * PAULI["Y"])
         assert res.energy == pytest.approx(-np.sqrt(1.25), abs=1e-12)
 
     def test_residual(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-            h = Operator(m + m.conj().T)
+            h = m + m.conj().T
             res = hermitian_ground_state(h)
             resid = np.linalg.norm(
-                h.entries @ res.state.amplitudes - res.energy * res.state.amplitudes
+                h @ res.state.amplitudes - res.energy * res.state.amplitudes
             )
             assert resid < 1e-9
 
@@ -78,15 +84,15 @@ class TestGroundState:
         rng = np.random.default_rng(4)
         for n in (1, 2, 3):
             m = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
-            h = Operator(m + m.conj().T)
+            h = m + m.conj().T
             e0 = hermitian_ground_state(h).energy
             for _ in range(100):
                 v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
                 v /= np.linalg.norm(v)
-                assert e0 <= (v.conj() @ h.entries @ v).real + 1e-10
+                assert e0 <= (v.conj() @ h @ v).real + 1e-10
 
     def test_phase_convention_deterministic(self):
-        h = Operator(PAULI["X"] + 0.3 * PAULI["Y"])
+        h = PAULI["X"] + 0.3 * PAULI["Y"]
         a = hermitian_ground_state(h).state.amplitudes
         b = hermitian_ground_state(h).state.amplitudes
         assert np.array_equal(a, b)
@@ -99,7 +105,18 @@ class TestGroundState:
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
-            hermitian_ground_state(Operator(np.array([[0, 1], [0, 0]])))
+            hermitian_ground_state(np.array([[0, 1], [0, 0]]))
+        with pytest.raises(ValidationError):
+            hermitian_ground_state(np.full((2, 2), np.nan))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValidationError):
+            hermitian_ground_state(np.ones((2, 4)))
+
+    def test_leaves_its_input_writable(self):
+        h = np.array(PAULI["X"])
+        hermitian_ground_state(h)
+        h[0, 0] = 1.0
 
 
 class TestPartialTrace:
@@ -161,7 +178,7 @@ class TestPartialTrace:
             full = np.kron(full, v1)
         v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         state = StateVector(v / np.linalg.norm(v), n)
-        rotated = apply_unitary(Operator(full), state)
+        rotated = apply_unitary(full, state)
         for k in range(1, n + 1):
             lhs = partial_trace(rotated, mask_from_sites([k], n)).entries
             rhs = v1 @ partial_trace(state, mask_from_sites([k], n)).entries @ v1.conj().T
@@ -171,11 +188,11 @@ class TestPartialTrace:
 class TestApplyUnitary:
     def test_identity(self):
         psi = basis_state(2, 1)
-        assert np.array_equal(apply_unitary(Operator(np.eye(4)), psi).amplitudes,
+        assert np.array_equal(apply_unitary(np.eye(4), psi).amplitudes,
                               psi.amplitudes)
 
     def test_bit_flip(self):
-        out = apply_unitary(Operator(np.kron(PAULI["X"], PAULI["I"])), basis_state(2, 0b00))
+        out = apply_unitary(np.kron(PAULI["X"], PAULI["I"]), basis_state(2, 0b00))
         assert np.allclose(out.amplitudes, basis_state(2, 0b10).amplitudes)
 
     def test_norm_preserved(self):
@@ -183,18 +200,26 @@ class TestApplyUnitary:
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         q, _ = np.linalg.qr(m)
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        out = apply_unitary(Operator(q), StateVector(v / np.linalg.norm(v), 2))
+        out = apply_unitary(q, StateVector(v / np.linalg.norm(v), 2))
         assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
-            apply_unitary(Operator(np.diag([1.0, 2.0])), basis_state(1, 0))
+            apply_unitary(np.diag([1.0, 2.0]), basis_state(1, 0))
+        with pytest.raises(ValidationError):
+            apply_unitary(np.full((2, 2), np.nan), basis_state(1, 0))
 
 
 class TestDomainTypes:
     def test_state_vector_must_be_normalized(self):
         with pytest.raises(ValidationError):
             StateVector(np.array([1.0, 1.0]), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_state_vector_norm_must_be_finite(self, bad):
+        # abs(norm - 1) > tol is False for a NaN norm, so the check must be written for it.
+        with pytest.raises(ValidationError):
+            StateVector(np.array([bad, 0.0, 0.0, 0.0]), 2)
 
     def test_state_vector_length_checked(self):
         with pytest.raises(ValidationError):

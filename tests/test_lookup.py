@@ -324,7 +324,7 @@ class TestCanonicalTies:
         cand_state = ground_state(candidate).state
         row_of = {int(t): i for i, t in enumerate(table.target_ids)}
         for tid, spec in enumerate_targets(grid, candidate.n_sites, coupling=coupling):
-            f, thetas = similarity_chain(ground_state(spec).state, cand_state)
+            f, thetas = similarity_chain(ground_state(spec).state.bloch, cand_state.bloch)
             chi = chi_opt(thetas)
             row = row_of[tid]
             assert table.f[row] == pytest.approx(f, abs=1e-12)
@@ -346,7 +346,7 @@ class TestCanonicalTies:
         cand_state = ground_state(candidate).state
         row_of = {int(t): i for i, t in enumerate(table.target_ids)}
         for tid, spec in enumerate_targets(grid, n, coupling=coupling):
-            f, thetas = similarity_chain(ground_state(spec).state, cand_state)
+            f, thetas = similarity_chain(ground_state(spec).state.bloch, cand_state.bloch)
             chi = chi_opt(thetas)
             row = row_of[tid]
             got = (table.f[row], table.delta_f[row], table.sum_sin[row])

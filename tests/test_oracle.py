@@ -8,6 +8,8 @@ from spinalign import (
     ChainSpec,
     OracleKind,
     QueryBudgetError,
+    StateVector,
+    UndefinedDirectionError,
     ValidationError,
     apply_unitary,
     cos_theta,
@@ -29,7 +31,7 @@ CANDIDATE_SPEC = ChainSpec(4, 1.0, (-0.5,) * 4)
 
 @pytest.fixture(scope="module")
 def candidate_j1():
-    return ground_state(CANDIDATE_SPEC).state
+    return ground_state(CANDIDATE_SPEC).state.bloch
 
 
 class TestExactOracle:
@@ -39,7 +41,7 @@ class TestExactOracle:
 
     def test_product_chains(self):
         oracle = make_oracle(ChainSpec(4, 0.0, (0.5,) * 4), OracleKind.EXACT, budget=1)
-        cand = ground_state(ChainSpec(4, 0.0, (-0.5,) * 4)).state
+        cand = ground_state(ChainSpec(4, 0.0, (-0.5,) * 4)).state.bloch
         assert query_exact(oracle, cand) == pytest.approx(2.4, abs=1e-9)
 
     def test_budget_enforced(self, candidate_j1):
@@ -91,7 +93,7 @@ class TestMeasuredOracle:
         oracle = make_oracle(ChainSpec(4, 0.0, (0.0,) * 4), OracleKind.MEASURED,
                              budget=200, seed=3)
         plus = np.array([1, 1]) / np.sqrt(2)
-        anti = product_state([plus] * 4)
+        anti = product_state([plus] * 4).bloch
         for _ in range(200):
             f_est, bits = query_measured(oracle, anti)
             assert f_est == -4.0
@@ -108,7 +110,7 @@ class TestMeasuredOracle:
         from spinalign import similarity_chain
 
         target_state = ground_state(TARGET).state
-        _, thetas = similarity_chain(target_state, candidate_j1)
+        _, thetas = similarity_chain(target_state.bloch, candidate_j1)
         probs = (np.cos(thetas) + 1) / 2
         expected_std = 2 * np.sqrt(np.sum(probs * (1 - probs)))
         trials = 10_000
@@ -172,10 +174,53 @@ class TestOracleSurface:
 
     def test_mismatched_candidate_rejected_without_charge(self):
         oracle = make_oracle(TARGET, OracleKind.EXACT, budget=1)
-        small = ground_state(ChainSpec(2, 0.0, (0.0, 0.0))).state
+        small = ground_state(ChainSpec(2, 0.0, (0.0, 0.0))).state.bloch
         with pytest.raises(ValidationError):
             oracle.query(small)
         assert oracle.remaining_budget == 1
+
+
+def _with_entry(value):
+    bloch = np.tile([1.0, 0.0, 0.0], (4, 1))
+    bloch[2, 1] = value
+    return bloch
+
+
+# Candidates an oracle must refuse, with the error each one ends in.
+BAD_CANDIDATES = {
+    "wrong-shape": (np.ones((4, 2)), ValidationError),
+    "too-few-sites": (np.ones((3, 3)), ValidationError),
+    "extra-axis": (np.ones((2, 4, 3)), ValidationError),
+    "ragged": ([[1.0, 0.0, 0.0]] * 3 + [[1.0, 0.0]], ValidationError),
+    "non-numeric": ([["x", "y", "z"]] * 4, ValidationError),
+    "complex": (np.ones((4, 3)) * 1j, ValidationError),
+    "a-state": (StateVector(np.eye(16)[0], 4), ValidationError),
+    "all-zero": (np.zeros((4, 3)), UndefinedDirectionError),
+    "nan": (_with_entry(np.nan), UndefinedDirectionError),
+    "inf": (_with_entry(np.inf), UndefinedDirectionError),
+}
+# Every way to ask an oracle about a candidate, with the oracle kind it needs.
+ASKS = {
+    "exact": (OracleKind.EXACT, query_exact),
+    "noisy": (OracleKind.NOISY, query_noisy),
+    "measured": (OracleKind.MEASURED, query_measured),
+    "query": (OracleKind.NOISY, lambda oracle, c: oracle.query(c)),
+    "sample": (OracleKind.MEASURED, lambda oracle, c: oracle.sample(c, 2)),
+    "verification": (OracleKind.MEASURED, lambda oracle, c: oracle.verification_query(c)),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_CANDIDATES)
+@pytest.mark.parametrize("ask", ASKS)
+def test_rejected_candidate_costs_no_budget_and_no_draw(candidate_j1, ask, bad):
+    kind, call = ASKS[ask]
+    candidate, error = BAD_CANDIDATES[bad]
+    oracle, twin = (make_oracle(TARGET, kind, budget=3, seed=12, epsilon=0.1) for _ in "ab")
+    with pytest.raises(error):
+        call(oracle, candidate)
+    assert oracle.remaining_budget == 3
+    # The stream is where it was: the next reply equals a fresh twin's.
+    assert oracle.query(candidate_j1) == twin.query(candidate_j1)
 
 
 class TestSample:
@@ -188,7 +233,7 @@ class TestSample:
 
     def test_site_count_checked(self):
         oracle = make_oracle(TARGET, OracleKind.MEASURED, budget=5, seed=1)
-        small = ground_state(ChainSpec(2, 0.0, (0.0, 0.0))).state
+        small = ground_state(ChainSpec(2, 0.0, (0.0, 0.0))).state.bloch
         with pytest.raises(ValidationError):
             oracle.sample(small, 1)
         assert oracle.remaining_budget == 5
@@ -227,7 +272,7 @@ class TestSample:
         n = data.draw(st.integers(2, 6), label="n")
         fields = st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)
         target = ChainSpec(n, 1.0, data.draw(fields, label="b_t"))
-        candidate = ground_state(ChainSpec(n, 1.0, data.draw(fields, label="b_c"))).state
+        candidate = ground_state(ChainSpec(n, 1.0, data.draw(fields, label="b_c"))).state.bloch
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         shots = data.draw(st.integers(0, 2000), label="shots")
         batched = make_oracle(target, OracleKind.MEASURED, budget=shots + 1, seed=seed)
@@ -364,4 +409,4 @@ class TestClosedFormTarget:
         for c in (candidate, apply_unitary(global_rotation(chi, n), candidate)):
             want = sum(cos_theta(rho_t, partial_trace(c, 1 << k))
                        for k, rho_t in enumerate(rhos_t))
-            assert abs(oracle.verification_query(c) - want) <= 1e-12
+            assert abs(oracle.verification_query(c.bloch) - want) <= 1e-12

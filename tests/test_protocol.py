@@ -38,11 +38,11 @@ from conftest import CANDIDATE, GRID
 
 class TestGlobalRotation:
     def test_zero_angle_is_identity(self):
-        assert np.allclose(global_rotation(0.0, 3).entries, np.eye(8))
+        assert np.allclose(global_rotation(0.0, 3), np.eye(8))
 
     def test_single_site_half_pi(self):
         u = global_rotation(np.pi / 2, 1)
-        assert np.allclose(u.entries, -1j * np.diag([1.0, -1.0]))
+        assert np.allclose(u, -1j * np.diag([1.0, -1.0]))
 
     def test_bloch_vector_turns_by_twice_chi(self):
         plus = StateVector(np.array([1, 1]) / np.sqrt(2), 1)  # Bloch (1, 0, 0)
@@ -52,12 +52,12 @@ class TestGlobalRotation:
 
     def test_group_closure(self):
         for a, b in ((0.3, 0.4), (-1.2, 0.9), (2.0, 2.0)):
-            lhs = global_rotation(a, 3).entries @ global_rotation(b, 3).entries
-            rhs = global_rotation(a + b, 3).entries
+            lhs = global_rotation(a, 3) @ global_rotation(b, 3)
+            rhs = global_rotation(a + b, 3)
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_unitary(self):
-        u = global_rotation(0.7, 4).entries
+        u = global_rotation(0.7, 4)
         assert np.max(np.abs(u.conj().T @ u - np.eye(16))) < 1e-12
 
 
@@ -154,7 +154,7 @@ class TestLookupTable:
         for tid in rng.choice(625, size=5, replace=False):
             row = int(np.nonzero(table.target_ids == tid)[0][0])
             spec = ChainSpec(4, 1.0, fields[tid])
-            f, thetas = similarity_chain(ground_state(spec).state, candidate_state)
+            f, thetas = similarity_chain(ground_state(spec).state.bloch, candidate_state.bloch)
             assert table.f[row] == pytest.approx(f, abs=1e-12)
             assert table.chi[row] == pytest.approx(chi_opt(thetas), abs=1e-12)
             assert table.sum_sin[row] == pytest.approx(np.sum(np.sin(thetas)), abs=1e-12)
@@ -239,11 +239,11 @@ class _BlindDouble:
         self._reply = reply
         self._after = after
 
-    def query(self, state):
+    def query(self, candidate):
         self.calls.append("query")
         return self._reply
 
-    def verification_query(self, state):
+    def verification_query(self, candidate):
         self.calls.append("verification")
         return self._after
 

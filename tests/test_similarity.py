@@ -161,14 +161,14 @@ class TestSignedTheta:
 class TestSimilarityChain:
     def test_equal_states_give_n(self):
         gs = ground_state(ChainSpec(4, 1.0, (0.25,) * 4)).state
-        f, thetas = similarity_chain(gs, gs)
+        f, thetas = similarity_chain(gs.bloch, gs.bloch)
         assert f == pytest.approx(4.0, abs=1e-12)
         assert thetas.shape == (4,) and np.allclose(thetas, 0.0)
 
     def test_uniform_product_chains(self):
         target = ground_state(ChainSpec(4, 0.0, (0.5,) * 4)).state
         cand = ground_state(ChainSpec(4, 0.0, (-0.5,) * 4)).state
-        f, thetas = similarity_chain(target, cand)
+        f, thetas = similarity_chain(target.bloch, cand.bloch)
         assert f == pytest.approx(4 * np.cos(2 * np.arctan(0.5)), abs=1e-9)
         assert f == pytest.approx(2.4, abs=1e-9)
         assert np.allclose(thetas, 2 * np.arctan(0.5), atol=1e-9)
@@ -176,14 +176,26 @@ class TestSimilarityChain:
     def test_profile_sums_match_f(self):
         target = ground_state(ChainSpec(4, 1.0, (0.5, 0.0, -0.25, 0.25))).state
         cand = ground_state(ChainSpec(4, 1.0, (-0.5,) * 4)).state
-        f, thetas = similarity_chain(target, cand)
+        f, thetas = similarity_chain(target.bloch, cand.bloch)
         assert np.sum(np.cos(thetas)) == pytest.approx(f, abs=1e-10)
+
+    @pytest.mark.parametrize("bad", [np.ones((4, 2)), np.ones(3), [[1.0, 0.0, 0.0], [1.0]],
+                                     [["x", "y", "z"]], np.ones((4, 3)) * 1j,
+                                     StateVector(np.eye(16)[0], 4)],
+                             ids=["wrong-shape", "one-vector", "ragged", "non-numeric", "complex",
+                                  "a-state"])
+    def test_takes_site_arrays_only(self, bad):
+        good = product_ground_directions(np.zeros(4))
+        with pytest.raises(ValidationError):
+            similarity_chain(bad, good)
+        with pytest.raises(ValidationError):
+            similarity_chain(good, bad)
 
     def test_length_mismatch(self):
         a = ground_state(ChainSpec(2, 0.0, (0.0, 0.0))).state
         b = ground_state(ChainSpec(3, 0.0, (0.0,) * 3)).state
         with pytest.raises(ValidationError):
-            similarity_chain(a, b)
+            similarity_chain(a.bloch, b.bloch)
 
     def test_f_bounds(self):
         rng = np.random.default_rng(14)
@@ -193,7 +205,7 @@ class TestSimilarityChain:
             a = StateVector(v / np.linalg.norm(v), 3)
             b = StateVector(w / np.linalg.norm(w), 3)
             try:
-                f, _ = similarity_chain(a, b)
+                f, _ = similarity_chain(a.bloch, b.bloch)
             except UndefinedDirectionError:
                 continue
             assert -3.0 - 1e-9 <= f <= 3.0 + 1e-9
@@ -238,7 +250,7 @@ class TestSimilarityGeneral:
         singletons = [1 << k for k in range(4)]
         f_general = similarity_general(target, cand, singletons,
                                        SubsetFunctionKind.COSINE_SINGLE_SITE)
-        f_chain, _ = similarity_chain(target, cand)
+        f_chain, _ = similarity_chain(target.bloch, cand.bloch)
         assert f_general == pytest.approx(f_chain, abs=1e-12)
 
     def test_purity_kind_identical_states(self):
@@ -307,3 +319,14 @@ def test_property_batched_site_cosines_equal_per_row_calls(data):
 def test_site_cosines_rejects_differing_sites():
     with pytest.raises(ValidationError):
         site_cosines(np.ones((2, 3, 3)), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["target", "candidate"])
+def test_site_cosines_rejects_a_non_finite_row(bad, side):
+    # Neither a NaN nor an infinite Bloch length defines a direction.
+    rows = np.ones((2, 4, 3))
+    rows[1, 2, 0] = bad
+    good = np.ones((4, 3))
+    with pytest.raises(UndefinedDirectionError):
+        site_cosines(rows, good) if side == "target" else site_cosines(good, rows)
