@@ -30,7 +30,7 @@ import numpy as np
 from .chain import (DEFAULT_SWEEP_BUDGET, ChainSpec, ParameterGrid, product_ground_directions,
                     target_count, target_field_array)
 from .errors import SpinAlignError, ValidationError
-from .oracle import target_streams
+from .oracle import check_epsilon, shot_estimates, target_streams
 from .protocol import SWEEP_BLOCK_TARGETS, build_table, nearest_runs, sweep_exact, target_angles
 from .similarity import site_cosines
 
@@ -87,15 +87,7 @@ def _parse_eps(raw) -> tuple[float, ...]:
     # true/false, which would pass as 1 and 0.
     if isinstance(raw, list) and not all(type(e) in _NUMBER for e in raw):
         raise ValidationError(f"the config eps list must hold only numbers: {raw!r}")
-    try:
-        # Adding +0.0 turns -0 into +0 and leaves every other value as it is.
-        eps = tuple(float(e) + 0.0 for e in parts)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"--eps must be a list of numbers: {exc}") from None
-    # Each noise draw spans 2·eps, which must be a finite width.
-    if not all(e >= 0.0 and math.isfinite(2.0 * e) for e in eps):
-        raise ValidationError("--eps values must be finite and non-negative")
-    return eps
+    return tuple(map(check_epsilon, parts))
 
 
 def _load_config_file(path: str) -> dict:
@@ -174,10 +166,20 @@ class CheckFailure(Exception):
     """One or more --check gates failed."""
 
 
-def _gate(ok: bool, label: str, failures: list[str]) -> None:
-    print(f"  [{'PASS' if ok else 'FAIL'}] {label}")
-    if not ok:
-        failures.append(label)
+def _report(gates: list[tuple[bool, str]]) -> None:
+    """Print each (ok, label) gate as [PASS] or [FAIL]; CheckFailure naming the failed ones."""
+    for ok, label in gates:
+        print(f"  [{'PASS' if ok else 'FAIL'}] {label}")
+    if failed := [label for ok, label in gates if not ok]:
+        raise CheckFailure("; ".join(failed))
+
+
+def _trials(cfg: RunConfig, default: int) -> int:
+    """The --trials value, ``default`` when unset; ValidationError below 1."""
+    trials = default if cfg.trials is None else cfg.trials
+    if trials < 1:
+        raise ValidationError("--trials must be at least 1")
+    return trials
 
 
 # --- subcommands -------------------------------------------------------------
@@ -197,19 +199,15 @@ def cmd_table(cfg: RunConfig) -> None:
     )
     if cfg.check:
         _require_reference(cfg, "table")
-        failures: list[str] = []
-        _gate(len(table) == cfg.d**cfg.n, f"{cfg.d**cfg.n} entries", failures)
         row0 = int(np.nonzero(table.target_ids == 0)[0][0])
-        _gate(abs(table.f[row0] - cfg.n) <= 1e-9, "target 0 has F = N", failures)
-        _gate(abs(table.chi[row0]) <= 1e-9, "target 0 has chi_opt = 0", failures)
         best = int(np.argmax(table.delta_f))
-        _gate(
-            abs(table.delta_f[best] + table.f[best] - cfg.n) <= 1e-6,
-            "max-gain entry sits on the dF + F = N line",
-            failures,
-        )
-        if failures:
-            raise CheckFailure("; ".join(failures))
+        _report([
+            (len(table) == cfg.d**cfg.n, f"{cfg.d**cfg.n} entries"),
+            (abs(table.f[row0] - cfg.n) <= 1e-9, "target 0 has F = N"),
+            (abs(table.chi[row0]) <= 1e-9, "target 0 has chi_opt = 0"),
+            (abs(table.delta_f[best] + table.f[best] - cfg.n) <= 1e-6,
+             "max-gain entry sits on the dF + F = N line"),
+        ])
 
 
 def cmd_sweep(cfg: RunConfig) -> None:
@@ -221,33 +219,27 @@ def cmd_sweep(cfg: RunConfig) -> None:
     print(f"sweep: {len(deltas)} protocol runs -> {out} | mean dF {deltas.mean():.6f}")
     if cfg.check:
         _require_reference(cfg, "sweep")
-        failures: list[str] = []
         lo, hi = SWEEP_MEAN_WINDOW
-        _gate(lo <= deltas.mean() <= hi, f"mean dF in [{lo}, {hi}]", failures)
-        _gate(bool(np.all(deltas >= -1e-9)), "every dF >= 0", failures)
         best = int(np.argmax(deltas))
-        _gate(
-            abs(deltas[best] + f_before[best] - cfg.n) <= 1e-6,
-            "max-gain run sits on the dF + F = N line",
-            failures,
-        )
-        if failures:
-            raise CheckFailure("; ".join(failures))
+        _report([
+            (lo <= deltas.mean() <= hi, f"mean dF in [{lo}, {hi}]"),
+            (np.all(deltas >= -1e-9), "every dF >= 0"),
+            (abs(deltas[best] + f_before[best] - cfg.n) <= 1e-6,
+             "max-gain run sits on the dF + F = N line"),
+        ])
 
 
 def cmd_noise(cfg: RunConfig) -> None:
     if not cfg.eps:
         raise ValidationError("noise needs a non-empty --eps list")
-    trials = cfg.trials if cfg.trials is not None else 200
-    if trials < 1:
-        raise ValidationError("--trials must be at least 1")
+    trials = _trials(cfg, 200)
     table = build_table(cfg.grid(), cfg.candidate())
     n_targets = len(table)
     # chi/F/sum_sin keyed by target id for per-target truth values.
     chi_true, f_true, s_true = truth = np.empty((3, n_targets))
     truth[:, table.target_ids] = table.chi, table.f, table.sum_sin
     # Lookups return runs of equal F; chi and its sine and cosine are taken once per run.
-    chi_run = table.chi[table._run_row]
+    chi_run = table.chi[table.run_row]
     sin_run, cos_run = np.sin(chi_run), np.cos(chi_run)
     # A block's per-trial values are gathered from one value per (target,
     # run) when the runs are no more than the trials, which bounds that array
@@ -269,7 +261,7 @@ def cmd_noise(cfg: RunConfig) -> None:
             if streams is None:
                 # Each query is its target's own F, which is its run's F: the
                 # nearest run, at distance 0, with no stream and no lookup.
-                own_run = table._run_f.searchsorted(f_true[ids])
+                own_run = table.run_f.searchsorted(f_true[ids])
                 hit = np.repeat(own_run[:, None], trials, axis=1)
             else:
                 draws = noise[:stop - start]
@@ -302,35 +294,24 @@ def cmd_noise(cfg: RunConfig) -> None:
         print(f"  eps={eps:g}: mean |rotation error| {err:.4f}{note}, mean dF {gain:.4f}")
     if cfg.check:
         _require_reference(cfg, "noise")
-        failures: list[str] = []
         by_eps = {round(e, 10): err for e, err, _ in rows}
-        for eps, (lo, hi) in NOISE_ERROR_WINDOWS.items():
+        for eps in NOISE_ERROR_WINDOWS:
             if round(eps, 10) not in by_eps:
                 raise ValidationError(f"--check needs eps={eps} in the --eps list")
-            err = by_eps[round(eps, 10)]
-            _gate(lo <= err <= hi, f"rotation error at eps={eps} in [{lo}, {hi}]", failures)
+        gates = [(lo <= by_eps[round(e, 10)] <= hi, f"rotation error at eps={e} in [{lo}, {hi}]")
+                 for e, (lo, hi) in NOISE_ERROR_WINDOWS.items()]
         if 0.0 in by_eps:
-            _gate(by_eps[0.0] <= 1e-12, "zero error at eps=0", failures)
-        errs_sorted = [err for _, err, _ in sorted(rows)]
-        _gate(
-            all(a <= b + 1e-12 for a, b in zip(errs_sorted, errs_sorted[1:])),
-            "error non-decreasing in eps",
-            failures,
-        )
-        gains_sorted = [g for _, _, g in sorted(rows)]
-        _gate(
-            all(a >= b - 1e-12 for a, b in zip(gains_sorted, gains_sorted[1:])),
-            "mean dF non-increasing in eps",
-            failures,
-        )
-        if failures:
-            raise CheckFailure("; ".join(failures))
+            gates.append((by_eps[0.0] <= 1e-12, "zero error at eps=0"))
+        _, errs, mean_gains = zip(*sorted(rows))
+        _report(gates + [
+            (all(a <= b + 1e-12 for a, b in zip(errs, errs[1:])), "error non-decreasing in eps"),
+            (all(a >= b - 1e-12 for a, b in zip(mean_gains, mean_gains[1:])),
+             "mean dF non-increasing in eps"),
+        ])
 
 
 def cmd_measure(cfg: RunConfig) -> None:
-    trials = cfg.trials if cfg.trials is not None else 10_000
-    if trials < 1:
-        raise ValidationError("--trials must be at least 1")
+    trials = _trials(cfg, 10_000)
     grid, candidate = cfg.grid(), cfg.candidate()
     n_targets = target_count(grid, cfg.n)
     candidate_dirs = product_ground_directions(candidate.fields)
@@ -338,21 +319,18 @@ def cmd_measure(cfg: RunConfig) -> None:
     streams = target_streams([cfg.seed], n_targets)
     # One (trials, N) buffer takes each target's draws and then its outcomes.
     shots = np.empty((trials, cfg.n))
-    twos = np.full(cfg.n, 2.0)
     f_exact, binomial_std, means, stds = np.empty((4, n_targets))
     for start in range(0, n_targets, SWEEP_BLOCK_TARGETS):
         stop = min(start + SWEEP_BLOCK_TARGETS, n_targets)
-        cos_thetas = np.cos(target_angles(grid, candidate, start, stop))
+        fields = target_field_array(grid, cfg.n, start=start, stop=stop)
+        cos_thetas = np.cos(target_angles(fields, candidate))
         f_exact[start:stop] = cos_thetas.sum(axis=1)
         probs = (cos_thetas + 1.0) / 2.0
         binomial_std[start:stop] = 2.0 * np.sqrt(np.sum(probs * (1.0 - probs), axis=1))
-        dirs = product_ground_directions(target_field_array(grid, cfg.n, start=start, stop=stop))
-        # The oracle's probabilities (cos theta_k + 1)/2, bit for bit.
-        block_probs = (site_cosines(dirs, candidate_dirs) + 1.0) / 2.0
-        for target_id, p in enumerate(block_probs, start):
-            # Oracle.sample's outcomes m_k = u < p and exact counts 2·Σm_k - N.
-            np.less(next(streams).random(out=shots), p, out=shots)
-            estimates = shots @ twos - cfg.n
+        # Each target's shots are its measured oracle's sample: same cosines, same stream.
+        cosines = site_cosines(product_ground_directions(fields), candidate_dirs)
+        for target_id, cos in enumerate(cosines, start):
+            estimates = shot_estimates(next(streams), cos, shots)
             means[target_id] = estimates.mean()
             stds[target_id] = estimates.std(ddof=1) if trials > 1 else 0.0
     out = Path(cfg.out) / "measure.csv"
@@ -364,17 +342,16 @@ def cmd_measure(cfg: RunConfig) -> None:
         f"max |std dev - binomial| {std_error.max():.4f}"
     )
     if cfg.check:
-        failures: list[str] = []
         root_n = math.sqrt(cfg.n)
-        _gate(bool(np.all(stds <= root_n)), f"every std <= sqrt(N) = {root_n:g}", failures)
         # Below the floor both stds are unresolvable at this shot count and
         # must both be (numerically) zero; otherwise compare at 5% relative.
         std_ok = np.where(binomial_std > 1e-6, std_error <= 0.05 * binomial_std, stds <= 1e-6)
-        _gate(bool(std_ok.all()), "std within 5% of the binomial formula", failures)
         mean_ok = np.abs(means - f_exact) <= np.maximum(3.0 * stds / math.sqrt(trials), 1e-9)
-        _gate(bool(mean_ok.all()), "mean within 3 standard errors of exact F", failures)
-        if failures:
-            raise CheckFailure("; ".join(failures))
+        _report([
+            (np.all(stds <= root_n), f"every std <= sqrt(N) = {root_n:g}"),
+            (std_ok.all(), "std within 5% of the binomial formula"),
+            (mean_ok.all(), "mean within 3 standard errors of exact F"),
+        ])
 
 
 # --- entry point --------------------------------------------------------------

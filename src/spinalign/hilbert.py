@@ -43,7 +43,10 @@ _PHASE_FLOOR = 1e-8
 
 
 def _as_complex_matrix(entries) -> np.ndarray:
-    m = np.array(entries, dtype=complex)
+    try:
+        m = np.array(entries, dtype=complex)
+    except (TypeError, ValueError):  # ragged rows or non-numeric entries
+        raise ValidationError("expected a square matrix of numbers") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     m.setflags(write=False)

@@ -10,9 +10,10 @@ The target's fields are never exposed; the public surface is the behavior
 kind, the remaining budget, a fingerprint of the construction parameters,
 and the query operations.
 
-The module also starts many per-target random streams at once:
-:func:`target_streams` yields the generators ``default_rng(prefix +
-[target_id])`` would make, seeded in vectorized passes.
+Batched studies call the oracle's rules rather than restate them: the
+ε check (:func:`check_epsilon`), the shot kernel (:func:`shot_estimates`)
+and :func:`target_streams`, which yields the generators ``default_rng(prefix
++ [target_id])`` would make, seeded in vectorized passes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .chain import ChainSpec, product_ground_directions
 from .errors import QueryBudgetError, SpinAlignError, ValidationError
-from .similarity import _site_array, site_cosines
+from .similarity import site_array, site_cosines
 
 # numpy's SeedSequence hash constants and pool size, and PCG64's 128-bit
 # multiplier, which seeded_streams replays.
@@ -122,9 +123,10 @@ def target_streams(prefix: list[int], n_targets: int) -> Iterator[np.random.Gene
     (the 32-bit words of each entry; ids below 2^32 are one word). Each
     :func:`seeded_streams` call seeds STREAM_CHUNK_ROWS targets, so memory
     stays bounded at any count. The generator yielded is re-stated for the
-    next target.
+    next target. ValidationError, before any seeding, for a prefix entry
+    that is not a non-negative integer.
     """
-    words = [word for value in prefix for word in _uint32_words(value)]
+    words = [word for value in prefix for word in _uint32_words(_count(value, "a stream seed"))]
     entropy = np.empty((STREAM_CHUNK_ROWS, len(words) + 1), dtype=np.uint32)
     entropy[:, :-1] = words
     for start in range(0, n_targets, STREAM_CHUNK_ROWS):
@@ -146,6 +148,30 @@ def _count(value, name: str) -> int:
     return int(value)
 
 
+def check_epsilon(value) -> float:
+    """The noise width ε as a float >= 0 with a finite 2ε, -0 as +0; ValidationError otherwise."""
+    try:
+        # Adding +0.0 turns -0 into +0 and leaves every other value as it is.
+        epsilon = float(value) + 0.0
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"epsilon must be a number, got {value!r}") from None
+    # Each noise draw spans 2·ε, which must be a finite width.
+    if not (epsilon >= 0.0 and math.isfinite(2.0 * epsilon)):
+        raise ValidationError(f"epsilon must be finite and non-negative, got {epsilon!r}")
+    return epsilon
+
+
+def shot_estimates(rng: np.random.Generator, cosines: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Single-shot F = 2·Σ_k m_k - N per row of the (shots, N) float ``out``, left holding m_k.
+
+    m_k ~ Bernoulli((cos θ_k + 1)/2) is u < p_k, u from one rng.random(out=out) draw (the stream
+    as successive rng.random(N) draws use it); the count, a float product, is exact and fast.
+    """
+    n_sites = out.shape[1]
+    np.less(rng.random(out=out), (cosines + 1.0) / 2.0, out=out)
+    return out @ np.full(n_sites, 2.0) - n_sites
+
+
 class Oracle:
     """Budgeted similarity black box; construct with :func:`make_oracle`."""
 
@@ -154,14 +180,7 @@ class Oracle:
         if not isinstance(kind, OracleKind):
             raise ValidationError(f"kind must be an OracleKind, got {kind!r}")
         self._budget = _count(budget, "budget")
-        try:
-            # Adding +0.0 turns -0 into +0, so both give one fingerprint.
-            epsilon = float(epsilon) + 0.0
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"epsilon must be a number, got {epsilon!r}") from None
-        # Each noise draw spans 2·ε, which must be a finite width.
-        if not (epsilon >= 0.0 and math.isfinite(2.0 * epsilon)):
-            raise ValidationError(f"epsilon must be finite and non-negative, got {epsilon!r}")
+        epsilon = check_epsilon(epsilon)
         # Checks the seed now; the generator itself is made on the first draw.
         try:
             self._seed = np.random.SeedSequence(seed)
@@ -200,7 +219,7 @@ class Oracle:
 
     def _cosines(self, candidate) -> np.ndarray:
         """Per-site cos θ_k of target and candidate; site_cosines checks the site count."""
-        return site_cosines(self._target_bloch, _site_array(candidate))
+        return site_cosines(self._target_bloch, site_array(candidate))
 
     def _admit(self, kind: OracleKind, candidate, count: int = 1) -> np.ndarray:
         """Check kind, then the candidate, then budget; charge ``count`` only if all pass.
@@ -233,21 +252,11 @@ class Oracle:
         """F estimates of ``shots`` consecutive :func:`query_measured` calls, in one draw.
 
         The whole count is charged at once; a count above the remaining
-        budget is rejected before anything is charged or drawn.
+        budget is rejected before anything is charged, allocated or drawn.
         """
-        bits = self._measure(candidate, _count(shots, "shots"))
-        # 2·Σm_k - N as a float product: exact for small integers, and much
-        # faster than a boolean sum over the short site axis.
-        return bits.astype(float) @ np.full(self._n_sites, 2.0) - self._n_sites
-
-    def _measure(self, candidate, shots: int) -> np.ndarray:
-        """Boolean (shots, N) outcomes m_k ~ Bernoulli((cos θ_k + 1)/2); the one sampling path.
-
-        One rng.random((shots, N)) draw consumes the stream exactly as
-        ``shots`` successive rng.random(N) draws do.
-        """
-        probs = (self._admit(OracleKind.MEASURED, candidate, shots) + 1.0) / 2.0
-        return self._rng.random((shots, self._n_sites)) < probs
+        shots = _count(shots, "shots")
+        cosines = self._admit(OracleKind.MEASURED, candidate, shots)
+        return shot_estimates(self._rng, cosines, np.empty((shots, self._n_sites)))
 
 
 def query_exact(oracle: Oracle, candidate) -> float:
@@ -272,8 +281,9 @@ def query_measured(oracle: Oracle, candidate) -> tuple[float, np.ndarray]:
     coincide with physical single-copy measurement statistics in the weakly
     coupled limit where the chain state factorizes.
     """
-    bits = oracle._measure(candidate, 1)[0]
-    return float(2 * int(bits.sum()) - oracle.n_sites), bits
+    outcomes = np.empty((1, oracle.n_sites))
+    f = shot_estimates(oracle._rng, oracle._admit(OracleKind.MEASURED, candidate), outcomes)
+    return float(f[0]), outcomes[0].astype(bool)
 
 
 def make_oracle(

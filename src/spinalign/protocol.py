@@ -72,9 +72,9 @@ def delta_f_planar(thetas, chi: float) -> float:
 def _half_angle(sum_sin, sum_cos) -> np.ndarray:
     """atan2(Σ sin θ, Σ cos θ)/2 in (-π/2, π/2], elementwise; rejects a vanishing resultant."""
     s, c = np.asarray(sum_sin, dtype=float), np.asarray(sum_cos, dtype=float)
-    if np.any(s * s + c * c < _RESULTANT_FLOOR**2):
+    if not np.all(s * s + c * c >= _RESULTANT_FLOOR**2):  # NaN fails too
         raise IndeterminateOptimumError(
-            "sum of sines and cosines both vanish; every angle is stationary"
+            "sum of sines and cosines both vanish or are NaN; no angle is optimal"
         )
     chi = 0.5 * np.arctan2(s, c)
     return np.where(chi <= -np.pi / 2, np.pi / 2, chi)
@@ -97,11 +97,11 @@ class LookupTable:
     and the gain that angle achieves. Construction rejects columns that are
     not in (F, target id) order, since the nearest-F lookup relies on it.
 
-    Rows of equal F form runs, each led by its smallest target id. The
-    first lookup builds a run index: between each pair of adjacent runs the
-    smallest float at which the exactly nearest run is the upper one, and a
-    uniform bucket array over these boundaries. Building the table does not
-    build the index.
+    Rows of equal F form runs, each led by its smallest target id (the
+    read-only ``run_*`` fields). The first lookup builds a run index:
+    between each pair of adjacent runs the smallest float at which the
+    exactly nearest run is the upper one, and a uniform bucket array over
+    these boundaries. Building the table does not build the index.
     """
 
     target_ids: np.ndarray
@@ -111,9 +111,9 @@ class LookupTable:
     sum_sin: np.ndarray
     candidate: ChainSpec
     # Runs of equal F: their F, first row and that row's (smallest) target id.
-    _run_f: np.ndarray = field(init=False, repr=False)
-    _run_row: np.ndarray = field(init=False, repr=False)
-    _run_id: np.ndarray = field(init=False, repr=False)
+    run_f: np.ndarray = field(init=False, repr=False)
+    run_row: np.ndarray = field(init=False, repr=False)
+    run_id: np.ndarray = field(init=False, repr=False)
 
     # Differences of finite F values may overflow to inf, which still orders
     # correctly.
@@ -135,9 +135,10 @@ class LookupTable:
         if not np.all((step_f > 0) | ((step_f == 0) & (step_id > 0))):
             raise ValidationError("table rows must be sorted by (F, target id)")
         first = np.flatnonzero(np.r_[True, step_f != 0])
-        object.__setattr__(self, "_run_f", self.f[first])
-        object.__setattr__(self, "_run_row", first)
-        object.__setattr__(self, "_run_id", self.target_ids[first])
+        for name, arr in (("run_f", self.f[first]), ("run_row", first),
+                          ("run_id", self.target_ids[first])):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return len(self.f)
@@ -145,26 +146,24 @@ class LookupTable:
     @functools.cached_property
     def _index(self) -> _RunIndex:
         """The run index of :func:`nearest_runs`, built by the table's first lookup."""
-        return _run_index(self._run_f, self._run_id)
+        return _run_index(self.run_f, self.run_id)
 
 
-def target_angles(grid: ParameterGrid, candidate: ChainSpec, start: int = 0,
-                  stop: int | None = None) -> np.ndarray:
-    """Signed candidate-to-target angles θ of targets ``start`` <= id < ``stop``, one row each.
+def target_angles(fields, candidate: ChainSpec) -> np.ndarray:
+    """Signed candidate-to-target angles θ of targets with (T, N) ``fields``, one row each.
 
-    The default range is every target, shape (D^N, N) with row = target id;
-    ids are taken as :func:`target_field_array` takes them.
+    ``fields`` is typically a block of :func:`target_field_array`; it is not modified.
 
     X_k + b_k Y_k is sqrt(1+b_k²) times X_k turned about z by atan b_k, and
     Z_k Z_{k+1} commutes with z-rotations, so each chain is a transverse-field
     Ising chain (unique ground state for every J) conjugated by site-wise
     z-rotations. Site k's Bloch vector therefore lies in the xy plane at
     angle π + atan b_k, and θ_k = atan b_t,k - atan b_c,k lies in (-π, π)
-    for every N and J, with no eigensolve. Raises CapacityError before
-    allocating when the grid has more than DEFAULT_SWEEP_BUDGET targets.
+    for every N and J, with no eigensolve.
     """
-    thetas = target_field_array(grid, candidate.n_sites, start, stop)
-    np.arctan(thetas, out=thetas)
+    thetas = np.arctan(np.asarray(fields, dtype=float))
+    if thetas.ndim != 2 or thetas.shape[1] != candidate.n_sites:
+        raise ValidationError(f"fields must be (T, {candidate.n_sites}), got {thetas.shape}")
     thetas -= np.arctan(candidate.fields)
     return thetas
 
@@ -176,7 +175,7 @@ def build_table(grid: ParameterGrid, candidate: ChainSpec) -> LookupTable:
     (candidate field, target field) site pairs get bit-equal rows. The
     sorted angles and one work array are the only (T, N) arrays alive at once.
     """
-    thetas = target_angles(grid, candidate)
+    thetas = target_angles(target_field_array(grid, candidate.n_sites), candidate)
     thetas.sort(axis=1)
     work = np.cos(thetas)
     f = work.sum(axis=1)
@@ -284,7 +283,7 @@ def nearest_runs(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
     """Index of the run of equal F nearest to each query, in the queries' shape.
 
     Runs are the table's distinct F values in ascending order; run r starts
-    at row ``table._run_row[r]``, which holds its smallest target id, and
+    at row ``table.run_row[r]``, which holds its smallest target id, and
     :func:`nearest_rows` is that row. Nearest means in exact arithmetic:
     the run minimizing the exact |F - q|, and at an exact midpoint between
     two runs the one with the smaller target id. The rule is monotone in q,
@@ -310,7 +309,7 @@ def nearest_rows(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
     read per-run arrays made once.
     """
     runs = nearest_runs(table, f_queries)
-    return table._run_row.take(runs, out=runs, mode="clip")
+    return table.run_row.take(runs, out=runs, mode="clip")
 
 
 def lookup_chi_batch(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
@@ -378,7 +377,7 @@ def sweep_exact(table: LookupTable, grid: ParameterGrid) -> tuple[np.ndarray, np
     n_sites = table.candidate.n_sites
     n_targets = target_count(grid, n_sites)
     candidate = product_ground_directions(table.candidate.fields)
-    by_run = rotate_directions(candidate, table.chi[table._run_row])
+    by_run = rotate_directions(candidate, table.chi[table.run_row])
     f_before = np.empty(n_targets)
     f_after = np.empty(n_targets)
     for start in range(0, n_targets, SWEEP_BLOCK_TARGETS):

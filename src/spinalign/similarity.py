@@ -43,7 +43,7 @@ def _require_directions(norms2: np.ndarray) -> None:
         )
 
 
-def _site_array(bloch) -> np.ndarray:
+def site_array(bloch) -> np.ndarray:
     """``bloch`` as an (N, 3) float array of per-site Bloch vectors; ValidationError otherwise."""
     try:
         # A float conversion would drop an imaginary part with only a warning.
@@ -102,14 +102,15 @@ def signed_theta(c: np.ndarray, r: np.ndarray, axis: np.ndarray) -> float:
     cv, rv, av = (np.asarray(v, dtype=float) for v in (c, r, axis))
     if not cv.shape == rv.shape == av.shape == (3,):
         raise ValidationError("signed_theta takes three 3-vectors")
-    if abs(math.sqrt(av @ av) - 1.0) > 1e-12:
+    # Written so that NaN fails each test.
+    if not abs(math.sqrt(av @ av) - 1.0) <= 1e-12:
         raise ValidationError("rotation axis must be a unit vector")
     c_par = float(cv @ av)
     r_par = float(rv @ av)
     c_perp2 = float(cv @ cv) - c_par**2
     r_perp2 = float(rv @ rv) - r_par**2
-    if c_perp2 < DIRECTION_FLOOR**2 or r_perp2 < DIRECTION_FLOOR**2:
-        raise UndefinedDirectionError("vector has no component orthogonal to the axis")
+    if not (c_perp2 >= DIRECTION_FLOOR**2 and r_perp2 >= DIRECTION_FLOOR**2):
+        raise UndefinedDirectionError("vector has no (finite) component orthogonal to the axis")
     theta = math.atan2(float(av @ np.cross(cv, rv)), float(cv @ rv) - c_par * r_par)
     return math.pi if theta <= -math.pi else theta
 
@@ -120,7 +121,7 @@ def similarity_chain(bloch_t, bloch_c) -> tuple[float, np.ndarray]:
     Both chains are given by their (N, 3) per-site Bloch vectors, such as a
     state's ``bloch``; θ_k turns candidate site k onto target site k.
     """
-    bt, bc = _site_array(bloch_t), _site_array(bloch_c)
+    bt, bc = site_array(bloch_t), site_array(bloch_c)
     f = float(site_cosines(bt, bc).sum())
     return f, np.array([signed_theta(c, r, _Z_HAT) for c, r in zip(bc, bt)])
 

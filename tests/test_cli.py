@@ -498,7 +498,8 @@ def per_target_measure_rows(cfg: RunConfig) -> list[tuple[int, float, float, flo
     """Reference measure study: one measured oracle and one Oracle.sample call per target."""
     trials = cfg.trials if cfg.trials is not None else 10_000
     candidate = chain.product_ground_directions(cfg.candidate().fields)
-    cos_thetas = np.cos(protocol.target_angles(cfg.grid(), cfg.candidate()))
+    fields = chain.target_field_array(cfg.grid(), cfg.n)
+    cos_thetas = np.cos(protocol.target_angles(fields, cfg.candidate()))
     f_exact = cos_thetas.sum(axis=1)
     probs = (cos_thetas + 1.0) / 2.0
     binomial_std = 2.0 * np.sqrt(np.sum(probs * (1.0 - probs), axis=1))
@@ -579,6 +580,58 @@ class TestExitCodes:
         code = main(["measure", "--n", "2", "--d", "2", "--trials", "30",
                      "--seed", "0", "--check", "--out", str(tmp_path)])
         assert code == 3
+
+
+class TestCheckTranscripts:
+    """The gate lines, stderr and exit code of --check where the gates are set."""
+
+    NOISE_GATES = [
+        "  [PASS] rotation error at eps=0.05 in [0.03, 0.09]",
+        "  [PASS] rotation error at eps=0.1 in [0.05, 0.11]",
+        "  [PASS] zero error at eps=0",
+        "  [PASS] error non-decreasing in eps",
+        "  [PASS] mean dF non-increasing in eps",
+    ]
+    MEASURE = ["measure", "--n", "4", "--d", "3", "--trials"]
+    CASES = {
+        "table": (["table"], 0, "", [
+            "  [PASS] 625 entries",
+            "  [PASS] target 0 has F = N",
+            "  [PASS] target 0 has chi_opt = 0",
+            "  [PASS] max-gain entry sits on the dF + F = N line",
+        ]),
+        "sweep": (["sweep"], 0, "", [
+            "  [PASS] mean dF in [0.4, 0.5]",
+            "  [PASS] every dF >= 0",
+            "  [PASS] max-gain run sits on the dF + F = N line",
+        ]),
+        "noise": (["noise"], 0, "", NOISE_GATES),
+        "noise-400": (["noise", "--trials", "400"], 0, "", NOISE_GATES),
+        "measure-10000": (MEASURE + ["10000"], 0, "", [
+            "  [PASS] every std <= sqrt(N) = 2",
+            "  [PASS] std within 5% of the binomial formula",
+            "  [PASS] mean within 3 standard errors of exact F",
+        ]),
+        # 2,000 shots per target cannot resolve the std to 5% at seed 30.
+        "measure-2000": (MEASURE + ["2000"], 3,
+                         "check failed: std within 5% of the binomial formula; "
+                         "mean within 3 standard errors of exact F\n", [
+            "  [PASS] every std <= sqrt(N) = 2",
+            "  [FAIL] std within 5% of the binomial formula",
+            "  [FAIL] mean within 3 standard errors of exact F",
+        ]),
+        # A required epsilon is missing: an input error, found before any gate is printed.
+        "noise-missing-eps": (["noise", "--eps", "0.05"], 1,
+                              "error: --check needs eps=0.1 in the --eps list\n", []),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_transcript(self, tmp_path, capsys, case):
+        argv, code, err, gates = self.CASES[case]
+        assert main([*argv, "--check", "--out", str(tmp_path)]) == code
+        captured = capsys.readouterr()
+        assert [line for line in captured.out.splitlines() if line.startswith("  [")] == gates
+        assert captured.err == err
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

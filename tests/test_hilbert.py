@@ -233,6 +233,15 @@ class TestDomainTypes:
         with pytest.raises(ValidationError):
             DensityMatrix(np.diag([0.7, 0.7]))
 
+    @pytest.mark.parametrize(
+        "entry",
+        [hermitian_ground_state, DensityMatrix, lambda m: apply_unitary(m, basis_state(1, 0))],
+        ids=["hermitian_ground_state", "DensityMatrix", "apply_unitary"],
+    )
+    def test_ragged_matrix_is_a_validation_error(self, entry):
+        with pytest.raises(ValidationError, match="square matrix"):
+            entry([[1, 2], [3]])
+
 
 def _random_state(data, n_min: int, n_max: int) -> StateVector:
     n = data.draw(st.integers(n_min, n_max), label="n")

@@ -195,8 +195,8 @@ class TestMatchesBruteForce:
 
 def _boundary_queries(table: LookupTable) -> np.ndarray:
     """Every run boundary and its two float neighbours, the midpoints, and queries off both ends."""
-    bounds = table._index.bounds[:len(table._run_f) - 1]
-    run_f = table._run_f
+    bounds = table._index.bounds[:len(table.run_f) - 1]
+    run_f = table.run_f
     with np.errstate(over="ignore"):  # neighbours of the largest floats are inf
         queries = np.concatenate([
             bounds, np.nextafter(bounds, -np.inf), np.nextafter(bounds, np.inf),
@@ -210,15 +210,15 @@ def _boundary_queries(table: LookupTable) -> np.ndarray:
 class TestRunIndex:
     @staticmethod
     def _check(table: LookupTable, extra=()) -> None:
-        protocol.nearest_rows(table, table._run_f[:1])  # builds the index
+        protocol.nearest_rows(table, table.run_f[:1])  # builds the index
         queries = np.concatenate([_boundary_queries(table), extra])
         rows = protocol.nearest_rows(table, queries)
         assert np.array_equal(rows, brute_force_nearest_rows(table, queries))
         # c_i is the first float at which the rule picks run i + 1 over run i.
-        bounds = table._index.bounds[:len(table._run_f) - 1]
+        bounds = table._index.bounds[:len(table.run_f) - 1]
         below = np.nextafter(bounds, -np.inf)
-        assert np.array_equal(brute_force_nearest_rows(table, bounds), table._run_row[1:])
-        assert np.array_equal(brute_force_nearest_rows(table, below), table._run_row[:-1])
+        assert np.array_equal(brute_force_nearest_rows(table, bounds), table.run_row[1:])
+        assert np.array_equal(brute_force_nearest_rows(table, below), table.run_row[:-1])
 
     def test_reference_table(self, table):
         self._check(table)

@@ -1,4 +1,9 @@
 import hashlib
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,6 +376,27 @@ class TestSeededStreams:
             reference = np.random.default_rng([*prefix, target_id])
             assert np.array_equal(stream.random(8), reference.random(8))
         assert target_id == 9
+
+    @pytest.mark.parametrize("prefix", [[-1], [30, -2**40], [1.5], [True], ["7"]],
+                             ids=["minus-one", "negative-word", "float", "bool", "str"])
+    def test_target_streams_reject_a_bad_prefix_entry(self, prefix):
+        # -1 shifted right stays -1, so splitting it into words once never
+        # ended; the child runs under a time and a 1 GiB address-space limit.
+        code = ("from spinalign.errors import ValidationError\n"
+                "from spinalign.oracle import target_streams\n"
+                "try:\n"
+                f"    next(target_streams({prefix!r}, 3))\n"
+                "except ValidationError as exc:\n"
+                "    print(exc)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+                 "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert proc.stdout.startswith("a stream seed must be a non-negative integer")
 
     def test_no_rows_no_streams(self):
         assert list(oracle_module.seeded_streams(np.empty((0, 3), dtype=np.uint32))) == []

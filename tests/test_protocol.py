@@ -122,6 +122,11 @@ class TestChiOpt:
             assert best - gains.max() >= -1e-8
             assert -np.pi / 2 < chi <= np.pi / 2
 
+    def test_nan_angle_rejected(self):
+        # s² + c² < floor² is False for NaN, so the check is written to fail it.
+        with pytest.raises(IndeterminateOptimumError):
+            chi_opt(np.array([np.nan, 0.1]))
+
     def test_indeterminate_profile_rejected(self):
         with pytest.raises(IndeterminateOptimumError):
             chi_opt(np.array([np.pi / 2, -np.pi / 2]))

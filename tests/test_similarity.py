@@ -153,6 +153,13 @@ class TestSignedTheta:
         with pytest.raises(ValidationError):
             signed_theta(np.array([1, 0, 0]), np.array([0, 1, 0]), np.array([0, 0, 0.5]))
 
+    def test_nan_is_rejected(self):
+        # A NaN component makes every comparison False, so each check is written to fail it.
+        with pytest.raises(UndefinedDirectionError):
+            signed_theta(np.array([np.nan, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), Z)
+        with pytest.raises(ValidationError):
+            signed_theta(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([np.nan, 0, 1.0]))
+
     def test_three_vectors_required(self):
         with pytest.raises(ValidationError):
             signed_theta(np.array([1.0, 0.0]), np.array([0.0, 1.0]), Z[:2])
