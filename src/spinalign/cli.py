@@ -68,9 +68,6 @@ class RunConfig:
     def candidate(self) -> ChainSpec:
         return ChainSpec(self.n, self.j, (self.bmin,) * self.n)
 
-    def is_reference(self) -> bool:
-        return all(getattr(self, k) == v for k, v in REFERENCE_KEYS.items())
-
 
 # The JSON types each config-file key accepts.
 _NUMBER = (int, float)
@@ -113,7 +110,7 @@ def _load_config_file(path: str) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config-file values and explicit flags (flags win)."""
+    """Merge defaults, config file and flags (flags win); ValidationError if a run may not start."""
     cfg = RunConfig()
     if getattr(args, "config", None):
         file_values = _load_config_file(args.config)
@@ -134,6 +131,24 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ValidationError("--d must be at least 1")
     if cfg.seed < 0:
         raise ValidationError("--seed must be non-negative")
+    # Run-start rules, in the order the commands' work would meet them, so
+    # that a rejected run computes, prints and writes nothing.
+    command = getattr(args, "command", None)
+    if command == "noise" and not cfg.eps:
+        raise ValidationError("noise needs a non-empty --eps list")
+    if command in ("noise", "measure") and cfg.trials is not None and cfg.trials < 1:
+        raise ValidationError("--trials must be at least 1")
+    if cfg.check and command in ("table", "sweep", "noise"):
+        # Building the table would meet the grid and chain checks first.
+        target_count(cfg.grid(), cfg.candidate().n_sites)
+        if any(getattr(cfg, k) != v for k, v in REFERENCE_KEYS.items()):
+            raise ValidationError(f"--check for '{command}' requires the reference configuration "
+                                  f"{REFERENCE_KEYS} (got n={cfg.n}, j={cfg.j}, grid "
+                                  f"[{cfg.bmin}, {cfg.bmax}] x {cfg.d})")
+    if cfg.check and command == "noise":
+        given = {round(e, 10) for e in cfg.eps}
+        if missing := [e for e in NOISE_ERROR_WINDOWS if round(e, 10) not in given]:
+            raise ValidationError(f"--check needs eps={missing[0]} in the --eps list")
     return cfg
 
 
@@ -153,15 +168,6 @@ def _write_csv(path: Path, header: str, columns) -> None:
                      % tuple(itertools.chain.from_iterable(zip(*block))))
 
 
-def _require_reference(cfg: RunConfig, command: str) -> None:
-    if not cfg.is_reference():
-        raise ValidationError(
-            f"--check for '{command}' requires the reference configuration "
-            f"{REFERENCE_KEYS} (got n={cfg.n}, j={cfg.j}, grid "
-            f"[{cfg.bmin}, {cfg.bmax}] x {cfg.d})"
-        )
-
-
 class CheckFailure(Exception):
     """One or more --check gates failed."""
 
@@ -172,14 +178,6 @@ def _report(gates: list[tuple[bool, str]]) -> None:
         print(f"  [{'PASS' if ok else 'FAIL'}] {label}")
     if failed := [label for ok, label in gates if not ok]:
         raise CheckFailure("; ".join(failed))
-
-
-def _trials(cfg: RunConfig, default: int) -> int:
-    """The --trials value, ``default`` when unset; ValidationError below 1."""
-    trials = default if cfg.trials is None else cfg.trials
-    if trials < 1:
-        raise ValidationError("--trials must be at least 1")
-    return trials
 
 
 # --- subcommands -------------------------------------------------------------
@@ -198,7 +196,6 @@ def cmd_table(cfg: RunConfig) -> None:
         f"median {median:.6f} max {chi[-1]:.6f}"
     )
     if cfg.check:
-        _require_reference(cfg, "table")
         row0 = int(np.nonzero(table.target_ids == 0)[0][0])
         best = int(np.argmax(table.delta_f))
         _report([
@@ -218,7 +215,6 @@ def cmd_sweep(cfg: RunConfig) -> None:
     _write_csv(out, "target_id,F,delta_F", (np.arange(len(deltas)), f_before, deltas))
     print(f"sweep: {len(deltas)} protocol runs -> {out} | mean dF {deltas.mean():.6f}")
     if cfg.check:
-        _require_reference(cfg, "sweep")
         lo, hi = SWEEP_MEAN_WINDOW
         best = int(np.argmax(deltas))
         _report([
@@ -230,9 +226,7 @@ def cmd_sweep(cfg: RunConfig) -> None:
 
 
 def cmd_noise(cfg: RunConfig) -> None:
-    if not cfg.eps:
-        raise ValidationError("noise needs a non-empty --eps list")
-    trials = _trials(cfg, 200)
+    trials = 200 if cfg.trials is None else cfg.trials
     table = build_table(cfg.grid(), cfg.candidate())
     n_targets = len(table)
     # chi/F/sum_sin keyed by target id for per-target truth values.
@@ -293,11 +287,7 @@ def cmd_noise(cfg: RunConfig) -> None:
         note = f" (reference ~{expected})" if expected is not None else ""
         print(f"  eps={eps:g}: mean |rotation error| {err:.4f}{note}, mean dF {gain:.4f}")
     if cfg.check:
-        _require_reference(cfg, "noise")
         by_eps = {round(e, 10): err for e, err, _ in rows}
-        for eps in NOISE_ERROR_WINDOWS:
-            if round(eps, 10) not in by_eps:
-                raise ValidationError(f"--check needs eps={eps} in the --eps list")
         gates = [(lo <= by_eps[round(e, 10)] <= hi, f"rotation error at eps={e} in [{lo}, {hi}]")
                  for e, (lo, hi) in NOISE_ERROR_WINDOWS.items()]
         if 0.0 in by_eps:
@@ -311,7 +301,7 @@ def cmd_noise(cfg: RunConfig) -> None:
 
 
 def cmd_measure(cfg: RunConfig) -> None:
-    trials = _trials(cfg, 10_000)
+    trials = 10_000 if cfg.trials is None else cfg.trials
     grid, candidate = cfg.grid(), cfg.candidate()
     n_targets = target_count(grid, cfg.n)
     candidate_dirs = product_ground_directions(candidate.fields)
@@ -319,6 +309,9 @@ def cmd_measure(cfg: RunConfig) -> None:
     streams = target_streams([cfg.seed], n_targets)
     # One (trials, N) buffer takes each target's draws and then its outcomes.
     shots = np.empty((trials, cfg.n))
+    # Sub-blocks of targets, bounded like noise's blocks, take one mean and one std call each.
+    sub_block = max(1, NOISE_BLOCK_QUERIES // trials)
+    estimates = np.empty((sub_block, trials))
     f_exact, binomial_std, means, stds = np.empty((4, n_targets))
     for start in range(0, n_targets, SWEEP_BLOCK_TARGETS):
         stop = min(start + SWEEP_BLOCK_TARGETS, n_targets)
@@ -329,10 +322,13 @@ def cmd_measure(cfg: RunConfig) -> None:
         binomial_std[start:stop] = 2.0 * np.sqrt(np.sum(probs * (1.0 - probs), axis=1))
         # Each target's shots are its measured oracle's sample: same cosines, same stream.
         cosines = site_cosines(product_ground_directions(fields), candidate_dirs)
-        for target_id, cos in enumerate(cosines, start):
-            estimates = shot_estimates(next(streams), cos, shots)
-            means[target_id] = estimates.mean()
-            stds[target_id] = estimates.std(ddof=1) if trials > 1 else 0.0
+        for lo in range(start, stop, sub_block):
+            ids = slice(lo, min(lo + sub_block, stop))
+            rows = estimates[:ids.stop - lo]  # one target's estimates per row
+            for row, cos in zip(rows, cosines[lo - start:]):
+                row[:] = shot_estimates(next(streams), cos, shots)
+            means[ids] = rows.mean(axis=1)
+            stds[ids] = rows.std(axis=1, ddof=1) if trials > 1 else 0.0
     out = Path(cfg.out) / "measure.csv"
     _write_csv(out, "target_id,F_exact,F_est_mean,F_est_std,binomial_std",
                (np.arange(len(means)), f_exact, means, stds, binomial_std))
@@ -359,9 +355,10 @@ def cmd_measure(cfg: RunConfig) -> None:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # Python 3.11 takes only "-1" and "-.5" forms for negative numbers and
-        # reads "-1e-3" as an option; accept decimal exponents too.
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+        # Python 3.11 reads "-1e-3" and "-inf" as options; take decimal exponents
+        # and -inf, -infinity and -nan in any case as negative numbers too.
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):  # argparse default exits with 2; keep 2 for I/O only
         raise ValidationError(message)

@@ -90,6 +90,20 @@ class TestConfigPrecedence:
         assert getattr(_resolve(["table", *argv]), name) == value
         assert main(["table", *argv, "--n", "2", "--d", "2", "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--bmin", "-inf"], "error: grid bounds and their span must be finite"),
+        (["--bmin", "-Infinity"], "error: grid bounds and their span must be finite"),
+        (["--j", "-nan"], "error: coupling and fields must be finite"),
+        (["--j", "-NaN"], "error: coupling and fields must be finite"),
+    ], ids=["bmin-inf", "bmin-Infinity", "j-nan", "j-NaN"])
+    def test_negative_non_finite_values_reach_their_finiteness_check(self, tmp_path, capsys,
+                                                                      argv, message):
+        # argparse would read "-inf" as an option and end in "expected one argument".
+        assert main(["table", *argv, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n" and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_file_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"bogus": 1}))
@@ -468,6 +482,23 @@ class TestMeasureCommand:
         assert ((tmp_path / "array" / "measure.csv").read_bytes()
                 == (tmp_path / "loop.csv").read_bytes())
 
+    @pytest.mark.parametrize("trials, bound, block", [
+        (3, 30, None),  # 27 targets in sub-blocks of 10, 10 and 7
+        (3, 30, 16),  # blocks of 16 and 11, sub-blocks of 10, 6, 10 and 1
+        (1, 8, None),  # sub-blocks of 8, the last one of 3; std 0 at one trial
+        (2, 1, None),  # more trials than the bound: one target per sub-block
+    ])
+    def test_sub_block_statistics_equal_per_target_loop(self, tmp_path, monkeypatch,
+                                                         trials, bound, block):
+        monkeypatch.setattr(cli, "NOISE_BLOCK_QUERIES", bound)
+        if block is not None:
+            monkeypatch.setattr(cli, "SWEEP_BLOCK_TARGETS", block)
+        argv = ["measure", "--n", "3", "--d", "3", "--trials", str(trials), "--seed", "7"]
+        assert main([*argv, "--out", str(tmp_path / "array")]) == 0
+        write_rows(tmp_path / "loop.csv", MEASURE_HEADER, per_target_measure_rows(_resolve(argv)))
+        assert ((tmp_path / "array" / "measure.csv").read_bytes()
+                == (tmp_path / "loop.csv").read_bytes())
+
     def test_targets_are_sampled_per_block(self, tmp_path, monkeypatch):
         # 8,192 targets in 16 blocks of 512; the CSV writer, which has its own
         # test, is left out. Every column, F_exact and binomial_std too, is
@@ -659,10 +690,18 @@ class TestInvalidInputEndsInOneErrorLine:
              None, 1 << 30),
             (["noise", "--n", "2", "--d", "1", "--trials", "1000000000"], _ONE_BLAS_THREAD,
              None, 1 << 30),
+            # --check rules are checked before any work, not after the study.
+            (["table", "--n", "3", "--check"], {}, None, None),
+            (["sweep", "--d", "3", "--check"], {}, None, None),
+            (["noise", "--eps", "0.05", "--check"], {}, None, None),
+            (["noise", "--eps", "", "--check"], {}, None, None),
+            (["noise", "--n", "3", "--trials", "0", "--check"], {}, None, None),
         ],
         ids=["j-nan", "j-inf", "bmin-nan", "eps-abc", "config-n-str", "config-threads-str",
              "config-malformed", "config-eps-bool", "config-eps-str", "n-huge",
-             "measure-out-of-memory", "noise-out-of-memory"],
+             "measure-out-of-memory", "noise-out-of-memory", "table-check-n3",
+             "sweep-check-d3", "noise-check-missing-eps", "noise-check-empty-eps",
+             "noise-check-trials-0"],
     )
     def test_exits_one_without_traceback(self, tmp_path, argv, env, config, memory_limit):
         if config is not None:
@@ -682,6 +721,30 @@ class TestInvalidInputEndsInOneErrorLine:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert proc.stdout == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["noise", "--eps", "", "--check"], "noise needs a non-empty --eps list"),
+        (["noise", "--n", "3", "--trials", "0", "--check"], "--trials must be at least 1"),
+        (["measure", "--trials", "0", "--check"], "--trials must be at least 1"),
+        (["noise", "--n", "3", "--eps", "0.05", "--check"], "--check for 'noise' requires"),
+        (["noise", "--eps", "0,0.1", "--check"], "--check needs eps=0.05 in the --eps list"),
+        (["table", "--j", "nan", "--n", "3", "--check"], "coupling and fields must be finite"),
+        (["sweep", "--bmin", "1", "--check"], "grid requires b_min < b_max"),
+        (["table", "--n", "9", "--d", "5", "--check"], "sweep of 1953125 targets exceeds"),
+    ], ids=["empty-eps", "noise-trials-0", "measure-trials-0", "not-reference", "missing-eps",
+            "j-nan", "bad-grid", "over-budget"])
+    def test_first_broken_rule_is_reported(self, tmp_path, monkeypatch, capsys, argv, message):
+        # An input that breaks several rules names the one each command met first.
+        def refuse(*args):
+            raise AssertionError("a rejected run built a table")
+
+        monkeypatch.setattr(cli, "build_table", refuse)
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: " + message) and captured.out == ""
+        assert len(captured.err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
 
