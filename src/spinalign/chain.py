@@ -121,9 +121,26 @@ def product_ground_directions(fields) -> np.ndarray:
     return dirs
 
 
+def check_count(value, name: str) -> int:
+    """The one count or id check: ``value`` as an int >= 0, numpy integers included.
+
+    ValidationError for bools, floats, negatives and other types.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def target_count(grid: ParameterGrid, n_sites: int) -> int:
-    """D^N, the number of targets on the grid; CapacityError above DEFAULT_SWEEP_BUDGET."""
-    count = grid.levels**n_sites
+    """D^N, the number of targets on the grid; CapacityError above DEFAULT_SWEEP_BUDGET.
+
+    A D^N of 2^64 or more is rejected as D^N, without building or printing the integer.
+    """
+    levels = grid.levels
+    if levels > 1 and n_sites * math.log2(levels) >= 64:
+        raise CapacityError(f"sweep of {levels}^{n_sites} targets exceeds budget "
+                            f"{DEFAULT_SWEEP_BUDGET}")
+    count = levels**n_sites
     if count > DEFAULT_SWEEP_BUDGET:
         raise CapacityError(f"sweep of {count} targets exceeds budget {DEFAULT_SWEEP_BUDGET}")
     return count
@@ -137,13 +154,12 @@ def target_field_array(
     Ids are base-D with site 1 in the least significant digit; ``stop`` is
     clipped to D^N. Raises CapacityError before allocating when D^N exceeds
     DEFAULT_SWEEP_BUDGET, and ValidationError for an id that is not a
-    non-negative integer.
+    non-negative integer (:func:`check_count`).
     """
     count = target_count(grid, n_sites)
-    stop = count if stop is None else stop
-    if not all(isinstance(i, (int, np.integer)) and i >= 0 for i in (start, stop)):
-        raise ValidationError(f"target ids must be non-negative integers, got {start!r}, {stop!r}")
-    digits = np.arange(start, min(stop, count))[:, None] // grid.levels ** np.arange(n_sites)
+    start = check_count(start, "start id")
+    stop = count if stop is None else min(check_count(stop, "stop id"), count)
+    digits = np.arange(start, stop)[:, None] // grid.levels ** np.arange(n_sites)
     digits %= grid.levels
     return grid.values[digits]
 

@@ -27,10 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import (DEFAULT_SWEEP_BUDGET, ChainSpec, ParameterGrid, product_ground_directions,
-                    target_count, target_field_array)
+from .chain import (DEFAULT_SWEEP_BUDGET, ChainSpec, ParameterGrid, check_count,
+                    product_ground_directions, target_count, target_field_array)
 from .errors import SpinAlignError, ValidationError
-from .oracle import check_epsilon, shot_estimates, target_streams
+from .oracle import binomial_std, check_epsilon, noisy_replies, shot_estimates, target_streams
 from .protocol import SWEEP_BLOCK_TARGETS, build_table, nearest_runs, sweep_exact, target_angles
 from .similarity import site_cosines
 
@@ -129,8 +129,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ValidationError(f"--n must be between 2 and {DEFAULT_SWEEP_BUDGET}")
     if cfg.d < 1:
         raise ValidationError("--d must be at least 1")
-    if cfg.seed < 0:
-        raise ValidationError("--seed must be non-negative")
+    check_count(cfg.seed, "--seed")
     # Run-start rules, in the order the commands' work would meet them, so
     # that a rejected run computes, prints and writes nothing.
     command = getattr(args, "command", None)
@@ -261,10 +260,7 @@ def cmd_noise(cfg: RunConfig) -> None:
                 draws = noise[:stop - start]
                 for row in draws:
                     next(streams).random(out=row)
-                # uniform(-eps, eps) is -eps + (eps - -eps) * random(), value for value.
-                draws *= 2.0 * eps
-                draws -= eps
-                hit = nearest_runs(table, f_true[ids, None] + draws)
+                hit = nearest_runs(table, noisy_replies(f_true[ids, None], eps, draws))
             at = slice(None) if per_run else hit
             sin_hat = sin_run[at]
             # Gain at the looked-up angle needs only (sum_sin, F) of the truth:
@@ -312,14 +308,13 @@ def cmd_measure(cfg: RunConfig) -> None:
     # Sub-blocks of targets, bounded like noise's blocks, take one mean and one std call each.
     sub_block = max(1, NOISE_BLOCK_QUERIES // trials)
     estimates = np.empty((sub_block, trials))
-    f_exact, binomial_std, means, stds = np.empty((4, n_targets))
+    f_exact, binomial, means, stds = np.empty((4, n_targets))
     for start in range(0, n_targets, SWEEP_BLOCK_TARGETS):
         stop = min(start + SWEEP_BLOCK_TARGETS, n_targets)
         fields = target_field_array(grid, cfg.n, start=start, stop=stop)
         cos_thetas = np.cos(target_angles(fields, candidate))
         f_exact[start:stop] = cos_thetas.sum(axis=1)
-        probs = (cos_thetas + 1.0) / 2.0
-        binomial_std[start:stop] = 2.0 * np.sqrt(np.sum(probs * (1.0 - probs), axis=1))
+        binomial[start:stop] = binomial_std(cos_thetas)
         # Each target's shots are its measured oracle's sample: same cosines, same stream.
         cosines = site_cosines(product_ground_directions(fields), candidate_dirs)
         for lo in range(start, stop, sub_block):
@@ -331,8 +326,8 @@ def cmd_measure(cfg: RunConfig) -> None:
             stds[ids] = rows.std(axis=1, ddof=1) if trials > 1 else 0.0
     out = Path(cfg.out) / "measure.csv"
     _write_csv(out, "target_id,F_exact,F_est_mean,F_est_std,binomial_std",
-               (np.arange(len(means)), f_exact, means, stds, binomial_std))
-    std_error = np.abs(stds - binomial_std)
+               (np.arange(len(means)), f_exact, means, stds, binomial))
+    std_error = np.abs(stds - binomial)
     print(
         f"measure: {trials} shots/target over {len(means)} targets -> {out} | "
         f"max |std dev - binomial| {std_error.max():.4f}"
@@ -341,7 +336,7 @@ def cmd_measure(cfg: RunConfig) -> None:
         root_n = math.sqrt(cfg.n)
         # Below the floor both stds are unresolvable at this shot count and
         # must both be (numerically) zero; otherwise compare at 5% relative.
-        std_ok = np.where(binomial_std > 1e-6, std_error <= 0.05 * binomial_std, stds <= 1e-6)
+        std_ok = np.where(binomial > 1e-6, std_error <= 0.05 * binomial, stds <= 1e-6)
         mean_ok = np.abs(means - f_exact) <= np.maximum(3.0 * stds / math.sqrt(trials), 1e-9)
         _report([
             (np.all(stds <= root_n), f"every std <= sqrt(N) = {root_n:g}"),

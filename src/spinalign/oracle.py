@@ -11,9 +11,11 @@ kind, the remaining budget, a fingerprint of the construction parameters,
 and the query operations.
 
 Batched studies call the oracle's rules rather than restate them: the
-ε check (:func:`check_epsilon`), the shot kernel (:func:`shot_estimates`)
-and :func:`target_streams`, which yields the generators ``default_rng(prefix
-+ [target_id])`` would make, seeded in vectorized passes.
+ε check (:func:`check_epsilon`), the noisy reply (:func:`noisy_replies`),
+the shot kernel (:func:`shot_estimates`) and its spread
+(:func:`binomial_std`), and :func:`target_streams`, which yields the
+generators ``default_rng(prefix + [target_id])`` would make, seeded in
+vectorized passes.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ import enum
 import hashlib
 import math
 from collections.abc import Iterator
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .chain import ChainSpec, product_ground_directions
+from .chain import ChainSpec, check_count, product_ground_directions
 from .errors import QueryBudgetError, SpinAlignError, ValidationError
 from .similarity import site_array, site_cosines
 
@@ -126,7 +128,8 @@ def target_streams(prefix: list[int], n_targets: int) -> Iterator[np.random.Gene
     next target. ValidationError, before any seeding, for a prefix entry
     that is not a non-negative integer.
     """
-    words = [word for value in prefix for word in _uint32_words(_count(value, "a stream seed"))]
+    words = [word for value in prefix
+             for word in _uint32_words(check_count(value, "a stream seed"))]
     entropy = np.empty((STREAM_CHUNK_ROWS, len(words) + 1), dtype=np.uint32)
     entropy[:, :-1] = words
     for start in range(0, n_targets, STREAM_CHUNK_ROWS):
@@ -139,13 +142,6 @@ class OracleKind(enum.Enum):
     EXACT = "exact"
     NOISY = "noisy"
     MEASURED = "measured"
-
-
-def _count(value, name: str) -> int:
-    """A non-negative integer count; bools, floats and other types are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
-    return int(value)
 
 
 def check_epsilon(value) -> float:
@@ -161,15 +157,48 @@ def check_epsilon(value) -> float:
     return epsilon
 
 
+def noisy_replies(f, epsilon: float, draws: np.ndarray) -> np.ndarray:
+    """Turn ``rng.random`` draws u, in place, into noisy replies f + uniform(-ε, ε).
+
+    Each value is computed as ``Generator.uniform`` computes it, -ε + 2ε·u, and
+    then f is added, so replies equal ``f + rng.uniform(-ε, ε, shape)`` bit for
+    bit. ``f`` broadcasts against ``draws``; ``epsilon`` is a checked width.
+    """
+    draws *= 2.0 * epsilon
+    draws -= epsilon
+    draws += f
+    return draws
+
+
+def _shot_probabilities(cosines: np.ndarray) -> np.ndarray:
+    """p_k = (cos θ_k + 1)/2, the chance that site k's single shot reads m_k = 1."""
+    return (cosines + 1.0) / 2.0
+
+
+def binomial_std(cosines: np.ndarray) -> np.ndarray:
+    """Std 2·sqrt(Σ_k p_k(1 - p_k)) of one shot's F estimate, per row of (..., N) cosines."""
+    p = _shot_probabilities(cosines)
+    return 2.0 * np.sqrt(np.sum(p * (1.0 - p), axis=-1))
+
+
+@cache
+def _shot_weights(n_sites: int) -> np.ndarray:
+    """The read-only (N,) row of 2.0s that counts a row of outcomes as 2·Σ_k m_k."""
+    weights = np.full(n_sites, 2.0)
+    weights.setflags(write=False)
+    return weights
+
+
 def shot_estimates(rng: np.random.Generator, cosines: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Single-shot F = 2·Σ_k m_k - N per row of the (shots, N) float ``out``, left holding m_k.
 
     m_k ~ Bernoulli((cos θ_k + 1)/2) is u < p_k, u from one rng.random(out=out) draw (the stream
-    as successive rng.random(N) draws use it); the count, a float product, is exact and fast.
+    as successive rng.random(N) draws use it); the count, a float product with a weight row made
+    once per N, is exact and fast.
     """
     n_sites = out.shape[1]
-    np.less(rng.random(out=out), (cosines + 1.0) / 2.0, out=out)
-    return out @ np.full(n_sites, 2.0) - n_sites
+    np.less(rng.random(out=out), _shot_probabilities(cosines), out=out)
+    return out @ _shot_weights(n_sites) - n_sites
 
 
 class Oracle:
@@ -179,7 +208,7 @@ class Oracle:
                  epsilon: float):
         if not isinstance(kind, OracleKind):
             raise ValidationError(f"kind must be an OracleKind, got {kind!r}")
-        self._budget = _count(budget, "budget")
+        self._budget = check_count(budget, "budget")
         epsilon = check_epsilon(epsilon)
         # Checks the seed now; the generator itself is made on the first draw.
         try:
@@ -254,7 +283,7 @@ class Oracle:
         The whole count is charged at once; a count above the remaining
         budget is rejected before anything is charged, allocated or drawn.
         """
-        shots = _count(shots, "shots")
+        shots = check_count(shots, "shots")
         cosines = self._admit(OracleKind.MEASURED, candidate, shots)
         return shot_estimates(self._rng, cosines, np.empty((shots, self._n_sites)))
 
@@ -269,7 +298,7 @@ def query_noisy(oracle: Oracle, candidate) -> float:
     f = float(oracle._admit(OracleKind.NOISY, candidate).sum())
     if oracle._epsilon == 0.0:
         return f
-    return f + oracle._rng.uniform(-oracle._epsilon, oracle._epsilon)
+    return float(noisy_replies(f, oracle._epsilon, oracle._rng.random(1))[0])
 
 
 def query_measured(oracle: Oracle, candidate) -> tuple[float, np.ndarray]:

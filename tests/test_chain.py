@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,7 @@ from spinalign import (
     PAULI,
 )
 
-from spinalign.chain import target_field_array
+from spinalign.chain import check_count, target_count, target_field_array
 
 from conftest import kron_hamiltonian
 
@@ -170,10 +171,30 @@ class TestTargetEnumeration:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("start, stop", [(-2, 1), (0, -1), (1.0, 3), (0, 2.5)])
+    @pytest.mark.parametrize("start, stop", [(-2, 1), (0, -1), (1.0, 3), (0, 2.5), (True, 3),
+                                             (0, False)])
     def test_id_range_must_be_non_negative_integers(self, start, stop):
-        with pytest.raises(ValidationError, match="non-negative integers"):
+        with pytest.raises(ValidationError, match="(start|stop) id must be a non-negative integer"):
             target_field_array(ParameterGrid(-0.5, 0.5, 5), 4, start=start, stop=stop)
+
+    @pytest.mark.parametrize("levels, n_sites, shown", [
+        (10, 5000, "10^5000"), (10**4000, 10**6, "^1000000"),
+    ], ids=["10^5000", "(10^4000)^(10^6)"])
+    def test_over_budget_is_named_without_printing_a_huge_count(self, levels, n_sites, shown):
+        # Python refuses to print an int of more than 4,300 digits; D^N from 2^64 on is
+        # named as D^N, and a D^N of 1.7 GB like (10^4000)^(10^6) is never built.
+        with pytest.raises(CapacityError, match=rf"sweep of \S*{re.escape(shown)} targets"):
+            target_count(ParameterGrid(0.0, 1.0, levels), n_sites)
+
+    @pytest.mark.parametrize("value", [0, 7, np.int64(3), np.uint8(255)])
+    def test_check_count_returns_an_int(self, value):
+        count = check_count(value, "count")
+        assert type(count) is int and count == value
+
+    @pytest.mark.parametrize("value", [-1, np.int64(-2), True, False, 1.0, "1", None])
+    def test_check_count_rejects_other_values(self, value):
+        with pytest.raises(ValidationError, match="^count must be a non-negative integer"):
+            check_count(value, "count")
 
     def test_id_range_is_a_slice_of_all_targets(self):
         grid = ParameterGrid(-0.5, 0.5, 5)

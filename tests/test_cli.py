@@ -684,6 +684,9 @@ class TestInvalidInputEndsInOneErrorLine:
             (["noise"], {}, '{"eps": [true, false]}', None),
             (["noise"], {}, '{"eps": ["0.1", " 5e-2"]}', None),
             (["table", "--n", "100000000000000000000"], {}, None, None),
+            # D^N of more than 4,300 digits, which Python refuses to print.
+            (["table", "--n", "5000", "--d", "10"], {}, None, None),
+            (["table", "--n", "1000000", "--d", "2"], {}, None, None),
             # Shot and noise arrays of 8-16 GB: the allocation fails under the
             # 1 GiB address-space limit set on the child, before any memory is used.
             (["measure", "--n", "2", "--d", "1", "--trials", "1000000000"], _ONE_BLAS_THREAD,
@@ -699,6 +702,7 @@ class TestInvalidInputEndsInOneErrorLine:
         ],
         ids=["j-nan", "j-inf", "bmin-nan", "eps-abc", "config-n-str", "config-threads-str",
              "config-malformed", "config-eps-bool", "config-eps-str", "n-huge",
+             "d-pow-n-5000-digits", "d-pow-n-301030-digits",
              "measure-out-of-memory", "noise-out-of-memory", "table-check-n3",
              "sweep-check-d3", "noise-check-missing-eps", "noise-check-empty-eps",
              "noise-check-trials-0"],
@@ -733,8 +737,9 @@ class TestInvalidInputEndsInOneErrorLine:
         (["table", "--j", "nan", "--n", "3", "--check"], "coupling and fields must be finite"),
         (["sweep", "--bmin", "1", "--check"], "grid requires b_min < b_max"),
         (["table", "--n", "9", "--d", "5", "--check"], "sweep of 1953125 targets exceeds"),
+        (["measure", "--seed", "-1", "--trials", "0"], "--seed must be a non-negative integer"),
     ], ids=["empty-eps", "noise-trials-0", "measure-trials-0", "not-reference", "missing-eps",
-            "j-nan", "bad-grid", "over-budget"])
+            "j-nan", "bad-grid", "over-budget", "negative-seed"])
     def test_first_broken_rule_is_reported(self, tmp_path, monkeypatch, capsys, argv, message):
         # An input that breaks several rules names the one each command met first.
         def refuse(*args):

@@ -83,6 +83,31 @@ class TestNoisyOracle:
         for _ in range(500):
             assert abs(query_noisy(oracle, candidate_j1) - f_true) < eps
 
+    @pytest.mark.parametrize("eps", [5e-324, 0.05, 0.1, 1e300])
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**64), shape=st.tuples(st.integers(1, 6), st.integers(1, 9)),
+           f=st.floats(-1e6, 1e6))
+    def test_noisy_replies_equal_uniform_from_the_same_stream(self, eps, seed, shape, f):
+        # One F per row, as noise's blocks pass them.
+        f_rows = f + np.arange(shape[0])[:, None]
+        draws = np.random.default_rng(seed).random(shape)
+        replies = oracle_module.noisy_replies(f_rows, eps, draws)
+        expected = f_rows + np.random.default_rng(seed).uniform(-eps, eps, shape)
+        assert replies is draws
+        assert replies.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("eps", [0.0, 5e-324, 0.05, 0.1, 1e300])
+    def test_query_noisy_replies_are_f_plus_uniform(self, candidate_j1, eps):
+        # The replies the oracle gave before it called noisy_replies:
+        # f, or f + rng.uniform(-eps, eps), one draw per query.
+        oracle = make_oracle(TARGET, OracleKind.NOISY, budget=20, seed=11, epsilon=eps)
+        f = oracle.verification_query(candidate_j1)
+        rng = np.random.default_rng(11)
+        expected = [f if eps == 0.0 else f + rng.uniform(-eps, eps) for _ in range(20)]
+        replies = [query_noisy(oracle, candidate_j1) for _ in range(20)]
+        assert all(type(r) is float for r in replies)
+        assert np.array(replies).tobytes() == np.array(expected).tobytes()
+
 
 class TestMeasuredOracle:
     def test_aligned_target_is_deterministic(self, candidate_j1):
@@ -123,6 +148,16 @@ class TestMeasuredOracle:
         estimates = np.array([query_measured(oracle, candidate_j1)[0] for _ in range(trials)])
         assert abs(estimates.std(ddof=1) - expected_std) <= 0.05 * expected_std
         assert estimates.std(ddof=1) <= 2.0
+
+    @pytest.mark.parametrize("shape", [(4,), (7, 4), (3, 2, 5)])
+    def test_binomial_std_is_the_explicit_formula(self, shape):
+        cosines = np.random.default_rng(8).uniform(-1.0, 1.0, shape)
+        cosines.flat[0] = 1.0
+        probs = (cosines + 1.0) / 2.0
+        expected = 2.0 * np.sqrt(np.sum(probs * (1.0 - probs), axis=-1))
+        got = oracle_module.binomial_std(cosines)
+        assert got.shape == shape[:-1]
+        assert got.tobytes() == expected.tobytes()
 
     def test_unbiased_over_many_trials(self, candidate_j1):
         trials = 100_000
