@@ -49,6 +49,7 @@ from .protocol import (
     build_table,
     chi_opt,
     delta_f_planar,
+    delta_f_sums,
     global_rotation,
     lookup_chi_batch,
     nearest_rows,

@@ -27,12 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import (DEFAULT_SWEEP_BUDGET, ChainSpec, ParameterGrid, check_count,
-                    product_ground_directions, target_count, target_field_array)
+from .chain import (DEFAULT_SWEEP_BUDGET, ChainSpec, ParameterGrid, check_count, target_count,
+                    target_field_array)
 from .errors import SpinAlignError, ValidationError
 from .oracle import binomial_std, check_epsilon, noisy_replies, shot_estimates, target_streams
-from .protocol import SWEEP_BLOCK_TARGETS, build_table, nearest_runs, sweep_exact, target_angles
-from .similarity import site_cosines
+from .protocol import build_table, delta_f_sums, nearest_runs, sweep_exact, target_angles
 
 # Gates used by --check; they assume the reference configuration below.
 REFERENCE_KEYS = {"n": 4, "j": 1.0, "bmin": -0.5, "bmax": 0.5, "d": 5}
@@ -43,6 +42,9 @@ NOISE_ERROR_WINDOWS = {0.05: (0.03, 0.09), 0.1: (0.05, 0.11)}
 # noise looks up whole targets' trials in blocks of about this many queries
 # (at least one target), which bounds its (block, trials) temporaries.
 NOISE_BLOCK_QUERIES = 2**13
+# measure makes this many targets' fields and cosines at a time, which bounds
+# its (block, N) temporaries; the reference grid's 625 targets are one block.
+SWEEP_BLOCK_TARGETS = 2**13
 # CSV rows are formatted this many at a time, which bounds a write's Python values.
 CSV_BLOCK_ROWS = 2**13
 
@@ -208,8 +210,7 @@ def cmd_table(cfg: RunConfig) -> None:
 
 def cmd_sweep(cfg: RunConfig) -> None:
     table = build_table(cfg.grid(), cfg.candidate())
-    f_before, f_after = sweep_exact(table, cfg.grid())
-    deltas = f_after - f_before
+    f_before, deltas = sweep_exact(table)
     out = Path(cfg.out) / "fig3.csv"
     _write_csv(out, "target_id,F,delta_F", (np.arange(len(deltas)), f_before, deltas))
     print(f"sweep: {len(deltas)} protocol runs -> {out} | mean dF {deltas.mean():.6f}")
@@ -263,9 +264,8 @@ def cmd_noise(cfg: RunConfig) -> None:
                 hit = nearest_runs(table, noisy_replies(f_true[ids, None], eps, draws))
             at = slice(None) if per_run else hit
             sin_hat = sin_run[at]
-            # Gain at the looked-up angle needs only (sum_sin, F) of the truth:
-            # dF(chi) = 2 sin(chi) (S cos(chi) - F sin(chi)).
-            gain = 2.0 * sin_hat * (s_true[ids, None] * cos_run[at] - f_true[ids, None] * sin_hat)
+            # Gain at the looked-up angle needs only (sum_sin, F) of the truth.
+            gain = delta_f_sums(s_true[ids, None], f_true[ids, None], sin_hat, cos_run[at])
             error = np.abs(chi_run[at] - chi_true[ids, None])
             if per_run:  # each trial's flat index into the (block, runs) arrays
                 hit += np.arange(0, gain.size, len(chi_run))[:, None]
@@ -300,7 +300,6 @@ def cmd_measure(cfg: RunConfig) -> None:
     trials = 10_000 if cfg.trials is None else cfg.trials
     grid, candidate = cfg.grid(), cfg.candidate()
     n_targets = target_count(grid, cfg.n)
-    candidate_dirs = product_ground_directions(candidate.fields)
     # Each target keeps its own stream, seeded by [seed, target_id].
     streams = target_streams([cfg.seed], n_targets)
     # One (trials, N) buffer takes each target's draws and then its outcomes.
@@ -312,11 +311,11 @@ def cmd_measure(cfg: RunConfig) -> None:
     for start in range(0, n_targets, SWEEP_BLOCK_TARGETS):
         stop = min(start + SWEEP_BLOCK_TARGETS, n_targets)
         fields = target_field_array(grid, cfg.n, start=start, stop=stop)
-        cos_thetas = np.cos(target_angles(fields, candidate))
-        f_exact[start:stop] = cos_thetas.sum(axis=1)
-        binomial[start:stop] = binomial_std(cos_thetas)
-        # Each target's shots are its measured oracle's sample: same cosines, same stream.
-        cosines = site_cosines(product_ground_directions(fields), candidate_dirs)
+        # One cosine array gives F_exact, the binomial spread and every target's
+        # shots, each on its measured oracle's stream.
+        cosines = np.cos(target_angles(fields, candidate))
+        f_exact[start:stop] = cosines.sum(axis=1)
+        binomial[start:stop] = binomial_std(cosines)
         for lo in range(start, stop, sub_block):
             ids = slice(lo, min(lo + sub_block, stop))
             rows = estimates[:ids.stop - lo]  # one target's estimates per row

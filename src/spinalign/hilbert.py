@@ -4,7 +4,7 @@ State vectors, ground-state eigensolving and partial traces for up to
 ``DENSE_SITE_CAP`` sites. Operators are plain square complex arrays; the
 ones built here are read-only, and each function that takes one checks it
 (square, and Hermitian or unitary as it needs). No CLI path solves: the
-tests tie the closed-form site directions the CLI uses to the states here.
+tests tie the closed-form site angles and directions to the states here.
 A state's per-site Bloch vectors (``StateVector.bloch``, an (N, 3) array)
 are what similarity replies compare; ``partial_trace`` and
 ``DensityMatrix`` are the trace-form reference. All values are immutable

@@ -20,17 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import (ChainSpec, ParameterGrid, product_ground_directions, target_count,
-                    target_field_array)
+from .chain import ChainSpec, ParameterGrid, product_ground_directions, target_field_array
 from .errors import CapacityError, IndeterminateOptimumError, ValidationError
 from .hilbert import DENSE_SITE_CAP
-from .similarity import site_cosines
 
 # Below this resultant length the gain is flat in χ and no optimum exists.
 _RESULTANT_FLOOR = 1e-12
-# sweep_exact passes over this many targets at a time, which bounds its
-# (block, N, 3) temporaries; the reference grid's 625 targets are one block.
-SWEEP_BLOCK_TARGETS = 2**13
 # The nearest-F index spreads its run boundaries over about this many
 # uniform buckets each, so most queries share a bucket with at most one.
 _BUCKETS_PER_BOUNDARY = 4
@@ -67,6 +62,15 @@ def delta_f_planar(thetas, chi: float) -> float:
     """Similarity gain 2 sin χ Σ_k sin(θ_k - χ) for in-plane Bloch vectors."""
     th = np.asarray(thetas, dtype=float)
     return float(2.0 * np.sin(chi) * np.sum(np.sin(th - chi)))
+
+
+def delta_f_sums(sum_sin, f, sin_chi, cos_chi):
+    """Gain 2 sin χ (S cos χ - F sin χ) of profiles with S = Σ sin θ_k and F = Σ cos θ_k.
+
+    This is :func:`delta_f_planar` from the sums alone, elementwise over
+    broadcasting arrays; the angle enters as its sine and cosine.
+    """
+    return 2.0 * sin_chi * (sum_sin * cos_chi - f * sin_chi)
 
 
 def _half_angle(sum_sin, sum_cos) -> np.ndarray:
@@ -363,29 +367,19 @@ def run_protocol(
     )
 
 
-def sweep_exact(table: LookupTable, grid: ParameterGrid) -> tuple[np.ndarray, np.ndarray]:
-    """F before and after the protocol for every one of the grid's D^N targets.
+def sweep_exact(table: LookupTable) -> tuple[np.ndarray, np.ndarray]:
+    """F before the protocol and its gain with an exact oracle, by target id, for every target.
 
-    Targets are made one block of ``SWEEP_BLOCK_TARGETS`` at a time from their
-    ids (:func:`target_field_array`), so no (D^N, N) field array exists and
-    the (block, N, 3) temporaries stay bounded at any grid size. The result
-    equals, bit for bit, D^N :func:`run_protocol` calls with exact oracles:
-    closed-form site directions of every target and of the candidate, one
-    nearest-F lookup per block, and the candidate turned once per F run, all
-    runs in one call. The block size changes no bit.
+    An exact oracle replies with the target's own F, which is the F of the
+    target's own run, at distance 0: the lookup picks that run's χ, and the
+    gain at it follows from the row's (sum_sin, F) by :func:`delta_f_sums`.
+    No site directions are made. The table's ``target_ids`` must be 0 to
+    len(table) - 1, as :func:`build_table` makes them.
     """
-    n_sites = table.candidate.n_sites
-    n_targets = target_count(grid, n_sites)
-    candidate = product_ground_directions(table.candidate.fields)
-    by_run = rotate_directions(candidate, table.chi[table.run_row])
-    f_before = np.empty(n_targets)
-    f_after = np.empty(n_targets)
-    for start in range(0, n_targets, SWEEP_BLOCK_TARGETS):
-        block = slice(start, start + SWEEP_BLOCK_TARGETS)
-        dirs = product_ground_directions(
-            target_field_array(grid, n_sites, start=block.start, stop=block.stop)
-        )
-        f_before[block] = site_cosines(dirs, candidate).sum(axis=-1)
-        runs = nearest_runs(table, f_before[block])
-        f_after[block] = site_cosines(dirs, by_run[runs]).sum(axis=-1)
-    return f_before, f_after
+    chi_run = table.chi[table.run_row]
+    own_run = table.run_f.searchsorted(table.f)
+    gain = delta_f_sums(table.sum_sin, table.f, np.sin(chi_run)[own_run], np.cos(chi_run)[own_run])
+    f, delta_f = np.empty((2, len(table)))
+    f[table.target_ids] = table.f
+    delta_f[table.target_ids] = gain
+    return f, delta_f

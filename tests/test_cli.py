@@ -1,5 +1,7 @@
 import contextlib
 import dataclasses
+import decimal
+import functools
 import io
 import json
 import os
@@ -193,46 +195,61 @@ class TestSweepCommand:
     ], ids=["reference", "n2", "d1", "j0", "j-negative", "asymmetric-grid", "n7-d2", "n11-d2",
             "n19-d1"])
     def test_array_pass_equals_per_target_loop(self, tmp_path, argv):
+        # fig3.csv is sweep_exact's gather. Per target, run_protocol sums site
+        # cosines in site order, the table in sorted angle order, so the two
+        # agree to rounding (at most 5.3e-15 on these grids), not bit for bit.
         argv = ["sweep", *argv]
-        assert main([*argv, "--out", str(tmp_path / "array")]) == 0
-        write_rows(tmp_path / "loop.csv", "target_id,F,delta_F",
-                   per_target_sweep_rows(_resolve(argv)))
-        assert ((tmp_path / "array" / "fig3.csv").read_bytes()
-                == (tmp_path / "loop.csv").read_bytes())
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        cfg = _resolve(argv)
+        f, delta_f = protocol.sweep_exact(protocol.build_table(cfg.grid(), cfg.candidate()))
+        write_rows(tmp_path / "gather.csv", "target_id,F,delta_F",
+                   zip(range(len(f)), f, delta_f))
+        assert (tmp_path / "fig3.csv").read_bytes() == (tmp_path / "gather.csv").read_bytes()
+        _, loop_f, loop_delta = np.array(per_target_sweep_rows(cfg)).T
+        np.testing.assert_allclose(f, loop_f, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(delta_f, loop_delta, rtol=0, atol=1e-13)
 
     def test_solves_the_candidate_once(self, tmp_path, monkeypatch):
-        solved = []
-        original = protocol.product_ground_directions
+        # In closed form the candidate is solved by its angles atan b_c. Sweep
+        # takes them once, with every target's, and then only reads the table.
+        calls = []
+        original = protocol.target_angles
 
-        def counting(fields):
-            if np.ndim(fields) == 1:  # the candidate; targets come as (block, N)
-                solved.append(tuple(fields))
-            return original(fields)
+        def counting(fields, candidate):
+            calls.append((np.shape(fields), tuple(candidate.fields)))
+            return original(fields, candidate)
 
-        monkeypatch.setattr(protocol, "product_ground_directions", counting)
+        monkeypatch.setattr(protocol, "target_angles", counting)
         assert main(["sweep", "--out", str(tmp_path)]) == 0
         _, rows = _read_csv(tmp_path / "fig3.csv")
         assert len(rows) == 625
-        assert solved == [tuple(RunConfig().candidate().fields)]
+        assert calls == [((625, 4), tuple(RunConfig().candidate().fields))]
 
     def test_one_rotated_state_per_f_run(self, tmp_path, monkeypatch):
-        rotations = []
-        original = protocol.rotate_directions
+        # One gain call turns every target by the χ of its own F run, so
+        # targets with equal F share one rotation.
+        calls = []
+        original = protocol.delta_f_sums
 
-        def counting(bloch, chi):
-            rotations.append(np.size(chi))
-            return original(bloch, chi)
+        def counting(sum_sin, f, sin_chi, cos_chi):
+            calls.append((f, sin_chi, cos_chi))
+            return original(sum_sin, f, sin_chi, cos_chi)
 
-        monkeypatch.setattr(protocol, "rotate_directions", counting)
+        monkeypatch.setattr(protocol, "delta_f_sums", counting)
         assert main(["sweep", "--out", str(tmp_path)]) == 0
-        # One call turns the candidate for every F run; the reference grid's
-        # 625 targets form at most 70 runs.
-        assert len(rotations) == 1
-        assert 0 < rotations[0] <= 70
+        assert len(calls) == 1
+        f, sin_chi, cos_chi = calls[0]
+        assert len(f) == 625
+        runs = np.unique(f)
+        # The reference grid's 625 targets form at most 70 runs.
+        assert 0 < len(runs) <= 70
+        for run_f in runs:
+            in_run = f == run_f
+            assert len(set(zip(sin_chi[in_run], cos_chi[in_run]))) == 1
 
     def test_fields_are_made_per_block(self, tmp_path, monkeypatch):
-        # 65,536 targets in 8 blocks. The table is built before tracing, so
-        # the trace holds the sweep and the CSV write.
+        # 65,536 targets. The table is built before tracing, so the trace holds
+        # the gather and the CSV write, which make no field array at all.
         cfg = RunConfig(n=16, d=2)
         table = protocol.build_table(cfg.grid(), cfg.candidate())
         monkeypatch.setattr(cli, "build_table", lambda grid, candidate: table)
@@ -242,11 +259,64 @@ class TestSweepCommand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        outputs = 4 * 2**16 * 8  # F before and after, dF and the id column
-        per_block = 4 * protocol.SWEEP_BLOCK_TARGETS * 16 * 3 * 8  # four (block, N, 3) arrays
-        # Fields made per block peak at ~12 MB; the whole (T, N) field array
-        # and its int64 digits took ~20 MB.
-        assert peak <= outputs + per_block
+        column = 2**16 * 8  # one (T,) float64 array
+        # The gather and the write peak at ~6.4 columns (~3.3 MB); a single
+        # (T, N) array is 16 columns.
+        assert peak <= 12 * column
+
+    def test_fig2_and_fig3_print_the_same_f(self, tmp_path):
+        # At N = 5, D = 7, F summed in site order rather than in the table's
+        # sorted angle order prints differently for 10 targets.
+        for command in ("table", "sweep"):
+            assert main([command, "--n", "5", "--d", "7", "--out", str(tmp_path)]) == 0
+        _, table_rows = _read_csv(tmp_path / "fig2.csv")
+        _, sweep_rows = _read_csv(tmp_path / "fig3.csv")
+        assert len(sweep_rows) == 7**5
+        assert sorted((int(r[0]), r[1]) for r in table_rows) == [(int(r[0]), r[1])
+                                                                 for r in sweep_rows]
+
+    def test_reference_gains_are_correctly_rounded(self, tmp_path):
+        assert main(["sweep", "--out", str(tmp_path)]) == 0
+        _, rows = _read_csv(tmp_path / "fig3.csv")
+        exact = exact_sweep_gains(RunConfig())
+        assert [decimal.Decimal(r[2]) for r in rows] == [_rounded_13(x) for x in exact]
+
+    def test_large_field_gains_are_within_1e_16(self, tmp_path):
+        # Every gain here is about 1e-15; a difference of two F values near 4
+        # carries errors of that size.
+        argv = ["sweep", "--bmin", "1e7", "--bmax", "1e9"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        _, rows = _read_csv(tmp_path / "fig3.csv")
+        exact = exact_sweep_gains(_resolve(argv))
+        assert max(abs(float(r[2]) - float(x)) for r, x in zip(rows, exact)) <= 1e-16
+
+
+def exact_sweep_gains(cfg: RunConfig) -> list:
+    """Each target's exact-oracle gain in 200-bit arithmetic, in target id order.
+
+    The gain 2 sin χ Σ_k sin(θ_k - χ) is taken at the χ stored for the
+    target's own F (``lookup_chi_batch`` of it), with θ_k = atan b_k - atan
+    b_c of the float fields.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    candidate = cfg.candidate()
+    table = protocol.build_table(cfg.grid(), candidate)
+    chi = np.empty(len(table))
+    chi[table.target_ids] = protocol.lookup_chi_batch(table, table.f)
+    gains = []
+    with mpmath.workprec(200):
+        atan = functools.cache(lambda b: mpmath.atan(mpmath.mpf(b)))
+        for fields, x in zip(chain.target_field_array(cfg.grid(), cfg.n).tolist(), chi.tolist()):
+            x = mpmath.mpf(x)
+            thetas = [atan(b) - atan(c) for b, c in zip(fields, candidate.fields)]
+            gains.append(2 * mpmath.sin(x) * mpmath.fsum(mpmath.sin(t - x) for t in thetas))
+    return gains
+
+
+def _rounded_13(x) -> decimal.Decimal:
+    """The mpmath value ``x`` correctly rounded to 13 significant digits, as %.12e rounds."""
+    return decimal.Context(prec=13).plus(decimal.Decimal(pytest.importorskip("mpmath").nstr(
+        x, 50, min_fixed=1, max_fixed=0)))
 
 
 def per_target_sweep_rows(cfg: RunConfig) -> list[tuple[int, float, float]]:
@@ -447,18 +517,19 @@ class TestMeasureCommand:
 
     def test_solves_only_the_candidate(self, tmp_path, monkeypatch):
         shapes = []
-        original = cli.product_ground_directions
+        original = cli.target_angles
 
-        def counting(fields):
+        def counting(fields, candidate):
             shapes.append(np.shape(fields))
-            return original(fields)
+            return original(fields, candidate)
 
-        monkeypatch.setattr(cli, "product_ground_directions", counting)
+        monkeypatch.setattr(cli, "target_angles", counting)
         monkeypatch.setattr(cli, "SWEEP_BLOCK_TARGETS", 3)
         args = ["measure", "--n", "3", "--d", "2", "--trials", "5", "--out", str(tmp_path)]
         assert main(args) == 0
-        # The candidate, then each block of 3 of the 8 targets; none per target.
-        assert shapes == [(3,), (3, 3), (3, 3), (2, 3)]
+        # No chain is solved: each block of 3 of the 8 targets takes its angles
+        # to the candidate's once; none per target.
+        assert shapes == [(3, 3), (3, 3), (2, 3)]
 
     @pytest.mark.parametrize("seed", [0, 30, 2**32, 2**64 + 3])
     @pytest.mark.parametrize("trials", [1, 2, 777])
@@ -541,6 +612,21 @@ def per_target_measure_rows(cfg: RunConfig) -> list[tuple[int, float, float, flo
         rows.append((target_id, f_exact[target_id], estimates.mean(),
                      estimates.std(ddof=1) if trials > 1 else 0.0, binomial_std[target_id]))
     return rows
+
+
+def test_sweep_and_measure_build_no_site_directions(tmp_path, monkeypatch):
+    # Both read per-site cosines from the closed-form angles; only the
+    # oracle and run_protocol make (N, 3) directions.
+    def refuse(*args):
+        raise AssertionError("a subcommand built site directions")
+
+    for module in (spinalign, chain, protocol, oracle_module, cli):
+        for name in ("product_ground_directions", "rotate_directions"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for command in ("sweep", "measure"):
+        assert main([command, "--trials", "20", "--out", str(tmp_path)]) == 0
+    assert not {"product_ground_directions", "rotate_directions", "site_cosines"} & set(vars(cli))
 
 
 def test_no_subcommand_solves_an_eigenproblem(tmp_path, monkeypatch):

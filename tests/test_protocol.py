@@ -19,6 +19,7 @@ from spinalign import (
     build_table,
     chi_opt,
     delta_f_planar,
+    delta_f_sums,
     global_rotation,
     ground_state,
     lookup_chi_batch,
@@ -28,7 +29,6 @@ from spinalign import (
     similarity_chain,
     sweep_exact,
 )
-from spinalign import protocol
 from spinalign.chain import product_ground_directions, target_field_array
 from spinalign.protocol import rotate_directions
 from spinalign.cli import main
@@ -82,6 +82,15 @@ class TestDeltaFPlanar:
             direct = delta_f_planar(th, chi)
             expanded = float(np.sum(np.cos(th - 2 * chi) - np.cos(th)))
             assert abs(direct - expanded) < 1e-12
+
+    def test_sums_form_equals_the_angle_form(self):
+        rng = np.random.default_rng(16)
+        th = rng.uniform(-np.pi, np.pi, size=(100, 5))
+        chi = rng.uniform(-np.pi, np.pi, size=100)
+        sums = delta_f_sums(np.sin(th).sum(axis=1), np.cos(th).sum(axis=1), np.sin(chi),
+                            np.cos(chi))
+        direct = [delta_f_planar(row, x) for row, x in zip(th, chi)]
+        np.testing.assert_allclose(sums, direct, rtol=0, atol=1e-12)
 
 
 class TestChiOpt:
@@ -329,41 +338,33 @@ class TestClosedFormCandidate:
 
 
 class TestSweepExact:
+    # The gather's F is the table's, summed in sorted angle order; run_protocol's
+    # exact oracle sums site cosines in site order. They agree to rounding.
+    TOLERANCE = 1e-13
+
+    def _assert_equals_run_protocol(self, table, grid, target_ids):
+        fields = target_field_array(grid, 4)
+        f_before, delta_f = sweep_exact(table)
+        for tid in target_ids:
+            oracle = make_oracle(ChainSpec(4, 1.0, fields[tid]), OracleKind.EXACT, budget=1)
+            report = run_protocol(CANDIDATE, oracle, table)
+            assert f_before[tid] == pytest.approx(report.f_before, rel=0, abs=self.TOLERANCE)
+            assert delta_f[tid] == pytest.approx(report.delta_f_actual, rel=0,
+                                                 abs=self.TOLERANCE)
+
     def test_equals_run_protocol_per_target(self, table):
-        fields = target_field_array(GRID, 4)
-        f_before, f_after = sweep_exact(table, GRID)
-        for tid in (0, 1, 17, 311, 624):
-            oracle = make_oracle(ChainSpec(4, 1.0, fields[tid]), OracleKind.EXACT, budget=1)
-            report = run_protocol(CANDIDATE, oracle, table)
-            assert (f_before[tid], f_after[tid]) == (report.f_before, report.f_after)
+        self._assert_equals_run_protocol(table, GRID, range(len(table)))
 
-    # Eight blocks of targets on a 16-level grid: 65,536 targets, 3,876 F runs.
-    BIG_GRID = ParameterGrid(-0.5, 0.5, 16)
+    def test_grid_equals_its_field_array(self):
+        # Target t of the gather is row t of the grid's field array, on a
+        # 16-level grid: 65,536 targets in 3,876 F runs.
+        grid = ParameterGrid(-0.5, 0.5, 16)
+        self._assert_equals_run_protocol(build_table(grid, CANDIDATE), grid,
+                                         (0, 999, 1000, 1001, 31_999, 32_000, 65_000, 65_535))
 
-    def test_blocks_do_not_change_a_bit(self, monkeypatch):
-        table = build_table(self.BIG_GRID, CANDIDATE)
-        n_targets = len(table)
-        assert n_targets > protocol.SWEEP_BLOCK_TARGETS
-        blocked = sweep_exact(table, self.BIG_GRID)
-        monkeypatch.setattr(protocol, "SWEEP_BLOCK_TARGETS", n_targets)
-        whole = sweep_exact(table, self.BIG_GRID)
-        monkeypatch.setattr(protocol, "SWEEP_BLOCK_TARGETS", 1000)  # a short last block
-        short = sweep_exact(table, self.BIG_GRID)
-        for a, b, c in zip(blocked, whole, short):
-            np.testing.assert_array_equal(a, b, strict=True)
-            np.testing.assert_array_equal(a, c, strict=True)
-
-    def test_grid_equals_its_field_array(self, monkeypatch):
-        # Target t of the blocked grid sweep is row t of the grid's field
-        # array, on both sides of block edges and in a short last block.
-        table = build_table(self.BIG_GRID, CANDIDATE)
-        fields = target_field_array(self.BIG_GRID, 4)
-        monkeypatch.setattr(protocol, "SWEEP_BLOCK_TARGETS", 1000)
-        f_before, f_after = sweep_exact(table, self.BIG_GRID)
-        for tid in (0, 999, 1000, 1001, 31_999, 32_000, 64_999, 65_000, 65_535):
-            oracle = make_oracle(ChainSpec(4, 1.0, fields[tid]), OracleKind.EXACT, budget=1)
-            report = run_protocol(CANDIDATE, oracle, table)
-            assert (f_before[tid], f_after[tid]) == (report.f_before, report.f_after)
+    def test_f_is_the_table_f_by_target_id(self, table):
+        f_before, _ = sweep_exact(table)
+        np.testing.assert_array_equal(f_before[table.target_ids], table.f, strict=True)
 
     def test_field_ranges_are_rows_of_the_field_array(self):
         whole = target_field_array(ParameterGrid(-1.0, 2.0, 3), 5)
@@ -372,17 +373,14 @@ class TestSweepExact:
             np.testing.assert_array_equal(part, whole[start:stop], strict=True)
 
     def test_peak_memory_is_bounded_by_the_block(self):
-        table = build_table(self.BIG_GRID, CANDIDATE)
+        # 65,536 targets of a 16-level grid. The gather makes (T,) columns
+        # only, ~6 of them; the (T, N, 3) site directions of one pass over all
+        # targets were 12 columns on their own.
+        table = build_table(ParameterGrid(-0.5, 0.5, 16), CANDIDATE)
         tracemalloc.start()
         try:
-            sweep_exact(table, self.BIG_GRID)
+            sweep_exact(table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        n_targets, n = len(table), CANDIDATE.n_sites
-        outputs = 2 * n_targets * 8
-        by_run = len(np.unique(table.f)) * n * 3 * 8
-        per_block = 16 * protocol.SWEEP_BLOCK_TARGETS * n * 8
-        # Blocked, the peak is ~4.3 MB. One pass over all targets held the
-        # (T, N, 3) directions and rotated vectors at once: ~22 MB.
-        assert peak <= outputs + by_run + per_block
+        assert peak <= 8 * len(table) * 8
