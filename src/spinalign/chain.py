@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .hilbert import DENSE_SITE_CAP, GroundState, hermitian_ground_state
+from .hilbert import GroundState, hermitian_ground_state, site_operator
 
 DEFAULT_SWEEP_BUDGET = 1_000_000
 
@@ -73,25 +73,17 @@ class ParameterGrid:
 
 
 def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """Dense chain Hamiltonian Σ_k (X_k + b_k Y_k + J Z_k Z_{k+1}), periodic, from bit flips.
+    """Read-only dense Σ_k (X_k + b_k Y_k + J Z_k Z_{k+1}), periodic, from ``site_operator`` terms.
 
-    Site 1 is the most significant bit; s_k = ±1 is site k's Z eigenvalue in
-    basis state i. X_k + b_k Y_k maps |i> to (1 + i·b_k·s_k)|i with bit k
-    flipped>, and the ZZ terms form one real diagonal. Summing that diagonal
-    in site order k = 1..N keeps H bit-equal to the sum of ``site_operator``
-    kron terms. The result is a read-only complex array.
+    The ZZ product is elementwise, since both factors are diagonal.
     """
     n = spec.n_sites
-    if n > DENSE_SITE_CAP:
-        raise CapacityError(f"n_sites {n} exceeds dense cap {DENSE_SITE_CAP}")
-    basis = np.arange(2**n)
-    spins = 1 - 2 * (basis >> np.arange(n - 1, -1, -1)[:, None] & 1)
-    h = np.zeros((2**n, 2**n), dtype=complex)
-    zz = np.zeros(2**n)
-    for k in range(n):
-        h[basis ^ (1 << (n - 1 - k)), basis] = 1 + 1j * spec.fields[k] * spins[k]
-        zz += spec.coupling * spins[k] * spins[(k + 1) % n]
-    h[basis, basis] = zz
+    h = sum(
+        site_operator("X", k, n)
+        + spec.fields[k - 1] * site_operator("Y", k, n)
+        + spec.coupling * (site_operator("Z", k, n) * site_operator("Z", k % n + 1, n))
+        for k in range(1, n + 1)
+    )
     h.setflags(write=False)
     return h
 

@@ -137,6 +137,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     command = getattr(args, "command", None)
     if command == "noise" and not cfg.eps:
         raise ValidationError("noise needs a non-empty --eps list")
+    # noise.csv rows and the --check gates are keyed by eps to 10 decimals.
+    keys = [round(e, 10) for e in cfg.eps]
+    if command == "noise" and len(set(keys)) < len(keys):
+        raise ValidationError(f"--eps repeats a value (to 10 decimals): {cfg.eps}")
     if command in ("noise", "measure") and cfg.trials is not None and cfg.trials < 1:
         raise ValidationError("--trials must be at least 1")
     if cfg.check and command in ("table", "sweep", "noise"):
@@ -147,8 +151,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                                   f"{REFERENCE_KEYS} (got n={cfg.n}, j={cfg.j}, grid "
                                   f"[{cfg.bmin}, {cfg.bmax}] x {cfg.d})")
     if cfg.check and command == "noise":
-        given = {round(e, 10) for e in cfg.eps}
-        if missing := [e for e in NOISE_ERROR_WINDOWS if round(e, 10) not in given]:
+        if missing := [e for e in NOISE_ERROR_WINDOWS if round(e, 10) not in keys]:
             raise ValidationError(f"--check needs eps={missing[0]} in the --eps list")
     return cfg
 
@@ -311,11 +314,14 @@ def cmd_measure(cfg: RunConfig) -> None:
     for start in range(0, n_targets, SWEEP_BLOCK_TARGETS):
         stop = min(start + SWEEP_BLOCK_TARGETS, n_targets)
         fields = target_field_array(grid, cfg.n, start=start, stop=stop)
-        # One cosine array gives F_exact, the binomial spread and every target's
-        # shots, each on its measured oracle's stream.
-        cosines = np.cos(target_angles(fields, candidate))
-        f_exact[start:stop] = cosines.sum(axis=1)
+        # One cosine array gives the binomial spread and every target's shots,
+        # each on its measured oracle's stream.
+        thetas = target_angles(fields, candidate)
+        cosines = np.cos(thetas)
         binomial[start:stop] = binomial_std(cosines)
+        # F_exact sums the cosines in sorted θ order, as build_table sums fig2's F.
+        thetas.sort(axis=1)
+        f_exact[start:stop] = np.cos(thetas).sum(axis=1)
         for lo in range(start, stop, sub_block):
             ids = slice(lo, min(lo + sub_block, stop))
             rows = estimates[:ids.stop - lo]  # one target's estimates per row

@@ -6,9 +6,8 @@ ones built here are read-only, and each function that takes one checks it
 (square, and Hermitian or unitary as it needs). No CLI path solves: the
 tests tie the closed-form site angles and directions to the states here.
 A state's per-site Bloch vectors (``StateVector.bloch``, an (N, 3) array)
-are what similarity replies compare; ``partial_trace`` and
-``DensityMatrix`` are the trace-form reference. All values are immutable
-and safe to share across threads.
+are the ``bloch_vector`` of each site's ``partial_trace``. All values are
+immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -86,18 +85,8 @@ class StateVector:
 
     @cached_property
     def bloch(self) -> np.ndarray:
-        """Read-only (N, 3) per-site Bloch vectors; row k-1 is site k's (tr ρX, tr ρY, tr ρZ).
-
-        Matches ``bloch_vector(partial_trace(state, 1 << (k-1)))`` to rounding,
-        from one pass over the amplitudes per site and no density matrix.
-        """
-        out = np.empty((self.n_sites, 3))
-        for k in range(self.n_sites):
-            pair = self.amplitudes.reshape(2**k, 2, -1)
-            up, down = pair[:, 0], pair[:, 1]
-            rho01 = np.vdot(down, up)
-            out[k] = (2.0 * rho01.real, -2.0 * rho01.imag,
-                      np.vdot(up, up).real - np.vdot(down, down).real)
+        """Read-only (N, 3) per-site Bloch vectors: row k-1 is site k's (tr ρX, tr ρY, tr ρZ)."""
+        out = np.array([bloch_vector(partial_trace(self, 1 << k)) for k in range(self.n_sites)])
         out.setflags(write=False)
         return out
 
@@ -169,6 +158,13 @@ def site_operator(pauli: str, site: int, n_sites: int) -> np.ndarray:
         out = np.kron(out, PAULI[pauli] if k == site else _I2)
     out.setflags(write=False)
     return out
+
+
+def bloch_vector(rho: DensityMatrix) -> np.ndarray:
+    """Bloch vector (tr ρX, tr ρY, tr ρZ) of a single-qubit density matrix, shape (3,)."""
+    if rho.dim != 2:
+        raise ValidationError(f"expected a 2x2 density matrix, got dim {rho.dim}")
+    return np.array([np.trace(rho.entries @ PAULI[p]).real for p in "XYZ"])
 
 
 def hermitian_ground_state(h) -> GroundState:

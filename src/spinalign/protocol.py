@@ -31,31 +31,24 @@ _RESULTANT_FLOOR = 1e-12
 _BUCKETS_PER_BOUNDARY = 4
 
 
-def _z_phases(chi: float, n_sites: int) -> np.ndarray:
-    """Diagonal of exp(-i χ Σ_k Z_k): exp(-iχ(N - 2·popcount)) per basis state."""
-    # bitwise_count returns uint8; the float factor keeps N - 2·popcount signed.
-    weights = np.bitwise_count(np.arange(2**n_sites))
-    return np.exp(-1j * chi * (n_sites - 2.0 * weights))
-
-
 def global_rotation(chi: float, n_sites: int) -> np.ndarray:
     """Read-only U = exp(-i χ Σ_k Z_k): every Bloch vector rotates by +2χ about +z."""
     if n_sites > DENSE_SITE_CAP:
         raise CapacityError(f"n_sites {n_sites} exceeds dense cap {DENSE_SITE_CAP}")
-    u = np.diag(_z_phases(chi, n_sites))
+    # U is diagonal, exp(-iχ(N - 2·popcount)) per basis state. bitwise_count
+    # returns uint8; the float factor keeps N - 2·popcount signed.
+    weights = np.bitwise_count(np.arange(2**n_sites))
+    u = np.diag(np.exp(-1j * chi * (n_sites - 2.0 * weights)))
     u.setflags(write=False)
     return u
 
 
-def rotate_directions(bloch: np.ndarray, chi) -> np.ndarray:
-    """(N, 3) site directions as U(χ) leaves them: turned counterclockwise about +z by 2χ.
-
-    χ of any shape gives χ.shape + (N, 3); each angle's slice is bit-equal to its own call.
-    """
-    turn = 2.0 * np.asarray(chi, dtype=float)[..., None]
+def rotate_directions(bloch: np.ndarray, chi: float) -> np.ndarray:
+    """(N, 3) site directions as U(χ) leaves them: turned counterclockwise about +z by 2χ."""
+    turn = 2.0 * float(chi)
     cos, sin = np.cos(turn), np.sin(turn)
     x, y, z = np.transpose(bloch)
-    return np.stack(np.broadcast_arrays(cos * x - sin * y, sin * x + cos * y, z), axis=-1)
+    return np.stack((cos * x - sin * y, sin * x + cos * y, z), axis=-1)
 
 
 def delta_f_planar(thetas, chi: float) -> float:
@@ -132,8 +125,11 @@ class LookupTable:
             raise ValidationError("table columns differ in length")
         if len(self.f) == 0:
             raise ValidationError("table is empty")
-        if not np.all(np.isfinite(self.f)):
-            raise ValidationError("table F values must be finite")
+        if self.target_ids.dtype.kind not in "iu" or self.target_ids.min() < 0:
+            raise ValidationError("table target ids must be non-negative integers")
+        for name in ("f", "chi", "delta_f", "sum_sin"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValidationError(f"table {name} values must be finite")
         step_f = np.diff(self.f)
         step_id = np.diff(self.target_ids)
         if not np.all((step_f > 0) | ((step_f == 0) & (step_id > 0))):
@@ -373,13 +369,17 @@ def sweep_exact(table: LookupTable) -> tuple[np.ndarray, np.ndarray]:
     An exact oracle replies with the target's own F, which is the F of the
     target's own run, at distance 0: the lookup picks that run's χ, and the
     gain at it follows from the row's (sum_sin, F) by :func:`delta_f_sums`.
-    No site directions are made. The table's ``target_ids`` must be 0 to
-    len(table) - 1, as :func:`build_table` makes them.
+    No site directions are made. The table's ``target_ids`` must be a
+    permutation of 0 to len(table) - 1, as :func:`build_table` makes them.
     """
+    # T ids below T, none of them twice: each of 0..T-1 once.
+    ids = table.target_ids
+    if ids.max() >= len(table) or np.any(np.bincount(ids.astype(np.intp)) != 1):
+        raise ValidationError("sweep needs target ids 0 to len(table) - 1, each once")
     chi_run = table.chi[table.run_row]
     own_run = table.run_f.searchsorted(table.f)
     gain = delta_f_sums(table.sum_sin, table.f, np.sin(chi_run)[own_run], np.cos(chi_run)[own_run])
     f, delta_f = np.empty((2, len(table)))
-    f[table.target_ids] = table.f
-    delta_f[table.target_ids] = gain
+    f[ids] = table.f
+    delta_f[ids] = gain
     return f, delta_f

@@ -18,7 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UndefinedDirectionError, ValidationError
-from .hilbert import PAULI, DensityMatrix, StateVector, partial_trace
+# bloch_vector is re-exported, so similarity.bloch_vector still resolves.
+from .hilbert import DensityMatrix, StateVector, bloch_vector, partial_trace
 
 # Sites whose Bloch vector is shorter than this have no usable direction;
 # the cosine metric is meaningless for (nearly) maximally mixed sites.
@@ -68,13 +69,6 @@ def site_cosines(bloch_t: np.ndarray, bloch_c: np.ndarray) -> np.ndarray:
     _require_directions(nt2)
     _require_directions(nc2)
     return np.einsum("...ij,...ij->...i", bloch_t, bloch_c) / np.sqrt(nt2) / np.sqrt(nc2)
-
-
-def bloch_vector(rho: DensityMatrix) -> np.ndarray:
-    """Bloch vector (tr ρX, tr ρY, tr ρZ) of a single-qubit density matrix, shape (3,)."""
-    if rho.dim != 2:
-        raise ValidationError(f"expected a 2x2 density matrix, got dim {rho.dim}")
-    return np.array([np.trace(rho.entries @ PAULI[p]).real for p in "XYZ"])
 
 
 def cos_theta(rho_t: DensityMatrix, rho_c: DensityMatrix) -> float:

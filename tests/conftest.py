@@ -18,6 +18,7 @@ from spinalign import (
     delta_f_planar,
     enumerate_targets,
     ground_state,
+    hermitian_ground_state,
     similarity_chain,
 )
 
@@ -105,7 +106,7 @@ def study(candidate_state) -> StudyData:
     gaps = np.empty(count)
     for tid, spec in enumerate_targets(GRID, N_SITES, coupling=COUPLING):
         h = build_hamiltonian(spec)
-        gs = ground_state(spec)
+        gs = hermitian_ground_state(h)  # ground_state(spec), without building H again
         residuals[tid] = np.linalg.norm(
             h @ gs.state.amplitudes - gs.energy * gs.state.amplitudes
         )

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinalign
-from spinalign import chain, cli, hilbert, protocol
+from spinalign import chain, cli, hilbert, protocol, similarity
 from spinalign import oracle as oracle_module
 from spinalign.chain import enumerate_targets
 from spinalign.oracle import OracleKind, make_oracle
@@ -387,11 +387,12 @@ class TestNoiseCommand:
             return original(entropy)
 
         monkeypatch.setattr(oracle_module, "seeded_streams", counting)
-        argv = ["noise", "--n", "2", "--d", "3", "--eps", "0,0.05,0", "--trials", "50"]
+        argv = ["noise", "--n", "2", "--d", "3", "--eps", "0.05,0,0.1", "--trials", "50"]
         assert main([*argv, "--out", str(tmp_path)]) == 0
         monkeypatch.undo()
-        # Only epsilon index 1 draws: one stream per target, rows [seed, 1, target_id].
-        assert seeded == [[30, 1, target_id] for target_id in range(9)]
+        # Epsilon index 1 makes no stream; the others one per target, rows
+        # [seed, eps_index, target_id], each keeping its own index.
+        assert seeded == [[30, e, target_id] for e in (0, 2) for target_id in range(9)]
         write_rows(tmp_path / "loop.csv", "epsilon,mean_abs_chi_error,mean_delta_f",
                    per_target_noise_rows(_resolve(argv)))
         assert (tmp_path / "noise.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
@@ -630,13 +631,32 @@ def test_sweep_and_measure_build_no_site_directions(tmp_path, monkeypatch):
 
 
 def test_no_subcommand_solves_an_eigenproblem(tmp_path, monkeypatch):
-    def refuse(h):
-        raise AssertionError("a subcommand diagonalized a Hamiltonian")
+    # Nor does any build a dense operator, a reduced state or a state's Bloch vectors.
+    def refuse(*args):
+        raise AssertionError("a subcommand used the dense verifier")
 
-    for module in (spinalign, hilbert, chain):
-        monkeypatch.setattr(module, "hermitian_ground_state", refuse)
+    dense = ("hermitian_ground_state", "build_hamiltonian", "site_operator", "partial_trace",
+             "apply_unitary", "global_rotation", "similarity_chain", "cos_theta")
+    for module in (spinalign, hilbert, chain, protocol, similarity, oracle_module, cli):
+        for name in dense:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(hilbert.StateVector, "bloch", property(refuse))
     for command in ("table", "sweep", "noise", "measure"):
         assert main([command, "--trials", "20", "--out", str(tmp_path)]) == 0
+
+
+def test_measure_f_exact_is_the_table_f(tmp_path):
+    # Both sum a target's cosines in sorted angle order. At N/D = 5/7 a sum
+    # in site order printed a different F for 18 targets.
+    grid = ["--n", "5", "--d", "7", "--out", str(tmp_path)]
+    assert main(["table", *grid]) == 0
+    assert main(["measure", *grid, "--trials", "1"]) == 0
+    _, fig2 = _read_csv(tmp_path / "fig2.csv")
+    _, measure = _read_csv(tmp_path / "measure.csv")
+    assert len(measure) == len(fig2) == 7**5
+    f_by_id = {row[0]: row[1] for row in fig2}
+    assert all(row[1] == f_by_id[row[0]] for row in measure)
 
 
 @pytest.mark.parametrize("j", ["1e3", "1e4", "1e5", "-1e3"])
@@ -785,13 +805,18 @@ class TestInvalidInputEndsInOneErrorLine:
             (["noise", "--eps", "0.05", "--check"], {}, None, None),
             (["noise", "--eps", "", "--check"], {}, None, None),
             (["noise", "--n", "3", "--trials", "0", "--check"], {}, None, None),
+            # noise.csv rows and the --check gates are keyed by eps to 10 decimals.
+            (["noise", "--n", "3", "--d", "3", "--trials", "2", "--eps", "0.05,0.05"], {}, None,
+             None),
+            (["noise", "--n", "3", "--d", "3", "--trials", "2"], {}, '{"eps": [0, 0.1, -0.0]}',
+             None),
         ],
         ids=["j-nan", "j-inf", "bmin-nan", "eps-abc", "config-n-str", "config-threads-str",
              "config-malformed", "config-eps-bool", "config-eps-str", "n-huge",
              "d-pow-n-5000-digits", "d-pow-n-301030-digits",
              "measure-out-of-memory", "noise-out-of-memory", "table-check-n3",
              "sweep-check-d3", "noise-check-missing-eps", "noise-check-empty-eps",
-             "noise-check-trials-0"],
+             "noise-check-trials-0", "noise-repeated-eps", "config-repeated-eps"],
     )
     def test_exits_one_without_traceback(self, tmp_path, argv, env, config, memory_limit):
         if config is not None:

@@ -17,7 +17,6 @@ from spinalign import (
     partial_trace,
     site_operator,
 )
-from spinalign.protocol import _z_phases
 
 from conftest import basis_state, product_state
 
@@ -252,7 +251,7 @@ def _random_state(data, n_min: int, n_max: int) -> StateVector:
 
 
 class TestBlochFastPath:
-    """The per-site Bloch vectors and the phase rotation against the dense reference."""
+    """The per-site Bloch vectors against the partial-trace reference."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -262,14 +261,6 @@ class TestBlochFastPath:
         for k in range(state.n_sites):
             want = bloch_vector(partial_trace(state, 1 << k))
             assert np.max(np.abs(state.bloch[k] - want)) <= 1e-12
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), chi=st.floats(-2 * np.pi, 2 * np.pi))
-    def test_property_phase_rotation_matches_global_rotation(self, data, chi):
-        state = _random_state(data, 1, 8)
-        fast = _z_phases(chi, state.n_sites) * state.amplitudes
-        dense = apply_unitary(global_rotation(chi, state.n_sites), state).amplitudes
-        assert np.max(np.abs(fast - dense)) <= 1e-12
 
     def test_bloch_is_cached_and_read_only(self):
         state = basis_state(3, 0b010)

@@ -329,12 +329,40 @@ class TestClosedFormCandidate:
         planar = dense[:, :2] / np.linalg.norm(dense[:, :2], axis=1, keepdims=True)
         assert np.max(np.abs(planar - closed[:, :2])) <= 1e-12
 
-    def test_rotation_of_many_angles_is_bit_equal_to_one_at_a_time(self):
-        bloch = product_ground_directions([-0.5, 0.0, 0.3, 2.0, -3.0])
-        chis = np.linspace(-np.pi, np.pi, 101)
-        many = rotate_directions(bloch, chis)
-        for chi, rotated in zip(chis, many):
-            np.testing.assert_array_equal(rotate_directions(bloch, chi), rotated, strict=True)
+
+def _hand_table(ids, f=(0.5, 1.0), chi=(0.0, 0.0), delta_f=(0.0, 0.0), sum_sin=(0.0, 0.0)):
+    return LookupTable(
+        target_ids=np.asarray(ids),
+        f=np.asarray(f),
+        chi=np.asarray(chi),
+        delta_f=np.asarray(delta_f),
+        sum_sin=np.asarray(sum_sin),
+        candidate=ChainSpec(2, 1.0, (-0.5, -0.5)),
+    )
+
+
+class TestTableColumns:
+    @pytest.mark.parametrize("ids", [[-5, 1.5], [0, 1.5], [-1, 0], [False, True]])
+    def test_ids_must_be_non_negative_integers(self, ids):
+        with pytest.raises(ValidationError, match="target ids"):
+            _hand_table(ids)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", ["chi", "delta_f", "sum_sin"])
+    def test_non_finite_columns_rejected(self, column, bad):
+        with pytest.raises(ValidationError, match=f"table {column} values must be finite"):
+            _hand_table([0, 1], **{column: (0.0, bad)})
+
+    # [0, 0] left target 1 unset; [3, 1] indexed past the two targets.
+    @pytest.mark.parametrize("ids", [[0, 0], [3, 1], [1, 2], [1, 1]])
+    def test_sweep_needs_each_id_below_the_length_once(self, ids):
+        with pytest.raises(ValidationError, match="each once"):
+            sweep_exact(_hand_table(ids))
+
+    def test_sweep_of_a_hand_built_permutation(self):
+        f, delta_f = sweep_exact(_hand_table(np.array([1, 0], dtype=np.uint64)))
+        assert f.tolist() == [1.0, 0.5]
+        assert delta_f.tolist() == [0.0, 0.0]
 
 
 class TestSweepExact:
