@@ -238,9 +238,8 @@ def cmd_noise(cfg: RunConfig) -> None:
     # Lookups return runs of equal F; chi and its sine and cosine are taken once per run.
     chi_run = table.chi[table.run_row]
     sin_run, cos_run = np.sin(chi_run), np.cos(chi_run)
-    # A block's per-trial values are gathered from one value per (target,
-    # run) when the runs are no more than the trials, which bounds that array
-    # by the block's queries; otherwise they are computed per trial.
+    # Per-trial values are gathered from one value per (target, run) when there are
+    # no more runs than trials, which keeps that array within the block's queries.
     per_run = len(chi_run) <= trials
 
     # A block of targets is looked up in one call, one row of trials per target.
@@ -248,33 +247,30 @@ def cmd_noise(cfg: RunConfig) -> None:
     noise = np.empty((block, trials))
     rows = []
     for eps_index, eps in enumerate(cfg.eps):
-        # Each target keeps its own noise stream, seeded by [seed, eps_index, target_id].
-        streams = target_streams([cfg.seed, eps_index], n_targets) if eps != 0.0 else None
-        errors = np.empty(n_targets)
-        gains = np.empty(n_targets)
-        for start in range(0, n_targets, block):
-            stop = min(start + block, n_targets)
-            ids = slice(start, stop)
-            if streams is None:
-                # Each query is its target's own F, which is its run's F: the
-                # nearest run, at distance 0, with no stream and no lookup.
-                own_run = table.run_f.searchsorted(f_true[ids])
-                hit = np.repeat(own_run[:, None], trials, axis=1)
-            else:
-                draws = noise[:stop - start]
+        if eps == 0.0:
+            # Each query is its target's own F, at distance 0 from its run: the sweep's gains.
+            errors = np.abs(chi_run[table.run_f.searchsorted(f_true)] - chi_true)
+            gains = sweep_exact(table)[1]
+        else:
+            # Each target keeps its own noise stream, seeded by [seed, eps_index, target_id].
+            streams = target_streams([cfg.seed, eps_index], n_targets)
+            errors, gains = np.empty((2, n_targets))
+            for start in range(0, n_targets, block):
+                ids = slice(start, min(start + block, n_targets))
+                draws = noise[:ids.stop - start]
                 for row in draws:
                     next(streams).random(out=row)
                 hit = nearest_runs(table, noisy_replies(f_true[ids, None], eps, draws))
-            at = slice(None) if per_run else hit
-            sin_hat = sin_run[at]
-            # Gain at the looked-up angle needs only (sum_sin, F) of the truth.
-            gain = delta_f_sums(s_true[ids, None], f_true[ids, None], sin_hat, cos_run[at])
-            error = np.abs(chi_run[at] - chi_true[ids, None])
-            if per_run:  # each trial's flat index into the (block, runs) arrays
-                hit += np.arange(0, gain.size, len(chi_run))[:, None]
-                gain, error = gain.take(hit), error.take(hit)
-            gains[ids] = gain.mean(axis=1)
-            errors[ids] = error.mean(axis=1)
+                at = slice(None) if per_run else hit
+                # Gain at the looked-up angle needs only (sum_sin, F) of the truth.
+                gain = delta_f_sums(s_true[ids, None], f_true[ids, None], sin_run[at],
+                                    cos_run[at])
+                error = np.abs(chi_run[at] - chi_true[ids, None])
+                if per_run:  # each trial's flat index into the (block, runs) arrays
+                    hit += np.arange(0, gain.size, len(chi_run))[:, None]
+                    gain, error = gain.take(hit), error.take(hit)
+                gains[ids] = gain.mean(axis=1)
+                errors[ids] = error.mean(axis=1)
         # Reported on the Bloch rotation-angle scale: twice the half-angle chi.
         rows.append((eps, 2.0 * float(errors.mean()), float(gains.mean())))
 
@@ -305,18 +301,16 @@ def cmd_measure(cfg: RunConfig) -> None:
     n_targets = target_count(grid, cfg.n)
     # Each target keeps its own stream, seeded by [seed, target_id].
     streams = target_streams([cfg.seed], n_targets)
-    # One (trials, N) buffer takes each target's draws and then its outcomes.
-    shots = np.empty((trials, cfg.n))
-    # Sub-blocks of targets, bounded like noise's blocks, take one mean and one std call each.
-    sub_block = max(1, NOISE_BLOCK_QUERIES // trials)
-    estimates = np.empty((sub_block, trials))
+    # Parts of at most NOISE_BLOCK_QUERIES draws take one kernel call each; sub-blocks of whole
+    # parts and at most NOISE_BLOCK_QUERIES estimates take one mean and one std call each.
+    part = max(1, NOISE_BLOCK_QUERIES // (trials * cfg.n))
+    sub_block = part * max(1, NOISE_BLOCK_QUERIES // (trials * part))
+    shots, estimates = np.empty((part, trials, cfg.n)), np.empty((sub_block, trials))
     f_exact, binomial, means, stds = np.empty((4, n_targets))
     for start in range(0, n_targets, SWEEP_BLOCK_TARGETS):
         stop = min(start + SWEEP_BLOCK_TARGETS, n_targets)
-        fields = target_field_array(grid, cfg.n, start=start, stop=stop)
-        # One cosine array gives the binomial spread and every target's shots,
-        # each on its measured oracle's stream.
-        thetas = target_angles(fields, candidate)
+        # One cosine array gives the binomial spread and every target's shots.
+        thetas = target_angles(target_field_array(grid, cfg.n, start=start, stop=stop), candidate)
         cosines = np.cos(thetas)
         binomial[start:stop] = binomial_std(cosines)
         # F_exact sums the cosines in sorted θ order, as build_table sums fig2's F.
@@ -325,8 +319,11 @@ def cmd_measure(cfg: RunConfig) -> None:
         for lo in range(start, stop, sub_block):
             ids = slice(lo, min(lo + sub_block, stop))
             rows = estimates[:ids.stop - lo]  # one target's estimates per row
-            for row, cos in zip(rows, cosines[lo - start:]):
-                row[:] = shot_estimates(next(streams), cos, shots)
+            for at in range(0, len(rows), part):
+                draws = shots[:min(part, len(rows) - at)]  # a target's (trials, N) per row
+                for row in draws:
+                    next(streams).random(out=row)
+                rows[at:at + part] = shot_estimates(cosines[lo - start + at:][:len(draws)], draws)
             means[ids] = rows.mean(axis=1)
             stds[ids] = rows.std(axis=1, ddof=1) if trials > 1 else 0.0
     out = Path(cfg.out) / "measure.csv"

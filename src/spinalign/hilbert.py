@@ -34,6 +34,7 @@ for _m in (_I2, _X, _Y, _Z):
 PAULI = {"I": _I2, "X": _X, "Y": _Y, "Z": _Z}
 
 NORM_TOL = 1e-10
+DENSITY_TOL = 1e-10  # the rounding each DensityMatrix check allows
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
 DEGENERACY_GAP = 1e-8
@@ -77,7 +78,7 @@ class StateVector:
         norm = np.linalg.norm(amps)
         # Written so that a NaN or inf norm fails too.
         if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValidationError(f"state is not normalized: |psi| = {norm!r}")
+            raise ValidationError(f"state is not normalized: |psi| = {float(norm)!r}")
 
     @property
     def dim(self) -> int:
@@ -93,24 +94,28 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix on a 2^k dimensional subsystem."""
+    """Hermitian, unit-trace, positive-semidefinite matrix on a 2^k dimensional subsystem.
+
+    Checked as a reduced state of a vector StateVector accepts: the trace, a squared norm,
+    within (1 ± NORM_TOL)², and the purity within [1/d, 1] times the trace squared, each
+    check allowing DENSITY_TOL more for rounding and failing on NaN.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self):
         m = _as_complex_matrix(self.entries)
         object.__setattr__(self, "entries", m)
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
+        if not np.max(np.abs(m - m.conj().T)) <= DENSITY_TOL:
             raise ValidationError("density matrix is not Hermitian")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > 1e-10:
+        tr = float(np.trace(m).real)
+        if not abs(tr - 1.0) <= 2 * NORM_TOL + NORM_TOL**2 + DENSITY_TOL:
             raise ValidationError(f"density matrix trace is {tr!r}, expected 1")
-        if np.min(np.linalg.eigvalsh(m)) < -1e-10:
+        if np.min(np.linalg.eigvalsh(m)) < -DENSITY_TOL:
             raise ValidationError("density matrix has a negative eigenvalue")
-        d = m.shape[0]
-        p = self.purity
-        if not (1.0 / d - 1e-10 <= p <= 1.0 + 1e-10):
-            raise ValidationError(f"purity {p!r} outside [1/{d}, 1]")
+        if not 1.0 / self.dim - DENSITY_TOL <= self.purity / tr**2 <= 1.0 + DENSITY_TOL:
+            raise ValidationError(f"purity {self.purity!r} outside [1/{self.dim}, 1] "
+                                  f"times the trace squared")
 
     @property
     def dim(self) -> int:

@@ -10,12 +10,12 @@ The target's fields are never exposed; the public surface is the behavior
 kind, the remaining budget, a fingerprint of the construction parameters,
 and the query operations.
 
-Batched studies call the oracle's rules rather than restate them: the
-ε check (:func:`check_epsilon`), the noisy reply (:func:`noisy_replies`),
-the shot kernel (:func:`shot_estimates`) and its spread
-(:func:`binomial_std`), and :func:`target_streams`, which yields the
-generators ``default_rng(prefix + [target_id])`` would make, seeded in
-vectorized passes.
+Batched studies call the oracle's rules rather than restate them: the ε check
+(:func:`check_epsilon`), the shot spread (:func:`binomial_std`) and the two
+reply models, :func:`noisy_replies` and :func:`shot_estimates`. These hold no
+generator: each turns the caller's ``rng.random`` draws, for one query or a
+stack of targets, in place into replies. :func:`target_streams` makes the
+generators ``default_rng(prefix + [target_id])`` would, in vectorized passes.
 """
 
 from __future__ import annotations
@@ -189,16 +189,16 @@ def _shot_weights(n_sites: int) -> np.ndarray:
     return weights
 
 
-def shot_estimates(rng: np.random.Generator, cosines: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Single-shot F = 2·Σ_k m_k - N per row of the (shots, N) float ``out``, left holding m_k.
+def shot_estimates(cosines: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Single-shot F estimates of ``rng.random`` draws u, shape (..., shots, N), left holding m_k.
 
-    m_k ~ Bernoulli((cos θ_k + 1)/2) is u < p_k, u from one rng.random(out=out) draw (the stream
-    as successive rng.random(N) draws use it); the count, a float product with a weight row made
-    once per N, is exact and fast.
+    m_k = u < (cos θ_k + 1)/2 against ``cosines`` (..., N), and each shot's F = 2·Σ_k m_k - N,
+    shape (..., shots), is a float product with a weight row made once per N. The count is
+    exact, so a stack of targets gives each one's estimates bit for bit.
     """
-    n_sites = out.shape[1]
-    np.less(rng.random(out=out), _shot_probabilities(cosines), out=out)
-    return out @ _shot_weights(n_sites) - n_sites
+    n_sites = draws.shape[-1]
+    np.less(draws, _shot_probabilities(cosines)[..., None, :], out=draws)
+    return draws @ _shot_weights(n_sites) - n_sites
 
 
 class Oracle:
@@ -209,7 +209,7 @@ class Oracle:
         if not isinstance(kind, OracleKind):
             raise ValidationError(f"kind must be an OracleKind, got {kind!r}")
         self._budget = check_count(budget, "budget")
-        epsilon = check_epsilon(epsilon)
+        self._epsilon = check_epsilon(epsilon)
         # Checks the seed now; the generator itself is made on the first draw.
         try:
             self._seed = np.random.SeedSequence(seed)
@@ -217,12 +217,10 @@ class Oracle:
             raise ValidationError(f"seed must be a non-negative integer or a sequence "
                                   f"of them, got {seed!r}") from None
         self._kind = kind
-        self._epsilon = epsilon
         self._params = (target.n_sites, target.coupling, target.fields,
-                        kind.value, budget, seed, epsilon)
+                        kind.value, budget, seed, self._epsilon)
         # Unit site directions; site_cosines ignores the Bloch length.
         self._target_bloch = product_ground_directions(target.fields)
-        self._n_sites = target.n_sites
 
     @property
     def kind(self) -> OracleKind:
@@ -230,7 +228,7 @@ class Oracle:
 
     @property
     def n_sites(self) -> int:
-        return self._n_sites
+        return len(self._target_bloch)
 
     @property
     def remaining_budget(self) -> int:
@@ -285,7 +283,7 @@ class Oracle:
         """
         shots = check_count(shots, "shots")
         cosines = self._admit(OracleKind.MEASURED, candidate, shots)
-        return shot_estimates(self._rng, cosines, np.empty((shots, self._n_sites)))
+        return shot_estimates(cosines, self._rng.random((shots, self.n_sites)))
 
 
 def query_exact(oracle: Oracle, candidate) -> float:
@@ -310,9 +308,9 @@ def query_measured(oracle: Oracle, candidate) -> tuple[float, np.ndarray]:
     coincide with physical single-copy measurement statistics in the weakly
     coupled limit where the chain state factorizes.
     """
-    outcomes = np.empty((1, oracle.n_sites))
-    f = shot_estimates(oracle._rng, oracle._admit(OracleKind.MEASURED, candidate), outcomes)
-    return float(f[0]), outcomes[0].astype(bool)
+    cosines = oracle._admit(OracleKind.MEASURED, candidate)
+    outcomes = oracle._rng.random((1, oracle.n_sites))
+    return float(shot_estimates(cosines, outcomes)[0]), outcomes[0].astype(bool)
 
 
 def make_oracle(

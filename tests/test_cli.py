@@ -397,6 +397,21 @@ class TestNoiseCommand:
                    per_target_noise_rows(_resolve(argv)))
         assert (tmp_path / "noise.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
+    @pytest.mark.parametrize("n, d, trials", [(2, 3, 50), (4, 5, 7), (5, 7, 37), (6, 9, 3)])
+    def test_zero_epsilon_row_is_the_sweep(self, tmp_path, monkeypatch, n, d, trials):
+        def unused(*args):
+            raise AssertionError("eps = 0 makes no stream and no lookup")
+
+        monkeypatch.setattr(cli, "target_streams", unused)
+        monkeypatch.setattr(cli, "nearest_runs", unused)
+        argv = ["noise", "--n", str(n), "--d", str(d), "--eps", "0", "--trials", str(trials)]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        cfg = _resolve(argv)
+        _, delta_f = protocol.sweep_exact(protocol.build_table(cfg.grid(), cfg.candidate()))
+        _, rows = _read_csv(tmp_path / "noise.csv")
+        assert rows == [["0.000000000000e+00", "0.000000000000e+00",
+                         "%.12e" % float(delta_f.mean())]]
+
     def test_streams_are_seeded_a_chunk_at_a_time(self, tmp_path, monkeypatch):
         # 25 targets in chunks of 10; each chunk is one seeding call.
         calls = []
@@ -570,6 +585,30 @@ class TestMeasureCommand:
         write_rows(tmp_path / "loop.csv", MEASURE_HEADER, per_target_measure_rows(_resolve(argv)))
         assert ((tmp_path / "array" / "measure.csv").read_bytes()
                 == (tmp_path / "loop.csv").read_bytes())
+
+    # Sub-blocks of k = max(1, NOISE_BLOCK_QUERIES // (trials * N)) targets; each
+    # grid here is one block, so the kernel is called ceil(T / k) times.
+    @pytest.mark.parametrize("n, d, trials, calls", [
+        (2, 2, 1, 1),  # k = 4,096: all 4 targets at once
+        (13, 2, 2, 27),  # k = 315 of 8,192 targets
+        (4, 3, 10000, 81),  # k = 1
+    ])
+    def test_one_kernel_call_per_sub_block(self, tmp_path, monkeypatch, n, d, trials, calls):
+        shapes = []
+        original = cli.shot_estimates
+
+        def counting(cosines, draws):
+            shapes.append(draws.shape)
+            return original(cosines, draws)
+
+        monkeypatch.setattr(cli, "shot_estimates", counting)
+        assert main(["measure", "--n", str(n), "--d", str(d), "--trials", str(trials),
+                     "--out", str(tmp_path)]) == 0
+        k = max(1, cli.NOISE_BLOCK_QUERIES // (trials * n))
+        assert len(shapes) == -(-d**n // k) == calls
+        assert [shape[0] for shape in shapes[:-1]] == [k] * (calls - 1)
+        assert sum(shape[0] for shape in shapes) == d**n
+        assert {shape[1:] for shape in shapes} == {(trials, n)}
 
     def test_targets_are_sampled_per_block(self, tmp_path, monkeypatch):
         # 8,192 targets in 16 blocks of 512; the CSV writer, which has its own

@@ -18,6 +18,8 @@ from spinalign import (
     site_operator,
 )
 
+from spinalign.hilbert import NORM_TOL
+
 from conftest import basis_state, product_state
 
 I2, X, Z = PAULI["I"], PAULI["X"], PAULI["Z"]
@@ -184,6 +186,30 @@ class TestPartialTrace:
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
+    @pytest.mark.parametrize("norm", [1 + 0.9e-10, 1 - 0.9e-10, 1 + 0.99 * NORM_TOL,
+                                      1 - 0.99 * NORM_TOL])
+    def test_every_accepted_state_partial_traces(self, norm):
+        # StateVector accepts a norm within NORM_TOL of 1, so the trace of a
+        # reduced state, a squared norm, may be about 2·NORM_TOL away from 1.
+        state = StateVector(np.array([norm, 0, 0, 0]), 2)
+        assert state.bloch.tolist() == [[0.0, 0.0, norm**2]] * 2
+        for mask in (1, 2, 3):
+            assert partial_trace(state, mask).purity == pytest.approx(norm**4, abs=1e-15)
+        rng = np.random.default_rng(14)
+        for n in (1, 2, 3, 4, 5):
+            for _ in range(20):
+                v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+                state = StateVector(norm * v / np.linalg.norm(v), n)
+                for mask in range(1, 2**n):
+                    partial_trace(state, mask)
+
+    def test_apply_unitary_output_partial_traces(self):
+        # |U†U - I| is 0.98e-10, within UNITARY_TOL; the output's squared
+        # norm, and so its purity, is off by about 2e-10.
+        out = apply_unitary((1 + 0.49e-10) * np.eye(4), basis_state(2, 0))
+        assert partial_trace(out, 0b11).purity == pytest.approx(1 + 1.96e-10, abs=1e-15)
+
+
 class TestApplyUnitary:
     def test_identity(self):
         psi = basis_state(2, 1)
@@ -231,6 +257,19 @@ class TestDomainTypes:
     def test_density_matrix_rejects_bad_trace(self):
         with pytest.raises(ValidationError):
             DensityMatrix(np.diag([0.7, 0.7]))
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: StateVector(np.array([2.0, 0.0]), 1), "|psi| = 2.0"),
+        (lambda: DensityMatrix(np.diag([0.7, 0.7])), "trace is 1.4, expected 1"),
+    ])
+    def test_messages_print_plain_floats(self, make, message):
+        with pytest.raises(ValidationError) as excinfo:
+            make()
+        assert message in str(excinfo.value) and "np." not in str(excinfo.value)
+
+    def test_density_matrix_rejects_nan(self):
+        with pytest.raises(ValidationError):
+            DensityMatrix(np.full((2, 2), np.nan))
 
     @pytest.mark.parametrize(
         "entry",

@@ -1,6 +1,8 @@
-"""No spinalign module uses another module's private (``_``-prefixed) names."""
+"""Module boundaries: no module uses another's private (``_``-prefixed) names, and the CLI
+makes no stream of its own."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -35,3 +37,25 @@ def test_cli_reads_no_private_attribute():
         and _private(node.attr)
     ]
     assert read == []
+
+
+def test_cli_reads_no_numpy_random():
+    # The CLI's streams all come from oracle.target_streams.
+    read = [
+        f"line {node.lineno}: {node.value.id}.random"
+        for node in ast.walk(_tree(PACKAGE / "cli.py"))
+        if isinstance(node, ast.Attribute) and node.attr == "random"
+        and isinstance(node.value, ast.Name)
+    ]
+    assert read == []
+
+
+@pytest.mark.parametrize("name", ["shot_estimates", "noisy_replies"])
+def test_reply_models_take_draws_not_a_generator(name):
+    # The caller draws from its own stream; a reply model only turns draws into replies.
+    from spinalign import oracle
+
+    parameters = inspect.signature(getattr(oracle, name)).parameters.values()
+    assert "draws" in [p.name for p in parameters]
+    assert [p.name for p in parameters
+            if p.name == "rng" or "Generator" in str(p.annotation)] == []

@@ -293,6 +293,42 @@ class TestSample:
         assert oracle.remaining_budget == 5
         assert np.array_equal(oracle.sample(candidate_j1, 5), twin.sample(candidate_j1, 5))
 
+    # Oracle.sample(candidate, 16) and three query_measured replies (F and the
+    # outcomes m_k) on one stream, as the oracle gave them when the kernel
+    # still drew from the generator itself.
+    @pytest.mark.parametrize("seed, shots, queries", [
+        (0, [4, 0, 0, 2, 2, 4, 0, 4, 4, 0, 4, 2, 2, 2, 4, 4],
+         [(2, [1, 1, 1, 0]), (2, [1, 1, 1, 0]), (2, [1, 0, 1, 1])]),
+        (7, [2, 0, 4, 4, 0, 4, 2, 4, 4, 2, 0, 4, 2, 4, 0, 4],
+         [(4, [1, 1, 1, 1]), (2, [0, 1, 1, 1]), (0, [0, 1, 1, 0])]),
+        (30, [4, 2, 4, 2, 2, 2, 0, 4, 4, 2, 0, 2, 0, 4, 4, 2],
+         [(2, [0, 1, 1, 1]), (4, [1, 1, 1, 1]), (0, [0, 1, 0, 1])]),
+    ])
+    def test_replies_are_unchanged(self, candidate_j1, seed, shots, queries):
+        oracle = make_oracle(TARGET, OracleKind.MEASURED, budget=30, seed=seed)
+        assert oracle.sample(candidate_j1, 16).tolist() == shots
+        replies = [query_measured(oracle, candidate_j1) for _ in queries]
+        assert [(f, bits.tolist()) for f, bits in replies] == [
+            (float(f), [bool(m) for m in bits]) for f, bits in queries]
+
+    @pytest.mark.parametrize("shape", [(1, 1, 2), (5, 7, 4), (3, 1, 9), (2, 0, 3), (4, 3, 3, 2)])
+    def test_one_kernel_call_on_a_stack_equals_one_per_target(self, shape):
+        # A stack of targets' (shots, N) draws against their (N,) cosines.
+        rng = np.random.default_rng(9)
+        cosines = rng.uniform(-1.0, 1.0, shape[:-2] + shape[-1:])
+        cosines.flat[0] = 1.0
+        draws = rng.random(shape)
+        targets = int(np.prod(shape[:-2]))
+        singles = [oracle_module.shot_estimates(cos, row.copy())
+                   for cos, row in zip(cosines.reshape(targets, shape[-1]),
+                                       draws.reshape((targets,) + shape[-2:]))]
+        stacked = oracle_module.shot_estimates(cosines, draws)
+        assert stacked.shape == shape[:-1]
+        assert stacked.tobytes() == np.array(singles).reshape(shape[:-1]).tobytes()
+        # The draws are left holding the outcomes the estimates count.
+        assert set(np.unique(draws)) <= {0.0, 1.0}
+        assert np.array_equal(stacked, 2.0 * draws.sum(axis=-1) - shape[-1])
+
     def test_zero_shots(self, candidate_j1):
         oracle = make_oracle(TARGET, OracleKind.MEASURED, budget=0, seed=1)
         out = oracle.sample(candidate_j1, 0)
