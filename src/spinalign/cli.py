@@ -30,7 +30,7 @@ import numpy as np
 from .chain import (DEFAULT_SWEEP_BUDGET, ChainSpec, ParameterGrid, check_count, target_count,
                     target_field_array)
 from .errors import SpinAlignError, ValidationError
-from .oracle import binomial_std, check_epsilon, noisy_replies, shot_estimates, target_streams
+from .oracle import binomial_std, check_epsilon, noisy_replies, shot_estimates, target_draws
 from .protocol import build_table, delta_f_sums, nearest_runs, sweep_exact, target_angles
 
 # Gates used by --check; they assume the reference configuration below.
@@ -39,8 +39,8 @@ SWEEP_MEAN_WINDOW = (0.40, 0.50)
 # Mean |rotation-angle error| windows per epsilon. Chi errors are gated on
 # the Bloch rotation-angle scale (twice the stored half-angle chi_opt).
 NOISE_ERROR_WINDOWS = {0.05: (0.03, 0.09), 0.1: (0.05, 0.11)}
-# noise looks up whole targets' trials in blocks of about this many queries
-# (at least one target), which bounds its (block, trials) temporaries.
+# noise and measure draw whole targets' trials in blocks of about this many
+# (at least one target), which bounds their (block, trials) temporaries.
 NOISE_BLOCK_QUERIES = 2**13
 # measure makes this many targets' fields and cosines at a time, which bounds
 # its (block, N) temporaries; the reference grid's 625 targets are one block.
@@ -242,9 +242,6 @@ def cmd_noise(cfg: RunConfig) -> None:
     # no more runs than trials, which keeps that array within the block's queries.
     per_run = len(chi_run) <= trials
 
-    # A block of targets is looked up in one call, one row of trials per target.
-    block = max(1, NOISE_BLOCK_QUERIES // trials)
-    noise = np.empty((block, trials))
     rows = []
     for eps_index, eps in enumerate(cfg.eps):
         if eps == 0.0:
@@ -252,14 +249,11 @@ def cmd_noise(cfg: RunConfig) -> None:
             errors = np.abs(chi_run[table.run_f.searchsorted(f_true)] - chi_true)
             gains = sweep_exact(table)[1]
         else:
-            # Each target keeps its own noise stream, seeded by [seed, eps_index, target_id].
-            streams = target_streams([cfg.seed, eps_index], n_targets)
+            # Each target keeps its own noise stream, seeded by [seed, eps_index, target_id];
+            # a block of targets is looked up in one call, one row of trials per target.
             errors, gains = np.empty((2, n_targets))
-            for start in range(0, n_targets, block):
-                ids = slice(start, min(start + block, n_targets))
-                draws = noise[:ids.stop - start]
-                for row in draws:
-                    next(streams).random(out=row)
+            for ids, draws in target_draws([cfg.seed, eps_index], 0, n_targets, (trials,),
+                                           NOISE_BLOCK_QUERIES):
                 hit = nearest_runs(table, noisy_replies(f_true[ids, None], eps, draws))
                 at = slice(None) if per_run else hit
                 # Gain at the looked-up angle needs only (sum_sin, F) of the truth.
@@ -299,13 +293,6 @@ def cmd_measure(cfg: RunConfig) -> None:
     trials = 10_000 if cfg.trials is None else cfg.trials
     grid, candidate = cfg.grid(), cfg.candidate()
     n_targets = target_count(grid, cfg.n)
-    # Each target keeps its own stream, seeded by [seed, target_id].
-    streams = target_streams([cfg.seed], n_targets)
-    # Parts of at most NOISE_BLOCK_QUERIES draws take one kernel call each; sub-blocks of whole
-    # parts and at most NOISE_BLOCK_QUERIES estimates take one mean and one std call each.
-    part = max(1, NOISE_BLOCK_QUERIES // (trials * cfg.n))
-    sub_block = part * max(1, NOISE_BLOCK_QUERIES // (trials * part))
-    shots, estimates = np.empty((part, trials, cfg.n)), np.empty((sub_block, trials))
     f_exact, binomial, means, stds = np.empty((4, n_targets))
     for start in range(0, n_targets, SWEEP_BLOCK_TARGETS):
         stop = min(start + SWEEP_BLOCK_TARGETS, n_targets)
@@ -316,16 +303,13 @@ def cmd_measure(cfg: RunConfig) -> None:
         # F_exact sums the cosines in sorted θ order, as build_table sums fig2's F.
         thetas.sort(axis=1)
         f_exact[start:stop] = np.cos(thetas).sum(axis=1)
-        for lo in range(start, stop, sub_block):
-            ids = slice(lo, min(lo + sub_block, stop))
-            rows = estimates[:ids.stop - lo]  # one target's estimates per row
-            for at in range(0, len(rows), part):
-                draws = shots[:min(part, len(rows) - at)]  # a target's (trials, N) per row
-                for row in draws:
-                    next(streams).random(out=row)
-                rows[at:at + part] = shot_estimates(cosines[lo - start + at:][:len(draws)], draws)
-            means[ids] = rows.mean(axis=1)
-            stds[ids] = rows.std(axis=1, ddof=1) if trials > 1 else 0.0
+        # Each target keeps its own stream, seeded by [seed, target_id]. A block of at most
+        # max(NOISE_BLOCK_QUERIES, trials)·N draws takes one kernel call, one mean and one std.
+        for ids, draws in target_draws([cfg.seed], start, stop, (trials, cfg.n),
+                                       NOISE_BLOCK_QUERIES):
+            estimates = shot_estimates(cosines[ids.start - start:ids.stop - start], draws)
+            means[ids] = estimates.mean(axis=1)
+            stds[ids] = estimates.std(axis=1, ddof=1) if trials > 1 else 0.0
     out = Path(cfg.out) / "measure.csv"
     _write_csv(out, "target_id,F_exact,F_est_mean,F_est_std,binomial_std",
                (np.arange(len(means)), f_exact, means, stds, binomial))

@@ -223,12 +223,16 @@ def partial_trace(state: StateVector, keep: int) -> DensityMatrix:
 
 
 def apply_unitary(u, state: StateVector) -> StateVector:
-    """Apply the unitary matrix ``u`` to a state; rejects non-unitary input."""
+    """Apply the unitary matrix ``u`` to a state; ValidationError naming the operator if it is
+    not unitary within UNITARY_TOL (entrywise) or moves the state's norm beyond NORM_TOL."""
     m = _as_complex_matrix(u)
     if len(m) != state.dim:
         raise ValidationError(f"operator dim {len(m)} != state dim {state.dim}")
     dev = np.max(np.abs(m.conj().T @ m - np.eye(len(m))))
     if not dev <= UNITARY_TOL:
         raise ValidationError(f"operator is not unitary: max |U†U - I| = {dev:g}")
-    return StateVector(m @ state.amplitudes, state.n_sites)
+    try:
+        return StateVector(m @ state.amplitudes, state.n_sites)
+    except ValidationError as exc:
+        raise ValidationError(f"operator is not unitary: the output {exc}") from None
 

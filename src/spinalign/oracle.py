@@ -6,16 +6,16 @@ afterwards answers only similarity queries. A candidate is its (N, 3)
 array of per-site Bloch vectors (a state's ``bloch``, or closed-form
 directions as they are); a reply is the exact value, a bounded
 uniformly-noisy value, or a single-shot projective-measurement estimate.
-The target's fields are never exposed; the public surface is the behavior
-kind, the remaining budget, a fingerprint of the construction parameters,
-and the query operations.
+The target's fields and coupling are never exposed; the public surface is
+the behavior kind, the remaining budget, a fingerprint of the values that
+do not describe the target, and the query operations.
 
 Batched studies call the oracle's rules rather than restate them: the ε check
 (:func:`check_epsilon`), the shot spread (:func:`binomial_std`) and the two
 reply models, :func:`noisy_replies` and :func:`shot_estimates`. These hold no
 generator: each turns the caller's ``rng.random`` draws, for one query or a
-stack of targets, in place into replies. :func:`target_streams` makes the
-generators ``default_rng(prefix + [target_id])`` would, in vectorized passes.
+stack of targets, in place into replies. :func:`target_draws` hands out the
+draws ``default_rng(prefix + [target_id])`` would make, in blocks of targets.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-# target_streams seeds this many targets per vectorized pass, which bounds its temporaries.
+# target_draws seeds this many targets per vectorized pass, which bounds its temporaries.
 STREAM_CHUNK_ROWS = 2**9
 
 
@@ -118,24 +118,36 @@ def _uint32_words(value: int) -> list[int]:
     return words
 
 
-def target_streams(prefix: list[int], n_targets: int) -> Iterator[np.random.Generator]:
-    """The streams default_rng(prefix + [target_id]) for target ids 0 to n_targets - 1, in order.
+def target_draws(prefix: list[int], start: int, stop: int, row_shape: tuple[int, ...],
+                 bound: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """Blocks (ids, draws) of the targets start <= id < stop, in order; each ``draws`` is new.
 
-    Each row of entropy is the uint32 words SeedSequence makes of that list
-    (the 32-bit words of each entry; ids below 2^32 are one word). Each
-    :func:`seeded_streams` call seeds STREAM_CHUNK_ROWS targets, so memory
-    stays bounded at any count. The generator yielded is re-stated for the
-    next target. ValidationError, before any seeding, for a prefix entry
-    that is not a non-negative integer.
+    ``ids`` is a slice of at most max(1, bound // row_shape[0]) targets, so a block holds at
+    most max(bound, row_shape[0])·prod(row_shape[1:]) floats; row k of ``draws`` is
+    ``default_rng(prefix + [id]).random(row_shape)`` for its k-th id. Seeding takes
+    STREAM_CHUNK_ROWS targets per :func:`seeded_streams` pass, from the uint32 words
+    SeedSequence makes of that list, an id being one word. ValidationError, before any
+    seeding, for a prefix entry that is not a non-negative integer or an id outside [0, 2^32).
     """
+    if start < 0 or stop > 1 << 32:
+        raise ValidationError(f"target ids must lie in [0, 2^32), got {start} to {stop - 1}")
     words = [word for value in prefix
              for word in _uint32_words(check_count(value, "a stream seed"))]
     entropy = np.empty((STREAM_CHUNK_ROWS, len(words) + 1), dtype=np.uint32)
     entropy[:, :-1] = words
-    for start in range(0, n_targets, STREAM_CHUNK_ROWS):
-        chunk = entropy[:min(STREAM_CHUNK_ROWS, n_targets - start)]
-        chunk[:, -1] = np.arange(start, start + len(chunk))
-        yield from seeded_streams(chunk)
+
+    def streams() -> Iterator[np.random.Generator]:
+        for lo in range(start, stop, STREAM_CHUNK_ROWS):
+            chunk = entropy[:min(STREAM_CHUNK_ROWS, stop - lo)]
+            chunk[:, -1] = np.arange(lo, lo + len(chunk))
+            yield from seeded_streams(chunk)
+
+    rngs, block = streams(), max(1, bound // row_shape[0])
+    for lo in range(start, stop, block):
+        draws = np.empty((min(block, stop - lo), *row_shape))
+        for row in draws:
+            next(rngs).random(out=row)
+        yield slice(lo, lo + len(draws)), draws
 
 
 class OracleKind(enum.Enum):
@@ -217,8 +229,7 @@ class Oracle:
             raise ValidationError(f"seed must be a non-negative integer or a sequence "
                                   f"of them, got {seed!r}") from None
         self._kind = kind
-        self._params = (target.n_sites, target.coupling, target.fields,
-                        kind.value, budget, seed, self._epsilon)
+        self._params = (target.n_sites, kind.value, budget, seed, self._epsilon)
         # Unit site directions; site_cosines ignores the Bloch length.
         self._target_bloch = product_ground_directions(target.fields)
 
@@ -236,7 +247,7 @@ class Oracle:
 
     @cached_property
     def fingerprint(self) -> str:
-        """Hash of the construction parameters; reveals nothing about the target."""
+        """Hash of the site count, kind, budget, seed and ε; reveals nothing about the target."""
         return hashlib.sha256(repr(self._params).encode()).hexdigest()
 
     @cached_property

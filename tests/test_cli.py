@@ -402,7 +402,7 @@ class TestNoiseCommand:
         def unused(*args):
             raise AssertionError("eps = 0 makes no stream and no lookup")
 
-        monkeypatch.setattr(cli, "target_streams", unused)
+        monkeypatch.setattr(cli, "target_draws", unused)
         monkeypatch.setattr(cli, "nearest_runs", unused)
         argv = ["noise", "--n", str(n), "--d", str(d), "--eps", "0", "--trials", str(trials)]
         assert main([*argv, "--out", str(tmp_path)]) == 0
@@ -586,11 +586,11 @@ class TestMeasureCommand:
         assert ((tmp_path / "array" / "measure.csv").read_bytes()
                 == (tmp_path / "loop.csv").read_bytes())
 
-    # Sub-blocks of k = max(1, NOISE_BLOCK_QUERIES // (trials * N)) targets; each
-    # grid here is one block, so the kernel is called ceil(T / k) times.
+    # Sub-blocks of k = max(1, NOISE_BLOCK_QUERIES // trials) targets, the rule noise
+    # uses; each grid here is one angle block, so the kernel is called ceil(T / k) times.
     @pytest.mark.parametrize("n, d, trials, calls", [
-        (2, 2, 1, 1),  # k = 4,096: all 4 targets at once
-        (13, 2, 2, 27),  # k = 315 of 8,192 targets
+        (2, 2, 1, 1),  # k = 8,192: all 4 targets at once
+        (13, 2, 2, 2),  # k = 4,096 of 8,192 targets
         (4, 3, 10000, 81),  # k = 1
     ])
     def test_one_kernel_call_per_sub_block(self, tmp_path, monkeypatch, n, d, trials, calls):
@@ -604,7 +604,7 @@ class TestMeasureCommand:
         monkeypatch.setattr(cli, "shot_estimates", counting)
         assert main(["measure", "--n", str(n), "--d", str(d), "--trials", str(trials),
                      "--out", str(tmp_path)]) == 0
-        k = max(1, cli.NOISE_BLOCK_QUERIES // (trials * n))
+        k = max(1, cli.NOISE_BLOCK_QUERIES // trials)
         assert len(shapes) == -(-d**n // k) == calls
         assert [shape[0] for shape in shapes[:-1]] == [k] * (calls - 1)
         assert sum(shape[0] for shape in shapes) == d**n

@@ -228,6 +228,13 @@ class TestApplyUnitary:
         out = apply_unitary(q, StateVector(v / np.linalg.norm(v), 2))
         assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-10)
 
+    def test_an_operator_that_moves_the_norm_is_named(self):
+        # Each entry of U†U - I is 0.98e-10, within UNITARY_TOL, but U takes the
+        # uniform state's norm to 1 + 1.96e-10: the operator is at fault, not the state.
+        u = np.eye(4) + 0.49e-10 * np.ones((4, 4))
+        with pytest.raises(ValidationError, match="^operator is not unitary"):
+            apply_unitary(u, StateVector(np.full(4, 0.5), 2))
+
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
             apply_unitary(np.diag([1.0, 2.0]), basis_state(1, 0))

@@ -1,5 +1,5 @@
 """Module boundaries: no module uses another's private (``_``-prefixed) names, and the CLI
-makes no stream of its own."""
+holds no generator and draws nothing of its own."""
 
 import ast
 import inspect
@@ -40,7 +40,7 @@ def test_cli_reads_no_private_attribute():
 
 
 def test_cli_reads_no_numpy_random():
-    # The CLI's streams all come from oracle.target_streams.
+    # The CLI's draws all come from oracle.target_draws.
     read = [
         f"line {node.lineno}: {node.value.id}.random"
         for node in ast.walk(_tree(PACKAGE / "cli.py"))
@@ -48,6 +48,20 @@ def test_cli_reads_no_numpy_random():
         and isinstance(node.value, ast.Name)
     ]
     assert read == []
+
+
+def test_cli_holds_no_generator():
+    # The CLI takes blocks of draws; it names no stream maker or generator and draws nothing.
+    tree = _tree(PACKAGE / "cli.py")
+    banned = {"target_streams", "seeded_streams", "Generator"}
+    named = [name for node in ast.walk(tree)
+             for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                          getattr(node, "name", None), getattr(node, "asname", None))
+             if name in banned]
+    draws = [f"line {node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "random"]
+    assert named == [] and draws == []
 
 
 @pytest.mark.parametrize("name", ["shot_estimates", "noisy_replies"])

@@ -1,4 +1,3 @@
-import hashlib
 import os
 import resource
 import subprocess
@@ -12,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from spinalign import (
     ChainSpec,
     OracleKind,
+    ParameterGrid,
     QueryBudgetError,
     StateVector,
     UndefinedDirectionError,
@@ -27,6 +27,7 @@ from spinalign import (
     query_noisy,
 )
 from spinalign import oracle as oracle_module
+from spinalign.chain import target_field_array
 
 from conftest import product_state
 
@@ -396,9 +397,25 @@ def test_exact_oracle_builds_no_generator(candidate_j1, monkeypatch):
 
 
 def test_fingerprint_hashes_the_construction_values():
-    oracle = make_oracle(TARGET, OracleKind.NOISY, budget=3, seed=[30, 7], epsilon=0.1)
-    params = (4, 1.0, (0.5,) * 4, "noisy", 3, [30, 7], 0.1)
-    assert oracle.fingerprint == hashlib.sha256(repr(params).encode()).hexdigest()
+    # Only the values beside the target: oracles that differ in fields or J
+    # share a fingerprint, and any other construction value changes it.
+    chosen = {"kind": OracleKind.NOISY, "budget": 3, "seed": [30, 7], "epsilon": 0.1}
+    fingerprint = make_oracle(TARGET, **chosen).fingerprint
+    for target in (ChainSpec(4, 1.0, (-0.5, 0.0, 0.25, 0.5)), ChainSpec(4, -2.0, (0.5,) * 4)):
+        assert make_oracle(target, **chosen).fingerprint == fingerprint
+    for change in ({"kind": OracleKind.MEASURED}, {"budget": 4}, {"seed": [30, 8]},
+                   {"epsilon": 0.2}):
+        assert make_oracle(TARGET, **{**chosen, **change}).fingerprint != fingerprint
+    assert make_oracle(ChainSpec(5, 1.0, (0.5,) * 5), **chosen).fingerprint != fingerprint
+
+
+def test_fingerprints_of_the_reference_grid_are_equal():
+    # A caller who builds an oracle per candidate target cannot pick out the
+    # hidden one by its fingerprint.
+    fields = target_field_array(ParameterGrid(-0.5, 0.5, 5), 4)
+    secret = make_oracle(ChainSpec(4, 1.0, tuple(fields[353])), seed=30).fingerprint
+    assert {make_oracle(ChainSpec(4, 1.0, tuple(row)), seed=30).fingerprint
+            for row in fields} == {secret}
 
 
 
@@ -440,13 +457,47 @@ class TestSeededStreams:
 
     @pytest.mark.parametrize("prefix", [[0], [30, 2], [2**32, 1], [2**64 + 3]])
     def test_target_streams_equal_default_rng_of_the_list(self, monkeypatch, prefix):
-        # 10 targets in chunks of 3, the last one short.
+        # Targets 4 to 12 in seeding chunks of 3 that start mid-chunk (4-6, 7-9,
+        # 10-12) and blocks of 5 // 2 = 2 targets, so blocks cross chunks.
         monkeypatch.setattr(oracle_module, "STREAM_CHUNK_ROWS", 3)
-        streams = oracle_module.target_streams(prefix, 10)
-        for target_id, stream in enumerate(streams):
-            reference = np.random.default_rng([*prefix, target_id])
-            assert np.array_equal(stream.random(8), reference.random(8))
-        assert target_id == 9
+        blocks = list(oracle_module.target_draws(prefix, 4, 13, (2, 3), 5))
+        assert [(ids.start, ids.stop) for ids, _ in blocks] == [(4, 6), (6, 8), (8, 10),
+                                                                  (10, 12), (12, 13)]
+        for ids, draws in blocks:
+            assert draws.shape == (ids.stop - ids.start, 2, 3)
+            for target_id, row in zip(range(ids.start, ids.stop), draws):
+                reference = np.random.default_rng([*prefix, target_id]).random((2, 3))
+                assert np.array_equal(row, reference)
+
+    @pytest.mark.parametrize("start, stop, row_shape, bound, sizes", [
+        (0, 5, (3,), 7, [2, 2, 1]),
+        (2, 5, (4, 2), 3, [1, 1, 1]),  # more rows than the bound: one target a block
+        (3, 3, (1,), 8, []),
+    ])
+    def test_blocks_hold_whole_targets_within_the_bound(self, start, stop, row_shape, bound,
+                                                        sizes):
+        blocks = list(oracle_module.target_draws([7], start, stop, row_shape, bound))
+        assert [len(draws) for _, draws in blocks] == sizes
+        assert [draws.shape[1:] for _, draws in blocks] == [row_shape] * len(sizes)
+
+    @pytest.mark.parametrize("start, stop", [(-1, 2), (2**32 - 1, 2**32 + 1)])
+    def test_ids_must_be_one_entropy_word(self, start, stop):
+        # An id is the entropy row's last uint32 word; outside [0, 2^32) it would
+        # wrap to another target's stream.
+        with pytest.raises(ValidationError, match="target ids"):
+            next(oracle_module.target_draws([1], start, stop, (2,), 8))
+
+    def test_overwriting_a_block_leaves_later_blocks_unchanged(self):
+        # 7 targets in blocks of 2, each a new array: overwriting the first in place, as
+        # the reply models do, changes no later block, and no later block changes it.
+        reference = [draws.copy() for _, draws in oracle_module.target_draws([5], 0, 7, (4,), 8)]
+        blocks = []
+        for _, draws in oracle_module.target_draws([5], 0, 7, (4,), 8):
+            if not blocks:
+                draws[...] = -1.0
+            blocks.append(draws)
+        assert (blocks[0] == -1.0).all()
+        assert all(np.array_equal(a, b) for a, b in zip(blocks[1:], reference[1:]))
 
     @pytest.mark.parametrize("prefix", [[-1], [30, -2**40], [1.5], [True], ["7"]],
                              ids=["minus-one", "negative-word", "float", "bool", "str"])
@@ -454,9 +505,9 @@ class TestSeededStreams:
         # -1 shifted right stays -1, so splitting it into words once never
         # ended; the child runs under a time and a 1 GiB address-space limit.
         code = ("from spinalign.errors import ValidationError\n"
-                "from spinalign.oracle import target_streams\n"
+                "from spinalign.oracle import target_draws\n"
                 "try:\n"
-                f"    next(target_streams({prefix!r}, 3))\n"
+                f"    next(target_draws({prefix!r}, 0, 3, (1,), 1))\n"
                 "except ValidationError as exc:\n"
                 "    print(exc)\n")
         proc = subprocess.run(
