@@ -33,6 +33,7 @@ class ChainSpec:
     fields: tuple[float, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "n_sites", check_count(self.n_sites, "the number of sites"))
         if self.n_sites < 2:
             raise ValidationError("a chain needs at least 2 sites")
         object.__setattr__(self, "fields", tuple(float(b) for b in self.fields))
@@ -57,6 +58,7 @@ class ParameterGrid:
     levels: int
 
     def __post_init__(self):
+        object.__setattr__(self, "levels", check_count(self.levels, "the number of grid levels"))
         if self.levels < 1:
             raise ValidationError("grid needs at least one level")
         # Also rejects a span b_max - b_min that overflows to inf.

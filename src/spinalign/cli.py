@@ -228,9 +228,8 @@ def cmd_sweep(cfg: RunConfig) -> None:
         ])
 
 
-def cmd_noise(cfg: RunConfig) -> None:
-    trials = 200 if cfg.trials is None else cfg.trials
-    table = build_table(cfg.grid(), cfg.candidate())
+def noise_rows(table, eps, trials: int, seed: int) -> list[tuple[float, float, float]]:
+    """(ε, 2·mean |χ error|, mean ΔF) per ε of ``eps``, from ``trials`` noisy lookups per target."""
     n_targets = len(table)
     # chi/F/sum_sin keyed by target id for per-target truth values.
     chi_true, f_true, s_true = truth = np.empty((3, n_targets))
@@ -243,8 +242,8 @@ def cmd_noise(cfg: RunConfig) -> None:
     per_run = len(chi_run) <= trials
 
     rows = []
-    for eps_index, eps in enumerate(cfg.eps):
-        if eps == 0.0:
+    for eps_index, epsilon in enumerate(eps):
+        if epsilon == 0.0:
             # Each query is its target's own F, at distance 0 from its run: the sweep's gains.
             errors = np.abs(chi_run[table.run_f.searchsorted(f_true)] - chi_true)
             gains = sweep_exact(table)[1]
@@ -252,9 +251,9 @@ def cmd_noise(cfg: RunConfig) -> None:
             # Each target keeps its own noise stream, seeded by [seed, eps_index, target_id];
             # a block of targets is looked up in one call, one row of trials per target.
             errors, gains = np.empty((2, n_targets))
-            for ids, draws in target_draws([cfg.seed, eps_index], 0, n_targets, (trials,),
+            for ids, draws in target_draws([seed, eps_index], 0, n_targets, (trials,),
                                            NOISE_BLOCK_QUERIES):
-                hit = nearest_runs(table, noisy_replies(f_true[ids, None], eps, draws))
+                hit = nearest_runs(table, noisy_replies(f_true[ids, None], epsilon, draws))
                 at = slice(None) if per_run else hit
                 # Gain at the looked-up angle needs only (sum_sin, F) of the truth.
                 gain = delta_f_sums(s_true[ids, None], f_true[ids, None], sin_run[at],
@@ -266,15 +265,20 @@ def cmd_noise(cfg: RunConfig) -> None:
                 gains[ids] = gain.mean(axis=1)
                 errors[ids] = error.mean(axis=1)
         # Reported on the Bloch rotation-angle scale: twice the half-angle chi.
-        rows.append((eps, 2.0 * float(errors.mean()), float(gains.mean())))
+        rows.append((epsilon, 2.0 * float(errors.mean()), float(gains.mean())))
+    return rows
 
+
+def cmd_noise(cfg: RunConfig) -> None:
+    trials = 200 if cfg.trials is None else cfg.trials
+    table = build_table(cfg.grid(), cfg.candidate())
+    rows = noise_rows(table, cfg.eps, trials, cfg.seed)
     out = Path(cfg.out) / "noise.csv"
     _write_csv(out, "epsilon,mean_abs_chi_error,mean_delta_f", zip(*rows))
-    print(f"noise: {trials} trials/target over {n_targets} targets -> {out}")
-    for eps, err, gain in rows:
-        expected = {0.05: 0.06, 0.1: 0.08}.get(round(eps, 10))
-        note = f" (reference ~{expected})" if expected is not None else ""
-        print(f"  eps={eps:g}: mean |rotation error| {err:.4f}{note}, mean dF {gain:.4f}")
+    print(f"noise: {trials} trials/target over {len(table)} targets -> {out}")
+    notes = {0.05: " (reference ~0.06)", 0.1: " (reference ~0.08)"}
+    print(*(f"  eps={eps:g}: mean |rotation error| {err:.4f}{notes.get(round(eps, 10), '')}, "
+            f"mean dF {gain:.4f}" for eps, err, gain in rows), sep="\n")
     if cfg.check:
         by_eps = {round(e, 10): err for e, err, _ in rows}
         gates = [(lo <= by_eps[round(e, 10)] <= hi, f"rotation error at eps={e} in [{lo}, {hi}]")
@@ -289,15 +293,15 @@ def cmd_noise(cfg: RunConfig) -> None:
         ])
 
 
-def cmd_measure(cfg: RunConfig) -> None:
-    trials = 10_000 if cfg.trials is None else cfg.trials
-    grid, candidate = cfg.grid(), cfg.candidate()
-    n_targets = target_count(grid, cfg.n)
+def measure_columns(grid: ParameterGrid, candidate: ChainSpec, trials: int, seed: int):
+    """(F_exact, mean, std, binomial std) by target id of ``trials`` measured shots per target."""
+    n_sites = candidate.n_sites
+    n_targets = target_count(grid, n_sites)
     f_exact, binomial, means, stds = np.empty((4, n_targets))
     for start in range(0, n_targets, SWEEP_BLOCK_TARGETS):
         stop = min(start + SWEEP_BLOCK_TARGETS, n_targets)
         # One cosine array gives the binomial spread and every target's shots.
-        thetas = target_angles(target_field_array(grid, cfg.n, start=start, stop=stop), candidate)
+        thetas = target_angles(target_field_array(grid, n_sites, start=start, stop=stop), candidate)
         cosines = np.cos(thetas)
         binomial[start:stop] = binomial_std(cosines)
         # F_exact sums the cosines in sorted θ order, as build_table sums fig2's F.
@@ -305,11 +309,17 @@ def cmd_measure(cfg: RunConfig) -> None:
         f_exact[start:stop] = np.cos(thetas).sum(axis=1)
         # Each target keeps its own stream, seeded by [seed, target_id]. A block of at most
         # max(NOISE_BLOCK_QUERIES, trials)·N draws takes one kernel call, one mean and one std.
-        for ids, draws in target_draws([cfg.seed], start, stop, (trials, cfg.n),
+        for ids, draws in target_draws([seed], start, stop, (trials, n_sites),
                                        NOISE_BLOCK_QUERIES):
             estimates = shot_estimates(cosines[ids.start - start:ids.stop - start], draws)
             means[ids] = estimates.mean(axis=1)
             stds[ids] = estimates.std(axis=1, ddof=1) if trials > 1 else 0.0
+    return f_exact, means, stds, binomial
+
+
+def cmd_measure(cfg: RunConfig) -> None:
+    trials = 10_000 if cfg.trials is None else cfg.trials
+    f_exact, means, stds, binomial = measure_columns(cfg.grid(), cfg.candidate(), trials, cfg.seed)
     out = Path(cfg.out) / "measure.csv"
     _write_csv(out, "target_id,F_exact,F_est_mean,F_est_std,binomial_std",
                (np.arange(len(means)), f_exact, means, stds, binomial))

@@ -127,10 +127,13 @@ def target_draws(prefix: list[int], start: int, stop: int, row_shape: tuple[int,
     ``default_rng(prefix + [id]).random(row_shape)`` for its k-th id. Seeding takes
     STREAM_CHUNK_ROWS targets per :func:`seeded_streams` pass, from the uint32 words
     SeedSequence makes of that list, an id being one word. ValidationError, before any
-    seeding, for a prefix entry that is not a non-negative integer or an id outside [0, 2^32).
+    seeding, for a prefix entry that is not a non-negative integer, an id outside [0, 2^32) or
+    a leading row size ``row_shape[0]`` that is not an integer >= 1.
     """
     if start < 0 or stop > 1 << 32:
         raise ValidationError(f"target ids must lie in [0, 2^32), got {start} to {stop - 1}")
+    if not row_shape or check_count(row_shape[0], "the leading row size") < 1:
+        raise ValidationError(f"the leading row size must be at least 1, got {row_shape!r}")
     words = [word for value in prefix
              for word in _uint32_words(check_count(value, "a stream seed"))]
     entropy = np.empty((STREAM_CHUNK_ROWS, len(words) + 1), dtype=np.uint32)

@@ -239,6 +239,25 @@ class TestSpecsAndGrids:
         with pytest.raises(ValidationError):
             ParameterGrid(b_min, b_max, levels)
 
+    @pytest.mark.parametrize("levels", [2.5, True, "3", 5.0], ids=repr)
+    def test_grid_levels_must_be_an_integer(self, levels):
+        # 2.5 built a grid whose .values raised TypeError; True read as one level.
+        with pytest.raises(ValidationError, match="grid levels must be a non-negative integer"):
+            ParameterGrid(0.0, 1.0, levels)
+
+    @pytest.mark.parametrize("n_sites", [2.0, True, "2"], ids=repr)
+    def test_site_count_must_be_an_integer(self, n_sites):
+        # ChainSpec(2.0, ...) built a chain that build_table and ground_state
+        # then failed on with IndexError and TypeError.
+        with pytest.raises(ValidationError, match="number of sites must be a non-negative"):
+            ChainSpec(n_sites, 1.0, (0.0, 0.0))
+
+    def test_numpy_integer_sizes_are_stored_as_ints(self):
+        grid = ParameterGrid(0.0, 1.0, np.int64(3))
+        spec = ChainSpec(np.int32(2), 1.0, (0.0, 0.0))
+        assert type(grid.levels) is int and grid.values.tolist() == [0.0, 0.5, 1.0]
+        assert type(spec.n_sites) is int and spec.n_sites == 2
+
 
 def test_sweep_eigen_residuals(study):
     assert np.max(study.residuals) < 1e-9

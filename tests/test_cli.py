@@ -4,6 +4,7 @@ import decimal
 import functools
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import spinalign
 from spinalign import chain, cli, hilbert, protocol, similarity
@@ -360,14 +361,16 @@ class TestNoiseCommand:
         assert outputs["neg"] == outputs["file"] == outputs["pos"]
         assert outputs["neg"][0].splitlines()[1].startswith("0.000000000000e+00,")
 
-    @pytest.mark.parametrize("argv", [
+    LOOP_ARGVS = [
         ["--n", "2", "--d", "2", "--trials", "1"],
         ["--n", "2", "--d", "2", "--trials", "8191"],
         ["--n", "2", "--d", "2", "--trials", "8192"],
         ["--n", "2", "--d", "2", "--trials", "8193"],
         ["--n", "2", "--d", "3", "--trials", "3000"],  # 2 targets a block, last one short
         ["--trials", "200"],  # reference grid: 40 targets a block, last one short
-    ])
+    ]
+
+    @pytest.mark.parametrize("argv", LOOP_ARGVS)
     def test_blocked_lookup_equals_per_target_loop(self, tmp_path, argv):
         # Seeds of one, two and three 32-bit words: each stream's entropy words.
         for seed in (0, 2**32, 2**64 + 3):
@@ -377,6 +380,20 @@ class TestNoiseCommand:
             write_rows(out / "loop.csv", "epsilon,mean_abs_chi_error,mean_delta_f",
                        per_target_noise_rows(_resolve(run)))
             assert (out / "blocked" / "noise.csv").read_bytes() == (out / "loop.csv").read_bytes()
+
+    @pytest.mark.parametrize("argv", LOOP_ARGVS)
+    def test_noise_rows_equal_per_target_loop(self, argv):
+        # The study's own floats, not their 13-digit CSV text.
+        for seed in (0, 2**32, 2**64 + 3):
+            cfg = _resolve(["noise", "--eps", "0,0.05,0.1", *argv, "--seed", str(seed)])
+            table = protocol.build_table(cfg.grid(), cfg.candidate())
+            rows = cli.noise_rows(table, cfg.eps, cfg.trials, cfg.seed)
+            loop = per_target_noise_rows(cfg)
+            assert rows[1:] == loop[1:]
+            # At eps = 0 the loop averages `trials` copies of each target's gain, which at
+            # 8,191 trials rounds 5.6e-17 off the gain itself; the study takes it once.
+            assert rows[0] == (0.0, 0.0, float(protocol.sweep_exact(table)[1].mean()))
+            assert loop[0][:2] == (0.0, 0.0) and rows[0][2] == pytest.approx(loop[0][2], rel=1e-15)
 
     def test_zero_epsilon_makes_no_stream(self, tmp_path, monkeypatch):
         seeded = []
@@ -586,6 +603,25 @@ class TestMeasureCommand:
         assert ((tmp_path / "array" / "measure.csv").read_bytes()
                 == (tmp_path / "loop.csv").read_bytes())
 
+    # The configs of the three CSV tests above as (n, d, trials, seed, bound, block); a
+    # bound or block of None keeps NOISE_BLOCK_QUERIES or SWEEP_BLOCK_TARGETS as it is.
+    @pytest.mark.parametrize("n, d, trials, seed, bound, block", [
+        *[(3, 3, trials, seed, None, block) for seed in (0, 30, 2**32, 2**64 + 3)
+          for trials in (1, 2, 777) for block in (None, 16)],
+        (2, 91, 2, 2**64 + 3, None, None),
+        (3, 3, 3, 7, 30, None), (3, 3, 3, 7, 30, 16), (3, 3, 1, 7, 8, None), (3, 3, 2, 7, 1, None),
+    ])
+    def test_measure_columns_equal_per_target_loop(self, monkeypatch, n, d, trials, seed,
+                                                   bound, block):
+        if bound is not None:
+            monkeypatch.setattr(cli, "NOISE_BLOCK_QUERIES", bound)
+        if block is not None:
+            monkeypatch.setattr(cli, "SWEEP_BLOCK_TARGETS", block)
+        cfg = RunConfig(n=n, d=d, trials=trials, seed=seed)
+        columns = cli.measure_columns(cfg.grid(), cfg.candidate(), trials, seed)
+        rows = list(zip(range(d**n), *(column.tolist() for column in columns)))
+        assert rows == per_target_measure_rows(cfg)
+
     # Sub-blocks of k = max(1, NOISE_BLOCK_QUERIES // trials) targets, the rule noise
     # uses; each grid here is one angle block, so the kernel is called ceil(T / k) times.
     @pytest.mark.parametrize("n, d, trials, calls", [
@@ -637,12 +673,18 @@ MEASURE_HEADER = "target_id,F_exact,F_est_mean,F_est_std,binomial_std"
 
 
 def per_target_measure_rows(cfg: RunConfig) -> list[tuple[int, float, float, float, float]]:
-    """Reference measure study: one measured oracle and one Oracle.sample call per target."""
+    """Reference measure study: one measured oracle and one Oracle.sample call per target.
+
+    F_exact is the lookup table's F of each target (fig2's F), which sums the
+    site cosines in sorted angle order; a sum in site order can differ in the last bit.
+    """
     trials = cfg.trials if cfg.trials is not None else 10_000
     candidate = chain.product_ground_directions(cfg.candidate().fields)
     fields = chain.target_field_array(cfg.grid(), cfg.n)
     cos_thetas = np.cos(protocol.target_angles(fields, cfg.candidate()))
-    f_exact = cos_thetas.sum(axis=1)
+    table = protocol.build_table(cfg.grid(), cfg.candidate())
+    f_exact = np.empty(len(table))
+    f_exact[table.target_ids] = table.f
     probs = (cos_thetas + 1.0) / 2.0
     binomial_std = 2.0 * np.sqrt(np.sum(probs * (1.0 - probs), axis=1))
     rows = []
@@ -971,3 +1013,80 @@ def test_fuzz_config_file_values(values):
                          "--config", str(cfg_file)])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in stderr.getvalue()
+
+
+# The argv fuzz: a grammar of subcommand, flags and config file. Integer flags take small
+# values, values across the whole int range and text argparse must refuse; float flags take
+# any float's repr and the edge spellings below.
+_ODD_TEXT = st.sampled_from(["", " ", "nan", "-nan", "NaN", "inf", "-inf", "-Infinity", "-0",
+                             "0", "1e308", "-1e308", "1e309", "1e-3", "-1e-3", "abc", "--n",
+                             "9" * 5000])
+_INT_TEXT = st.one_of(st.integers(-3, 12), st.integers(-2**70, 2**70),
+                      st.sampled_from([chain.DEFAULT_SWEEP_BUDGET,
+                                       chain.DEFAULT_SWEEP_BUDGET + 1, 10**400])).map(str)
+_FLOAT_TEXT = st.one_of(st.floats().map(repr), st.sampled_from(["-0.5", "0.5", "1", "-2"]))
+_INT_ARG, _FLOAT_ARG = st.one_of(_INT_TEXT, _ODD_TEXT), st.one_of(_FLOAT_TEXT, _ODD_TEXT)
+_FLAG_VALUES = {
+    **dict.fromkeys(("--n", "--d", "--trials", "--seed", "--threads"), _INT_ARG),
+    **dict.fromkeys(("--j", "--bmin", "--bmax"), _FLOAT_ARG),
+    "--eps": st.one_of(st.lists(_FLOAT_ARG, max_size=4).map(",".join), _ODD_TEXT),
+}
+# A small valid run that the drawn flags, applied after it, may override or break.
+_BASE = st.sampled_from([[], ["--n", "2", "--d", "3", "--trials", "5"],
+                         ["--n", "3", "--d", "2", "--trials", "2", "--eps", "0,0.1"]])
+_FLAGS = st.lists(st.one_of(
+    *(st.tuples(st.just(flag), values) for flag, values in _FLAG_VALUES.items()),
+    st.sampled_from([("--check",), ("--bogus",), ("--n",)]),
+), max_size=4)
+_CONFIG = st.one_of(st.none(), st.dictionaries(
+    st.sampled_from([f.name for f in dataclasses.fields(RunConfig)]),
+    st.one_of(_JSON_VALUE, st.integers(-3, 12)), max_size=3))
+_DEFAULT_TRIALS = {"noise": 200, "measure": 10_000}
+# A run starts only if it does at most this many (target, site, trial, epsilon) steps.
+_FUZZ_WORK = 20_000
+
+
+def _cheap(command: str, cfg: RunConfig) -> bool:
+    """Whether main may run ``cfg``: little work, or a grid over budget, which fails at once."""
+    if cfg.d > 1 and cfg.n * math.log2(cfg.d) > 24:
+        return cfg.n <= 64
+    targets = cfg.d**cfg.n
+    if targets > chain.DEFAULT_SWEEP_BUDGET:
+        return cfg.n <= 64
+    trials = cfg.trials or _DEFAULT_TRIALS[command] if command in ("noise", "measure") else 1
+    return targets * cfg.n * trials * (len(cfg.eps) if command == "noise" else 1) <= _FUZZ_WORK
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(sorted(cli.COMMANDS)), base=_BASE, flags=_FLAGS,
+       config=_CONFIG)
+def test_fuzz_argv(command, base, flags, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, *base, *(word for flag in flags for word in flag)]
+        if config is not None:
+            (Path(tmp) / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(Path(tmp) / "cfg.json")]
+        out = Path(tmp) / "out"
+        argv += ["--out", str(out)]
+        # Every n, d and trials count reaches resolve_config, which starts no work.
+        try:
+            cfg = resolve_config(_build_parser().parse_args(argv))
+        except spinalign.SpinAlignError:
+            cfg = None
+        if cfg is not None and not _cheap(command, cfg):
+            event("not run: too much work")
+            return
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        event(f"{command} exit {code}")
+        assert code in (0, 1, 2, 3)
+        lines = stderr.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+        else:
+            prefix = {1: "error: ", 2: "i/o error: ", 3: "check failed: "}[code]
+            assert len(lines) == 1 and lines[0].startswith(prefix)
+        if code == 1:  # a rejected run prints and writes nothing
+            assert stdout.getvalue() == "" and not out.exists()
+        assert cfg is not None or code == 1

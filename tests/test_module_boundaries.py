@@ -1,5 +1,5 @@
-"""Module boundaries: no module uses another's private (``_``-prefixed) names, and the CLI
-holds no generator and draws nothing of its own."""
+"""Module boundaries: no module uses another's private (``_``-prefixed) names, the CLI
+holds no generator and draws nothing of its own, and the sampled commands hold no study."""
 
 import ast
 import inspect
@@ -73,3 +73,17 @@ def test_reply_models_take_draws_not_a_generator(name):
     assert "draws" in [p.name for p in parameters]
     assert [p.name for p in parameters
             if p.name == "rng" or "Generator" in str(p.annotation)] == []
+
+
+@pytest.mark.parametrize("command", ["cmd_noise", "cmd_measure"])
+def test_sampled_commands_only_write_print_and_gate(command):
+    # The study is noise_rows' or measure_columns'; the command loops over no block and
+    # names none of the study's steps.
+    body = next(node for node in _tree(PACKAGE / "cli.py").body
+                if isinstance(node, ast.FunctionDef) and node.name == command)
+    steps = {"target_draws", "nearest_runs", "noisy_replies", "shot_estimates", "target_angles"}
+    loops = [f"line {node.lineno}" for node in ast.walk(body)
+             if isinstance(node, (ast.For, ast.While))]
+    named = [f"line {node.lineno}: {name}" for node in ast.walk(body)
+             for name in (getattr(node, "id", None), getattr(node, "attr", None)) if name in steps]
+    assert loops == [] and named == []

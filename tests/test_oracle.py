@@ -487,6 +487,12 @@ class TestSeededStreams:
         with pytest.raises(ValidationError, match="target ids"):
             next(oracle_module.target_draws([1], start, stop, (2,), 8))
 
+    @pytest.mark.parametrize("row_shape", [(0,), (-1,), (2.0,), (True,), ()], ids=repr)
+    def test_leading_row_size_must_be_an_integer_of_at_least_one(self, row_shape):
+        # (0,) ended in ZeroDivisionError from bound // row_shape[0].
+        with pytest.raises(ValidationError, match="the leading row size must be"):
+            next(oracle_module.target_draws([1], 0, 3, row_shape, 8))
+
     def test_overwriting_a_block_leaves_later_blocks_unchanged(self):
         # 7 targets in blocks of 2, each a new array: overwriting the first in place, as
         # the reply models do, changes no later block, and no later block changes it.
