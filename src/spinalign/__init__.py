@@ -30,6 +30,7 @@ from .hilbert import (
     PAULI,
     StateVector,
     apply_unitary,
+    bloch_vector,
     hermitian_ground_state,
     mask_from_sites,
     partial_trace,
@@ -61,7 +62,6 @@ from .protocol import (
 )
 from .similarity import (
     SubsetFunctionKind,
-    bloch_vector,
     cos_theta,
     enumerate_bipartition_subsets,
     purity_term,

@@ -31,7 +31,8 @@ from .chain import (DEFAULT_SWEEP_BUDGET, ChainSpec, ParameterGrid, check_count,
                     target_field_array)
 from .errors import SpinAlignError, ValidationError
 from .oracle import binomial_std, check_epsilon, noisy_replies, shot_estimates, target_draws
-from .protocol import build_table, delta_f_sums, nearest_runs, sweep_exact, target_angles
+from .protocol import (build_table, check_target_ids, delta_f_sums, nearest_runs, sweep_exact,
+                       target_angles)
 
 # Gates used by --check; they assume the reference configuration below.
 REFERENCE_KEYS = {"n": 4, "j": 1.0, "bmin": -0.5, "bmax": 0.5, "d": 5}
@@ -39,14 +40,10 @@ SWEEP_MEAN_WINDOW = (0.40, 0.50)
 # Mean |rotation-angle error| windows per epsilon. Chi errors are gated on
 # the Bloch rotation-angle scale (twice the stored half-angle chi_opt).
 NOISE_ERROR_WINDOWS = {0.05: (0.03, 0.09), 0.1: (0.05, 0.11)}
-# noise and measure draw whole targets' trials in blocks of about this many
-# (at least one target), which bounds their (block, trials) temporaries.
-NOISE_BLOCK_QUERIES = 2**13
-# measure makes this many targets' fields and cosines at a time, which bounds
-# its (block, N) temporaries; the reference grid's 625 targets are one block.
-SWEEP_BLOCK_TARGETS = 2**13
-# CSV rows are formatted this many at a time, which bounds a write's Python values.
-CSV_BLOCK_ROWS = 2**13
+# The one block size, which bounds every per-block temporary: measure makes this many
+# targets' angles at a time, noise and measure draw whole targets' trials in blocks of
+# about this many (at least one target), and CSV rows are formatted this many at a time.
+BLOCK_SIZE = 2**13
 
 
 @dataclass(frozen=True)
@@ -159,15 +156,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def _write_csv(path: Path, header: str, columns) -> None:
     """Write equal-length ``columns`` under ``header``: integers as is, others as ``%.12e``.
 
-    Each block of ``CSV_BLOCK_ROWS`` rows is formatted by one ``%`` on the repeated row template.
+    Each block of ``BLOCK_SIZE`` rows is formatted by one ``%`` on the repeated row template.
     """
     columns = [np.asarray(col) for col in columns]
     template = ",".join("%d" if col.dtype.kind in "iu" else "%.12e" for col in columns) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            block = [col[start:start + CSV_BLOCK_ROWS].tolist() for col in columns]
+        for start in range(0, len(columns[0]), BLOCK_SIZE):
+            block = [col[start:start + BLOCK_SIZE].tolist() for col in columns]
             fh.write(template * len(block[0])
                      % tuple(itertools.chain.from_iterable(zip(*block))))
 
@@ -229,7 +226,12 @@ def cmd_sweep(cfg: RunConfig) -> None:
 
 
 def noise_rows(table, eps, trials: int, seed: int) -> list[tuple[float, float, float]]:
-    """(ε, 2·mean |χ error|, mean ΔF) per ε of ``eps``, from ``trials`` noisy lookups per target."""
+    """(ε, 2·mean |χ error|, mean ΔF) per ε of ``eps``, from ``trials`` noisy lookups per target.
+
+    ``check_epsilon`` and ``check_target_ids`` check the inputs before any work.
+    """
+    eps = [check_epsilon(epsilon) for epsilon in eps]
+    check_target_ids(table)
     n_targets = len(table)
     # chi/F/sum_sin keyed by target id for per-target truth values.
     chi_true, f_true, s_true = truth = np.empty((3, n_targets))
@@ -251,8 +253,7 @@ def noise_rows(table, eps, trials: int, seed: int) -> list[tuple[float, float, f
             # Each target keeps its own noise stream, seeded by [seed, eps_index, target_id];
             # a block of targets is looked up in one call, one row of trials per target.
             errors, gains = np.empty((2, n_targets))
-            for ids, draws in target_draws([seed, eps_index], 0, n_targets, (trials,),
-                                           NOISE_BLOCK_QUERIES):
+            for ids, draws in target_draws([seed, eps_index], 0, n_targets, (trials,), BLOCK_SIZE):
                 hit = nearest_runs(table, noisy_replies(f_true[ids, None], epsilon, draws))
                 at = slice(None) if per_run else hit
                 # Gain at the looked-up angle needs only (sum_sin, F) of the truth.
@@ -298,8 +299,8 @@ def measure_columns(grid: ParameterGrid, candidate: ChainSpec, trials: int, seed
     n_sites = candidate.n_sites
     n_targets = target_count(grid, n_sites)
     f_exact, binomial, means, stds = np.empty((4, n_targets))
-    for start in range(0, n_targets, SWEEP_BLOCK_TARGETS):
-        stop = min(start + SWEEP_BLOCK_TARGETS, n_targets)
+    for start in range(0, n_targets, BLOCK_SIZE):
+        stop = min(start + BLOCK_SIZE, n_targets)
         # One cosine array gives the binomial spread and every target's shots.
         thetas = target_angles(target_field_array(grid, n_sites, start=start, stop=stop), candidate)
         cosines = np.cos(thetas)
@@ -308,9 +309,8 @@ def measure_columns(grid: ParameterGrid, candidate: ChainSpec, trials: int, seed
         thetas.sort(axis=1)
         f_exact[start:stop] = np.cos(thetas).sum(axis=1)
         # Each target keeps its own stream, seeded by [seed, target_id]. A block of at most
-        # max(NOISE_BLOCK_QUERIES, trials)·N draws takes one kernel call, one mean and one std.
-        for ids, draws in target_draws([seed], start, stop, (trials, n_sites),
-                                       NOISE_BLOCK_QUERIES):
+        # max(BLOCK_SIZE, trials)·N draws takes one kernel call, one mean and one std.
+        for ids, draws in target_draws([seed], start, stop, (trials, n_sites), BLOCK_SIZE):
             estimates = shot_estimates(cosines[ids.start - start:ids.stop - start], draws)
             means[ids] = estimates.mean(axis=1)
             stds[ids] = estimates.std(axis=1, ddof=1) if trials > 1 else 0.0

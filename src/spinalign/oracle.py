@@ -33,7 +33,7 @@ from .errors import QueryBudgetError, SpinAlignError, ValidationError
 from .similarity import site_array, site_cosines
 
 # numpy's SeedSequence hash constants and pool size, and PCG64's 128-bit
-# multiplier, which seeded_streams replays.
+# multiplier, which target_draws replays.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
@@ -85,31 +85,6 @@ def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
     return words[:, 0::2] | words[:, 1::2] << 32
 
 
-def seeded_streams(entropy: np.ndarray) -> Iterator[np.random.Generator]:
-    """One generator per row of the (R, L) uint32 ``entropy``, as ``default_rng(row)`` starts.
-
-    The rows' seeds are computed in one vectorized pass (:func:`_pcg64_seeds`);
-    PCG64 then starts at (inc + seed)·M + inc mod 2^128 with inc =
-    2·initseq + 1. The same Generator is re-stated for every row, so a
-    row's stream lasts until the next row is taken. The first row is
-    checked against ``default_rng``: SpinAlignError if this numpy seeds
-    differently.
-    """
-    seeds = _pcg64_seeds(entropy).tolist()
-    generator = np.random.Generator(np.random.PCG64(0))
-    inner = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
-    for row, (seed_hi, seed_lo, seq_hi, seq_lo) in enumerate(seeds):
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        inner["state"] = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
-        inner["inc"] = inc
-        if row == 0 and state != np.random.default_rng(entropy[0]).bit_generator.state:
-            raise SpinAlignError(f"seeded streams do not match numpy {np.__version__}'s "
-                                 f"default_rng")
-        generator.bit_generator.state = state
-        yield generator
-
-
 def _uint32_words(value: int) -> list[int]:
     """Little-endian 32-bit words of ``value`` >= 0, as SeedSequence splits it (0 -> [0])."""
     words = [value & _MASK32]
@@ -124,11 +99,13 @@ def target_draws(prefix: list[int], start: int, stop: int, row_shape: tuple[int,
 
     ``ids`` is a slice of at most max(1, bound // row_shape[0]) targets, so a block holds at
     most max(bound, row_shape[0])·prod(row_shape[1:]) floats; row k of ``draws`` is
-    ``default_rng(prefix + [id]).random(row_shape)`` for its k-th id. Seeding takes
-    STREAM_CHUNK_ROWS targets per :func:`seeded_streams` pass, from the uint32 words
-    SeedSequence makes of that list, an id being one word. ValidationError, before any
-    seeding, for a prefix entry that is not a non-negative integer, an id outside [0, 2^32) or
-    a leading row size ``row_shape[0]`` that is not an integer >= 1.
+    ``default_rng(prefix + [id]).random(row_shape)`` for its k-th id. Each STREAM_CHUNK_ROWS
+    targets take one :func:`_pcg64_seeds` pass over the uint32 words SeedSequence makes of
+    that list, an id being one word; PCG64 starts at (inc + seed)·M + inc mod 2^128 with inc =
+    2·initseq + 1, and one private Generator is re-stated per target. ValidationError, before
+    any seeding, for a prefix entry that is not a non-negative integer, an id outside
+    [0, 2^32) or a leading row size ``row_shape[0]`` that is not an integer >= 1;
+    SpinAlignError if the first target's state is not ``default_rng``'s.
     """
     if start < 0 or stop > 1 << 32:
         raise ValidationError(f"target ids must lie in [0, 2^32), got {start} to {stop - 1}")
@@ -138,18 +115,27 @@ def target_draws(prefix: list[int], start: int, stop: int, row_shape: tuple[int,
              for word in _uint32_words(check_count(value, "a stream seed"))]
     entropy = np.empty((STREAM_CHUNK_ROWS, len(words) + 1), dtype=np.uint32)
     entropy[:, :-1] = words
-
-    def streams() -> Iterator[np.random.Generator]:
-        for lo in range(start, stop, STREAM_CHUNK_ROWS):
-            chunk = entropy[:min(STREAM_CHUNK_ROWS, stop - lo)]
-            chunk[:, -1] = np.arange(lo, lo + len(chunk))
-            yield from seeded_streams(chunk)
-
-    rngs, block = streams(), max(1, bound // row_shape[0])
+    generator = np.random.Generator(np.random.PCG64(0))
+    inner = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
+    block = max(1, bound // row_shape[0])
     for lo in range(start, stop, block):
         draws = np.empty((min(block, stop - lo), *row_shape))
-        for row in draws:
-            next(rngs).random(out=row)
+        for target_id, row in enumerate(draws, lo):
+            at = (target_id - start) % STREAM_CHUNK_ROWS
+            if at == 0:
+                chunk = entropy[:min(STREAM_CHUNK_ROWS, stop - target_id)]
+                chunk[:, -1] = np.arange(target_id, target_id + len(chunk))
+                seeds = _pcg64_seeds(chunk).tolist()
+            seed_hi, seed_lo, seq_hi, seq_lo = seeds[at]
+            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+            inner["state"] = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+            inner["inc"] = inc
+            if target_id == start and state != np.random.default_rng(chunk[0]).bit_generator.state:
+                raise SpinAlignError(f"seeded streams do not match numpy {np.__version__}'s "
+                                     f"default_rng")
+            generator.bit_generator.state = state
+            generator.random(out=row)
         yield slice(lo, lo + len(draws)), draws
 
 

@@ -363,23 +363,27 @@ def run_protocol(
     )
 
 
+def check_target_ids(table: LookupTable) -> None:
+    """ValidationError unless the ids are 0 to len(table) - 1, each once, as build_table makes."""
+    # T ids below T, none of them twice: each of 0..T-1 once.
+    ids = table.target_ids
+    if ids.max() >= len(table) or np.any(np.bincount(ids.astype(np.intp)) != 1):
+        raise ValidationError("table target ids must be 0 to len(table) - 1, each once")
+
+
 def sweep_exact(table: LookupTable) -> tuple[np.ndarray, np.ndarray]:
     """F before the protocol and its gain with an exact oracle, by target id, for every target.
 
     An exact oracle replies with the target's own F, which is the F of the
     target's own run, at distance 0: the lookup picks that run's χ, and the
     gain at it follows from the row's (sum_sin, F) by :func:`delta_f_sums`.
-    No site directions are made. The table's ``target_ids`` must be a
-    permutation of 0 to len(table) - 1, as :func:`build_table` makes them.
+    No site directions are made; :func:`check_target_ids` checks the table first.
     """
-    # T ids below T, none of them twice: each of 0..T-1 once.
-    ids = table.target_ids
-    if ids.max() >= len(table) or np.any(np.bincount(ids.astype(np.intp)) != 1):
-        raise ValidationError("sweep needs target ids 0 to len(table) - 1, each once")
+    check_target_ids(table)
     chi_run = table.chi[table.run_row]
     own_run = table.run_f.searchsorted(table.f)
     gain = delta_f_sums(table.sum_sin, table.f, np.sin(chi_run)[own_run], np.cos(chi_run)[own_run])
     f, delta_f = np.empty((2, len(table)))
-    f[ids] = table.f
-    delta_f[ids] = gain
+    f[table.target_ids] = table.f
+    delta_f[table.target_ids] = gain
     return f, delta_f

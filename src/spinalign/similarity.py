@@ -18,8 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UndefinedDirectionError, ValidationError
-# bloch_vector is re-exported, so similarity.bloch_vector still resolves.
-from .hilbert import DensityMatrix, StateVector, bloch_vector, partial_trace
+from .hilbert import DensityMatrix, StateVector, partial_trace
 
 # Sites whose Bloch vector is shorter than this have no usable direction;
 # the cosine metric is meaningless for (nearly) maximally mixed sites.

@@ -114,7 +114,7 @@ class TestConfigPrecedence:
 
 
 class TestCsvWriter:
-    ROWS = 2 * cli.CSV_BLOCK_ROWS + 5  # three blocks, the last one short
+    ROWS = 2 * cli.BLOCK_SIZE + 5  # three blocks, the last one short
 
     def test_equals_the_row_by_row_writer(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -137,7 +137,7 @@ class TestCsvWriter:
             tracemalloc.stop()
         # A sorted copy of chi for the summary line, then one block of Python
         # values and text (~2.3 MB). Whole-column lists took ~11 MB here.
-        assert peak <= 8 * len(table) + 400 * cli.CSV_BLOCK_ROWS
+        assert peak <= 8 * len(table) + 400 * cli.BLOCK_SIZE
 
 
 class TestTableCommand:
@@ -395,15 +395,34 @@ class TestNoiseCommand:
             assert rows[0] == (0.0, 0.0, float(protocol.sweep_exact(table)[1].mean()))
             assert loop[0][:2] == (0.0, 0.0) and rows[0][2] == pytest.approx(loop[0][2], rel=1e-15)
 
+    @pytest.mark.parametrize("eps", [[0.1], [0.0]])
+    @pytest.mark.parametrize("ids", [[0, 0], [0, 5], [3, 1]])
+    def test_noise_rows_need_each_id_below_the_length_once(self, ids, eps):
+        # At eps = [0.1], ids [0, 0] returned a row built partly from uninitialized
+        # memory, and [0, 5] and [3, 1] ended in IndexError.
+        table = protocol.LookupTable(target_ids=np.array(ids), f=np.array([0.5, 1.0]),
+                                     chi=np.zeros(2), delta_f=np.zeros(2), sum_sin=np.zeros(2),
+                                     candidate=chain.ChainSpec(2, 1.0, (-0.5, -0.5)))
+        with pytest.raises(spinalign.ValidationError, match="each once"):
+            cli.noise_rows(table, eps, 5, 0)
+
+    @pytest.mark.parametrize("eps", [[-0.1], [1e308], [0.0, -0.1]])
+    def test_noise_rows_check_each_epsilon(self, eps):
+        # [-0.1] returned a row for eps = -0.1; [1e308] failed as "F queries must be finite".
+        cfg = RunConfig(n=2, d=3)
+        table = protocol.build_table(cfg.grid(), cfg.candidate())
+        with pytest.raises(spinalign.ValidationError, match="epsilon must be finite"):
+            cli.noise_rows(table, eps, 5, 0)
+
     def test_zero_epsilon_makes_no_stream(self, tmp_path, monkeypatch):
         seeded = []
-        original = oracle_module.seeded_streams
+        original = oracle_module._pcg64_seeds
 
         def counting(entropy):
             seeded.extend(entropy.tolist())  # a copy: the caller reuses its array
             return original(entropy)
 
-        monkeypatch.setattr(oracle_module, "seeded_streams", counting)
+        monkeypatch.setattr(oracle_module, "_pcg64_seeds", counting)
         argv = ["noise", "--n", "2", "--d", "3", "--eps", "0.05,0,0.1", "--trials", "50"]
         assert main([*argv, "--out", str(tmp_path)]) == 0
         monkeypatch.undo()
@@ -432,13 +451,13 @@ class TestNoiseCommand:
     def test_streams_are_seeded_a_chunk_at_a_time(self, tmp_path, monkeypatch):
         # 25 targets in chunks of 10; each chunk is one seeding call.
         calls = []
-        original = oracle_module.seeded_streams
+        original = oracle_module._pcg64_seeds
 
         def counting(entropy):
             calls.append(len(entropy))
             return original(entropy)
 
-        monkeypatch.setattr(oracle_module, "seeded_streams", counting)
+        monkeypatch.setattr(oracle_module, "_pcg64_seeds", counting)
         monkeypatch.setattr(oracle_module, "STREAM_CHUNK_ROWS", 10)
         argv = ["noise", "--n", "2", "--d", "5", "--eps", "0.05,0.1", "--trials", "3"]
         assert main([*argv, "--out", str(tmp_path)]) == 0
@@ -454,7 +473,7 @@ class TestNoiseCommand:
         cfg = RunConfig(n=6, d=5)
         table = protocol.build_table(cfg.grid(), cfg.candidate())
         monkeypatch.setattr(cli, "build_table", lambda grid, candidate: table)
-        next(oracle_module.seeded_streams(np.zeros((1, 1), dtype=np.uint32)))  # imports numpy.random
+        next(oracle_module.target_draws([0], 0, 1, (1,), 1))  # imports numpy.random
         tracemalloc.start()
         try:
             assert main(["noise", "--n", "6", "--d", "5", "--eps", "0.05",
@@ -463,9 +482,9 @@ class TestNoiseCommand:
         finally:
             tracemalloc.stop()
         per_target = 5 * len(table) * 8  # truth (3, T), errors and gains
-        per_block = 12 * cli.NOISE_BLOCK_QUERIES * 8  # (block, trials) temporaries
+        per_block = 12 * cli.BLOCK_SIZE * 8  # (block, trials) temporaries
         assert oracle_module.STREAM_CHUNK_ROWS <= 2**10
-        per_chunk = 500 * 2**10  # one chunk's seeds as Python ints
+        per_chunk = 500 * 2**10  # one chunk's _pcg64_seeds as Python ints
         # Chunked seeding peaks at ~1.6 MB traced; seeding all 15,625 rows of
         # an epsilon at once took ~6.5 MB.
         assert peak <= per_target + per_block + per_chunk
@@ -488,7 +507,7 @@ class TestNoiseCommand:
         assert main(["noise", "--n", str(n), "--d", str(d), "--eps", "0,0.05,0.1",
                      "--trials", str(trials), "--out", str(tmp_path)]) == 0
         assert len(sizes) == blocks // 3 * 2
-        assert max(sizes) <= max(trials, cli.NOISE_BLOCK_QUERIES)  # the memory bound
+        assert max(sizes) <= max(trials, cli.BLOCK_SIZE)  # the memory bound
         assert sum(sizes) == 2 * d**n * trials
 
 
@@ -557,7 +576,7 @@ class TestMeasureCommand:
             return original(fields, candidate)
 
         monkeypatch.setattr(cli, "target_angles", counting)
-        monkeypatch.setattr(cli, "SWEEP_BLOCK_TARGETS", 3)
+        monkeypatch.setattr(cli, "BLOCK_SIZE", 3)
         args = ["measure", "--n", "3", "--d", "2", "--trials", "5", "--out", str(tmp_path)]
         assert main(args) == 0
         # No chain is solved: each block of 3 of the 8 targets takes its angles
@@ -570,7 +589,7 @@ class TestMeasureCommand:
     def test_array_pass_equals_per_target_loop(self, tmp_path, monkeypatch, seed, trials, block):
         # 27 targets: one block, or with 16-target blocks two, the last one short.
         if block is not None:
-            monkeypatch.setattr(cli, "SWEEP_BLOCK_TARGETS", block)
+            monkeypatch.setattr(cli, "BLOCK_SIZE", block)
         argv = ["measure", "--n", "3", "--d", "3", "--trials", str(trials), "--seed", str(seed)]
         assert main([*argv, "--out", str(tmp_path / "array")]) == 0
         write_rows(tmp_path / "loop.csv", MEASURE_HEADER, per_target_measure_rows(_resolve(argv)))
@@ -578,7 +597,7 @@ class TestMeasureCommand:
                 == (tmp_path / "loop.csv").read_bytes())
 
     def test_two_full_size_blocks_equal_per_target_loop(self, tmp_path):
-        # 8,281 targets: one block of SWEEP_BLOCK_TARGETS and a short one, and
+        # 8,281 targets: one block of BLOCK_SIZE and a short one, and
         # many stream chunks.
         argv = ["measure", "--n", "2", "--d", "91", "--trials", "2", "--seed", str(2**64 + 3)]
         assert main([*argv, "--out", str(tmp_path / "array")]) == 0
@@ -594,17 +613,15 @@ class TestMeasureCommand:
     ])
     def test_sub_block_statistics_equal_per_target_loop(self, tmp_path, monkeypatch,
                                                          trials, bound, block):
-        monkeypatch.setattr(cli, "NOISE_BLOCK_QUERIES", bound)
-        if block is not None:
-            monkeypatch.setattr(cli, "SWEEP_BLOCK_TARGETS", block)
+        _set_blocks(monkeypatch, bound, block)
         argv = ["measure", "--n", "3", "--d", "3", "--trials", str(trials), "--seed", "7"]
         assert main([*argv, "--out", str(tmp_path / "array")]) == 0
         write_rows(tmp_path / "loop.csv", MEASURE_HEADER, per_target_measure_rows(_resolve(argv)))
         assert ((tmp_path / "array" / "measure.csv").read_bytes()
                 == (tmp_path / "loop.csv").read_bytes())
 
-    # The configs of the three CSV tests above as (n, d, trials, seed, bound, block); a
-    # bound or block of None keeps NOISE_BLOCK_QUERIES or SWEEP_BLOCK_TARGETS as it is.
+    # The configs of the three CSV tests above as (n, d, trials, seed, bound, block), read
+    # as _set_blocks reads them.
     @pytest.mark.parametrize("n, d, trials, seed, bound, block", [
         *[(3, 3, trials, seed, None, block) for seed in (0, 30, 2**32, 2**64 + 3)
           for trials in (1, 2, 777) for block in (None, 16)],
@@ -613,16 +630,13 @@ class TestMeasureCommand:
     ])
     def test_measure_columns_equal_per_target_loop(self, monkeypatch, n, d, trials, seed,
                                                    bound, block):
-        if bound is not None:
-            monkeypatch.setattr(cli, "NOISE_BLOCK_QUERIES", bound)
-        if block is not None:
-            monkeypatch.setattr(cli, "SWEEP_BLOCK_TARGETS", block)
+        _set_blocks(monkeypatch, bound, block)
         cfg = RunConfig(n=n, d=d, trials=trials, seed=seed)
         columns = cli.measure_columns(cfg.grid(), cfg.candidate(), trials, seed)
         rows = list(zip(range(d**n), *(column.tolist() for column in columns)))
         assert rows == per_target_measure_rows(cfg)
 
-    # Sub-blocks of k = max(1, NOISE_BLOCK_QUERIES // trials) targets, the rule noise
+    # Sub-blocks of k = max(1, BLOCK_SIZE // trials) targets, the rule noise
     # uses; each grid here is one angle block, so the kernel is called ceil(T / k) times.
     @pytest.mark.parametrize("n, d, trials, calls", [
         (2, 2, 1, 1),  # k = 8,192: all 4 targets at once
@@ -640,7 +654,7 @@ class TestMeasureCommand:
         monkeypatch.setattr(cli, "shot_estimates", counting)
         assert main(["measure", "--n", str(n), "--d", str(d), "--trials", str(trials),
                      "--out", str(tmp_path)]) == 0
-        k = max(1, cli.NOISE_BLOCK_QUERIES // trials)
+        k = max(1, cli.BLOCK_SIZE // trials)
         assert len(shapes) == -(-d**n // k) == calls
         assert [shape[0] for shape in shapes[:-1]] == [k] * (calls - 1)
         assert sum(shape[0] for shape in shapes) == d**n
@@ -650,7 +664,7 @@ class TestMeasureCommand:
         # 8,192 targets in 16 blocks of 512; the CSV writer, which has its own
         # test, is left out. Every column, F_exact and binomial_std too, is
         # made per block, so only the T-long output columns span the grid.
-        monkeypatch.setattr(cli, "SWEEP_BLOCK_TARGETS", 512)
+        monkeypatch.setattr(cli, "BLOCK_SIZE", 512)
         monkeypatch.setattr(cli, "_write_csv", lambda path, header, columns: None)
         # A first run imports what the pass uses, so the traced run counts arrays.
         assert main(["measure", "--n", "2", "--d", "2", "--trials", "2",
@@ -670,6 +684,19 @@ class TestMeasureCommand:
 
 
 MEASURE_HEADER = "target_id,F_exact,F_est_mean,F_est_std,binomial_std"
+
+
+def _set_blocks(monkeypatch, bound, block):
+    """Angle blocks of ``block`` targets, and draw blocks under ``bound`` within them.
+
+    ``block`` sets ``cli.BLOCK_SIZE``, which sizes both; a ``bound`` then replaces the
+    one that ``target_draws`` is given. None leaves a size as it is.
+    """
+    if block is not None:
+        monkeypatch.setattr(cli, "BLOCK_SIZE", block)
+    if bound is not None:
+        monkeypatch.setattr(cli, "target_draws", lambda prefix, start, stop, row_shape, _:
+                            oracle_module.target_draws(prefix, start, stop, row_shape, bound))
 
 
 def per_target_measure_rows(cfg: RunConfig) -> list[tuple[int, float, float, float, float]]:

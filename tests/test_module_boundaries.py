@@ -1,5 +1,6 @@
-"""Module boundaries: no module uses another's private (``_``-prefixed) names, the CLI
-holds no generator and draws nothing of its own, and the sampled commands hold no study."""
+"""Module boundaries: no module uses another's private (``_``-prefixed) names, only the
+oracle seeds, the CLI holds no generator and draws nothing of its own, and the sampled
+commands hold no study."""
 
 import ast
 import inspect
@@ -28,6 +29,30 @@ def test_no_private_name_is_imported(path):
     assert imported == []
 
 
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "oracle.py"}),
+                         ids=lambda path: path.stem)
+def test_only_the_oracle_names_numpy_random(path):
+    # oracle.target_draws replays numpy's seeding; no other module seeds or re-states a
+    # generator, so none names numpy.random or its generator types.
+    banned = {"Generator", "PCG64", "bit_generator"}
+    named = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            named += [alias.name for alias in node.names if alias.name.startswith("numpy.random")]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            named += [f"{module}.{alias.name}" for alias in node.names
+                      if module.startswith("numpy.random") or alias.name in banned
+                      or (module == "numpy" and alias.name == "random")]
+        elif isinstance(node, ast.Attribute) and ast.unparse(node) in ("np.random",
+                                                                       "numpy.random"):
+            named.append(f"line {node.lineno}: {ast.unparse(node)}")
+        named += [f"line {node.lineno}: {name}" for name in (getattr(node, "id", None),
+                                                             getattr(node, "attr", None))
+                  if name in banned]
+    assert named == []
+
+
 def test_cli_reads_no_private_attribute():
     # Assignments (such as the parser's own number pattern) are not reads.
     read = [
@@ -53,7 +78,7 @@ def test_cli_reads_no_numpy_random():
 def test_cli_holds_no_generator():
     # The CLI takes blocks of draws; it names no stream maker or generator and draws nothing.
     tree = _tree(PACKAGE / "cli.py")
-    banned = {"target_streams", "seeded_streams", "Generator"}
+    banned = {"target_streams", "Generator"}
     named = [name for node in ast.walk(tree)
              for name in (getattr(node, "id", None), getattr(node, "attr", None),
                           getattr(node, "name", None), getattr(node, "asname", None))

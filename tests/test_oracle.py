@@ -428,32 +428,27 @@ def test_negative_zero_epsilon_has_the_zero_fingerprint():
 
 class TestSeededStreams:
     @staticmethod
-    def assert_streams_equal_default_rng(entropy):
-        streams = oracle_module.seeded_streams(entropy)
-        count = 0
-        for row, stream in zip(entropy, streams):
-            reference = np.random.default_rng(row)
-            assert stream.bit_generator.state == reference.bit_generator.state
-            assert np.array_equal(stream.random(64), reference.random(64))
-            count += 1
-        assert count == len(entropy)
+    def assert_seeds_equal_seed_sequence(entropy):
+        seeds = oracle_module._pcg64_seeds(entropy)
+        assert seeds.shape == (len(entropy), 4) and seeds.dtype == np.uint64
+        for row, seed in zip(entropy, seeds):
+            assert np.array_equal(seed, np.random.SeedSequence(row).generate_state(4, np.uint64))
 
     @pytest.mark.parametrize("length", range(1, 10))
     def test_rows_equal_default_rng(self, length):
-        # Lengths beyond the 4-word pool take the extra mixing loop; 600 rows
-        # span a chunk boundary.
+        # Lengths beyond the 4-word pool take the extra mixing loop.
         rng = np.random.default_rng(length)
         entropy = rng.integers(0, 2**32, size=(600, length), dtype=np.uint32)
         entropy[0] = 0
         entropy[1] = 2**32 - 1
         entropy[2, ::2] = 2**32 - 1
-        self.assert_streams_equal_default_rng(entropy)
+        self.assert_seeds_equal_seed_sequence(entropy)
 
     @settings(max_examples=60, deadline=None)
     @given(rows=st.lists(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=9),
                          min_size=1, max_size=8).filter(lambda r: len({len(x) for x in r}) == 1))
     def test_property_rows_equal_default_rng(self, rows):
-        self.assert_streams_equal_default_rng(np.array(rows, dtype=np.uint32))
+        self.assert_seeds_equal_seed_sequence(np.array(rows, dtype=np.uint32))
 
     @pytest.mark.parametrize("prefix", [[0], [30, 2], [2**32, 1], [2**64 + 3]])
     def test_target_streams_equal_default_rng_of_the_list(self, monkeypatch, prefix):
@@ -526,13 +521,32 @@ class TestSeededStreams:
         assert proc.returncode == 0 and proc.stderr == "", proc.stderr
         assert proc.stdout.startswith("a stream seed must be a non-negative integer")
 
-    def test_no_rows_no_streams(self):
-        assert list(oracle_module.seeded_streams(np.empty((0, 3), dtype=np.uint32))) == []
+    def test_no_rows_no_streams(self, monkeypatch):
+        def unused(entropy):
+            raise AssertionError("an empty range seeds nothing")
+
+        monkeypatch.setattr(oracle_module, "_pcg64_seeds", unused)
+        assert list(oracle_module.target_draws([3], 5, 5, (2,), 8)) == []
 
     def test_a_mismatch_with_default_rng_is_an_error(self, monkeypatch):
         monkeypatch.setattr(oracle_module, "_PCG64_MULT", oracle_module._PCG64_MULT + 2)
         with pytest.raises(oracle_module.SpinAlignError, match=np.__version__):
-            next(oracle_module.seeded_streams(np.zeros((2, 3), dtype=np.uint32)))
+            next(oracle_module.target_draws([0, 0], 0, 2, (3,), 8))
+
+    def test_seeding_is_checked_once_per_call(self, monkeypatch):
+        # 1,100 targets in three seeding chunks: one default_rng, for the first target.
+        checked = []
+        original = np.random.default_rng
+
+        def counting(seed):
+            checked.append(np.asarray(seed).tolist())
+            return original(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        blocks = list(oracle_module.target_draws([9], 100, 1200, (2,), 64))
+        monkeypatch.undo()
+        assert checked == [[9, 100]]
+        assert np.array_equal(blocks[-1][1][-1], np.random.default_rng([9, 1199]).random(2))
 
 
 class TestClosedFormTarget:
