@@ -65,7 +65,6 @@ from .similarity import (
     cos_theta,
     enumerate_bipartition_subsets,
     purity_term,
-    signed_theta,
     similarity_chain,
     similarity_general,
     site_cosines,

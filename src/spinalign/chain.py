@@ -13,6 +13,7 @@ base-D integer id, site 1 in the least significant digit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -36,7 +37,12 @@ class ChainSpec:
         object.__setattr__(self, "n_sites", check_count(self.n_sites, "the number of sites"))
         if self.n_sites < 2:
             raise ValidationError("a chain needs at least 2 sites")
-        object.__setattr__(self, "fields", tuple(float(b) for b in self.fields))
+        _check_real(self.coupling, "the coupling")
+        try:
+            fields = tuple(_check_real(b, "a field") for b in self.fields)
+        except TypeError:
+            raise ValidationError(f"fields must be a sequence, got {self.fields!r}") from None
+        object.__setattr__(self, "fields", fields)
         if len(self.fields) != self.n_sites:
             raise ValidationError(
                 f"expected {self.n_sites} field values, got {len(self.fields)}"
@@ -59,6 +65,8 @@ class ParameterGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "levels", check_count(self.levels, "the number of grid levels"))
+        _check_real(self.b_min, "b_min")
+        _check_real(self.b_max, "b_max")
         if self.levels < 1:
             raise ValidationError("grid needs at least one level")
         # Also rejects a span b_max - b_min that overflows to inf.
@@ -123,6 +131,13 @@ def check_count(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
         raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
     return int(value)
+
+
+def _check_real(value, name: str) -> float:
+    """``value`` as a float; ValidationError unless it is a real number (bools excluded)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def target_count(grid: ParameterGrid, n_sites: int) -> int:

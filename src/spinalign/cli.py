@@ -225,11 +225,20 @@ def cmd_sweep(cfg: RunConfig) -> None:
         ])
 
 
+def _check_sampling(trials, seed) -> None:
+    """The sampled studies' entry check: ``trials`` an integer >= 1 and ``seed`` a count."""
+    if check_count(trials, "trials") < 1:
+        raise ValidationError(f"trials must be at least 1, got {trials!r}")
+    check_count(seed, "the seed")
+
+
 def noise_rows(table, eps, trials: int, seed: int) -> list[tuple[float, float, float]]:
     """(ε, 2·mean |χ error|, mean ΔF) per ε of ``eps``, from ``trials`` noisy lookups per target.
 
-    ``check_epsilon`` and ``check_target_ids`` check the inputs before any work.
+    ``trials``, ``seed``, ``check_epsilon`` and ``check_target_ids`` check the inputs
+    before any work, also where every ε is 0 and no stream is drawn.
     """
+    _check_sampling(trials, seed)
     eps = [check_epsilon(epsilon) for epsilon in eps]
     check_target_ids(table)
     n_targets = len(table)
@@ -296,6 +305,7 @@ def cmd_noise(cfg: RunConfig) -> None:
 
 def measure_columns(grid: ParameterGrid, candidate: ChainSpec, trials: int, seed: int):
     """(F_exact, mean, std, binomial std) by target id of ``trials`` measured shots per target."""
+    _check_sampling(trials, seed)
     n_sites = candidate.n_sites
     n_targets = target_count(grid, n_sites)
     f_exact, binomial, means, stds = np.empty((4, n_targets))

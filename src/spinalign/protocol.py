@@ -118,6 +118,8 @@ class LookupTable:
     def __post_init__(self):
         for name in ("target_ids", "f", "chi", "delta_f", "sum_sin"):
             arr = np.array(getattr(self, name))
+            if arr.ndim != 1:
+                raise ValidationError(f"table column {name} must be 1-D, got shape {arr.shape}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if not (len(self.target_ids) == len(self.f) == len(self.chi)
@@ -291,11 +293,16 @@ def nearest_runs(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
     (see ``LookupTable``), and a query then costs a bucket guess and one or
     two compares, in O(Q) memory.
     """
-    shape = np.shape(f_queries)
-    q = np.asarray(f_queries, dtype=float).ravel()
+    try:
+        q = np.asarray(f_queries)
+    except (TypeError, ValueError):  # a ragged list
+        q = None
+    # A float conversion would drop an imaginary part with only a warning, and parse strings.
+    if q is None or q.dtype.kind not in "biuf":
+        raise ValidationError("F queries must be an array of real numbers")
     if not np.isfinite(q).all():
         raise ValidationError("F queries must be finite")
-    return table._index.runs(q).reshape(shape)
+    return table._index.runs(q.astype(float, copy=False).ravel()).reshape(q.shape)
 
 
 def nearest_rows(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:

@@ -3,10 +3,11 @@
 The chain similarity F compares two equal-length chains site by site: it is
 the sum over sites of the cosine of the angle between the corresponding
 single-site Bloch vectors, so F ranges over [-N, N] and reaches N exactly
-when every pair of vectors is aligned. A general subset similarity sums a
-per-subset comparison function over an arbitrary family of subsystem masks;
-two comparison kinds are provided (single-site cosine and subset purity
-matching).
+when every pair of vectors is aligned. Its per-site angles are measured in
+the xy plane about +z, the axis of the only control, the global rotation
+U(χ). A general subset similarity sums a per-subset comparison function
+over an arbitrary family of subsystem masks; two comparison kinds are
+provided (single-site cosine and subset purity matching).
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from .hilbert import DensityMatrix, StateVector, partial_trace
 # Sites whose Bloch vector is shorter than this have no usable direction;
 # the cosine metric is meaningless for (nearly) maximally mixed sites.
 DIRECTION_FLOOR = 1e-6
-# The rotation axis of U(χ): similarity_chain's angles are signed about +z.
-_Z_HAT = np.array([0.0, 0.0, 1.0])
 
 
 class SubsetFunctionKind(enum.Enum):
@@ -86,37 +85,22 @@ def cos_theta(rho_t: DensityMatrix, rho_c: DensityMatrix) -> float:
     return overlap / math.sqrt(nt2) / math.sqrt(nc2)
 
 
-def signed_theta(c: np.ndarray, r: np.ndarray, axis: np.ndarray) -> float:
-    """Signed angle from Bloch 3-vector c to r about the unit 3-vector ``axis``, in (-pi, pi].
-
-    Positive means c must rotate counterclockwise about the axis to meet r.
-    Both vectors must have a non-negligible component orthogonal to the axis.
-    """
-    cv, rv, av = (np.asarray(v, dtype=float) for v in (c, r, axis))
-    if not cv.shape == rv.shape == av.shape == (3,):
-        raise ValidationError("signed_theta takes three 3-vectors")
-    # Written so that NaN fails each test.
-    if not abs(math.sqrt(av @ av) - 1.0) <= 1e-12:
-        raise ValidationError("rotation axis must be a unit vector")
-    c_par = float(cv @ av)
-    r_par = float(rv @ av)
-    c_perp2 = float(cv @ cv) - c_par**2
-    r_perp2 = float(rv @ rv) - r_par**2
-    if not (c_perp2 >= DIRECTION_FLOOR**2 and r_perp2 >= DIRECTION_FLOOR**2):
-        raise UndefinedDirectionError("vector has no (finite) component orthogonal to the axis")
-    theta = math.atan2(float(av @ np.cross(cv, rv)), float(cv @ rv) - c_par * r_par)
-    return math.pi if theta <= -math.pi else theta
-
-
 def similarity_chain(bloch_t, bloch_c) -> tuple[float, np.ndarray]:
-    """Chain similarity F = Σ_k cos θ_k and the (N,) signed angles θ_k about +z.
+    """Chain similarity F = Σ_k cos θ_k and the (N,) angles θ_k about +z, in (-π, π].
 
     Both chains are given by their (N, 3) per-site Bloch vectors, such as a
-    state's ``bloch``; θ_k turns candidate site k onto target site k.
+    state's ``bloch``. θ_k turns candidate site k about +z onto target site
+    k, counterclockwise positive; z components do not enter it. A site whose
+    Bloch vector, or its xy part, is below DIRECTION_FLOOR or not finite in
+    either chain raises UndefinedDirectionError.
     """
     bt, bc = site_array(bloch_t), site_array(bloch_c)
     f = float(site_cosines(bt, bc).sum())
-    return f, np.array([signed_theta(c, r, _Z_HAT) for c, r in zip(bc, bt)])
+    (rx, ry), (cx, cy) = bt[:, :2].T, bc[:, :2].T
+    _require_directions(np.concatenate([rx * rx + ry * ry, cx * cx + cy * cy]))
+    thetas = np.arctan2(cx * ry - cy * rx, cx * rx + cy * ry)
+    thetas[thetas <= -np.pi] = np.pi
+    return f, thetas
 
 
 def enumerate_bipartition_subsets(n: int) -> list[int]:

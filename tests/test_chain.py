@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from spinalign import (
     CapacityError,
     ChainSpec,
+    LookupTable,
     ParameterGrid,
     ValidationError,
     bloch_vector,
@@ -251,6 +252,21 @@ class TestSpecsAndGrids:
         # then failed on with IndexError and TypeError.
         with pytest.raises(ValidationError, match="number of sites must be a non-negative"):
             ChainSpec(n_sites, 1.0, (0.0, 0.0))
+
+    @pytest.mark.parametrize("build, match", [
+        (lambda: ChainSpec(2, "x", (0, 0)), "coupling must be a real number, got 'x'"),
+        (lambda: ChainSpec(2, None, (0, 0)), "coupling must be a real number, got None"),
+        (lambda: ChainSpec(2, 1.0, ("a", "b")), "field must be a real number, got 'a'"),
+        (lambda: ChainSpec(2, 1.0, None), "fields must be a sequence, got None"),
+        (lambda: ParameterGrid("a", 1, 2), "b_min must be a real number, got 'a'"),
+        (lambda: LookupTable(np.arange(2), np.arange(2.0)[:, None], np.zeros(2), np.zeros(2),
+                             np.zeros(2), ChainSpec(2, 1.0, (0, 0))), "column f must be 1-D"),
+    ], ids=["string-coupling", "no-coupling", "string-fields", "no-fields", "string-bound",
+            "2-D-column"])
+    def test_constructors_name_the_bad_value(self, build, match):
+        # Each ended in a bare TypeError or ValueError.
+        with pytest.raises(ValidationError, match=re.escape(match)):
+            build()
 
     def test_numpy_integer_sizes_are_stored_as_ints(self):
         grid = ParameterGrid(0.0, 1.0, np.int64(3))

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -777,6 +778,26 @@ def test_outputs_do_not_depend_on_j(tmp_path, j):
                          "--out", str(tmp_path / coupling)]) == 0
     for name in ("fig3.csv", "measure.csv"):
         assert (tmp_path / j / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+
+
+@pytest.mark.parametrize("trials, seed, match", [
+    (0, 30, "trials must be at least 1, got 0"),
+    (-5, 30, "trials must be a non-negative integer, got -5"),
+    (2.5, 30, "trials must be a non-negative integer, got 2.5"),
+    (1, -1, "the seed must be a non-negative integer, got -1"),
+    (1, "x", "the seed must be a non-negative integer, got 'x'"),
+], ids=["zero-trials", "negative-trials", "float-trials", "negative-seed", "string-seed"])
+@pytest.mark.parametrize("study", ["noise-eps-0", "noise-eps-0.1", "measure"])
+def test_sampled_studies_check_trials_and_seed_first(study, trials, seed, match):
+    # With every eps 0, noise_rows checked neither and returned a row; elsewhere trials = 0
+    # was rejected as "the leading row size".
+    cfg = RunConfig(n=2, d=3)
+    with pytest.raises(spinalign.ValidationError, match=re.escape(match)):
+        if study == "measure":
+            cli.measure_columns(cfg.grid(), cfg.candidate(), trials, seed)
+        else:
+            table = protocol.build_table(cfg.grid(), cfg.candidate())
+            cli.noise_rows(table, [float(study.rsplit("-", 1)[1])], trials, seed)
 
 
 class TestExitCodes:

@@ -80,6 +80,18 @@ class TestBoundaryValidation:
         with pytest.raises(ValidationError):
             lookup_chi_batch(table, np.array([3.0, bad, 3.5]))
 
+    @pytest.mark.parametrize("lookup", [protocol.nearest_runs, protocol.nearest_rows,
+                                        lookup_chi_batch])
+    @pytest.mark.parametrize("bad", [np.array([1 + 1j]), np.array([2.0 + 0j]), "x", ["1.5"],
+                                     [[1.0], [1.0, 2.0]], [None], 10**400],
+                             ids=["complex", "real-valued-complex", "string", "numeric-string",
+                                  "ragged", "none", "huge-int"])
+    def test_query_that_is_not_real_numbers_rejected(self, table, lookup, bad):
+        # 1 + 1j was looked up as 1 after a ComplexWarning, and "x" and the ragged list
+        # ended in a bare ValueError.
+        with pytest.raises(ValidationError, match="real numbers"):
+            lookup(table, bad)
+
     def test_empty_batch_returns_empty(self, table):
         out = lookup_chi_batch(table, np.array([]))
         assert out.shape == (0,)

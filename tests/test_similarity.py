@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,6 @@ from spinalign import (
     ground_state,
     product_ground_directions,
     purity_term,
-    signed_theta,
     similarity_chain,
     similarity_general,
     site_cosines,
@@ -30,9 +31,6 @@ from spinalign import (
 def rho_from_bloch(v: np.ndarray) -> DensityMatrix:
     m = (np.eye(2) + v[0] * PAULI["X"] + v[1] * PAULI["Y"] + v[2] * PAULI["Z"]) / 2
     return DensityMatrix(m)
-
-
-Z = np.array([0.0, 0.0, 1.0])
 
 
 class TestBlochReadoff:
@@ -113,56 +111,74 @@ class TestCosTheta:
             assert abs((2 * rotated.purity - 1) - base) < 1e-12
 
 
-class TestSignedTheta:
-    def test_zero_for_equal_vectors(self):
-        v = np.array([0.4, 0.3, 0.0])
-        assert signed_theta(v, v, Z) == 0.0
+def chain_angles(target, candidate) -> np.ndarray:
+    """similarity_chain's angles for (N, 3) target and candidate rows."""
+    return similarity_chain(np.atleast_2d(target), np.atleast_2d(candidate))[1]
+
+
+def in_plane(rng, size):
+    """``size`` random vectors in the xy plane, of lengths in [0.1, 1)."""
+    phi = rng.uniform(-np.pi, np.pi, size)
+    return rng.uniform(0.1, 1.0, (size, 1)) * np.stack([np.cos(phi), np.sin(phi), 0 * phi], 1)
+
+
+class TestChainAngles:
+    def test_zero_for_equal_chains(self):
+        v = np.array([[0.4, 0.3, 0.0], [-0.2, 0.1, 0.5]])
+        assert chain_angles(v, v).tolist() == [0.0, 0.0]
 
     def test_product_ground_pair(self):
         c = product_ground_directions(-0.5)
         r = product_ground_directions(+0.5)
-        theta = signed_theta(c, r, Z)
+        (theta,) = chain_angles(r, c)
         assert theta == pytest.approx(2 * np.arctan(0.5), abs=1e-12)
         assert theta == pytest.approx(0.927295, abs=1e-6)
 
     def test_antisymmetric(self):
         rng = np.random.default_rng(10)
-        for _ in range(50):
-            u, v = rng.normal(size=(2, 3))
-            a = u * rng.uniform(0.05, 1.0) / np.linalg.norm(u)
-            b = v * rng.uniform(0.05, 1.0) / np.linalg.norm(v)
-            if min(np.hypot(*a[:2]), np.hypot(*b[:2])) < 1e-3:
-                continue
-            assert signed_theta(a, b, Z) == pytest.approx(-signed_theta(b, a, Z), abs=1e-12)
+        u, v = rng.normal(size=(2, 50, 3))
+        a = u * rng.uniform(0.05, 1.0, (50, 1)) / np.linalg.norm(u, axis=1, keepdims=True)
+        b = v * rng.uniform(0.05, 1.0, (50, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
+        keep = np.minimum(np.hypot(*a[:, :2].T), np.hypot(*b[:, :2].T)) >= 1e-3
+        a, b = a[keep], b[keep]
+        assert chain_angles(a, b) == pytest.approx(-chain_angles(b, a), abs=1e-12)
 
     def test_consistent_with_cos_theta_in_plane(self):
         rng = np.random.default_rng(13)
-        for _ in range(200):
-            phi1, phi2 = rng.uniform(-np.pi, np.pi, size=2)
-            r1, r2 = rng.uniform(0.1, 1.0, size=2)
-            a = np.array([r1 * np.cos(phi1), r1 * np.sin(phi1), 0.0])
-            b = np.array([r2 * np.cos(phi2), r2 * np.sin(phi2), 0.0])
-            th = signed_theta(a, b, Z)
-            assert abs(np.cos(th) - cos_theta(rho_from_bloch(a), rho_from_bloch(b))) < 1e-9
+        a, b = in_plane(rng, 200), in_plane(rng, 200)
+        cosines = [cos_theta(rho_from_bloch(x), rho_from_bloch(y)) for x, y in zip(a, b)]
+        assert np.max(np.abs(np.cos(chain_angles(b, a)) - cosines)) < 1e-9
 
-    def test_axis_aligned_vector_rejected(self):
+    def test_equals_the_difference_of_azimuths(self):
+        # Per-site reference: target azimuth minus candidate azimuth, wrapped by remainder.
+        rng = np.random.default_rng(12)
+        c, r = rng.normal(size=(2, 300, 3))
+        reference = [math.remainder(math.atan2(ry, rx) - math.atan2(cy, cx), 2 * math.pi)
+                     for (cx, cy, _), (rx, ry, _) in zip(c, r)]
+        assert np.max(np.abs(chain_angles(r, c) - reference)) < 1e-12
+
+    def test_z_component_does_not_change_the_angle(self):
+        rng = np.random.default_rng(11)
+        a, b = in_plane(rng, 100), in_plane(rng, 100)
+        lifted_a, lifted_b = a.copy(), b.copy()
+        lifted_a[:, 2], lifted_b[:, 2] = rng.uniform(-0.5, 0.5, (2, 100))
+        assert chain_angles(lifted_b, lifted_a).tobytes() == chain_angles(b, a).tobytes()
+
+    @pytest.mark.parametrize("side", ["target", "candidate"])
+    @pytest.mark.parametrize("bad", [[0.0, 0.0, 1.0], [1e-7, 0.0, -0.5], [np.nan, 0.0, 0.0]],
+                             ids=["along-z", "below-floor", "nan"])
+    def test_site_without_an_in_plane_direction_rejected(self, bad, side):
+        good = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        rows = good[::-1].copy()
+        rows[1] = bad
         with pytest.raises(UndefinedDirectionError):
-            signed_theta(np.array([0, 0, 1.0]), np.array([1.0, 0, 0]), Z)
+            chain_angles(rows, good) if side == "target" else chain_angles(good, rows)
 
-    def test_axis_must_be_unit(self):
-        with pytest.raises(ValidationError):
-            signed_theta(np.array([1, 0, 0]), np.array([0, 1, 0]), np.array([0, 0, 0.5]))
-
-    def test_nan_is_rejected(self):
-        # A NaN component makes every comparison False, so each check is written to fail it.
-        with pytest.raises(UndefinedDirectionError):
-            signed_theta(np.array([np.nan, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), Z)
-        with pytest.raises(ValidationError):
-            signed_theta(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([np.nan, 0, 1.0]))
-
-    def test_three_vectors_required(self):
-        with pytest.raises(ValidationError):
-            signed_theta(np.array([1.0, 0.0]), np.array([0.0, 1.0]), Z[:2])
+    @pytest.mark.parametrize("y_c, y_r", [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)])
+    @pytest.mark.parametrize("x", [1.0, -1.0])
+    def test_antiparallel_sites_give_plus_pi(self, x, y_c, y_r):
+        # Two of these signed-zero pairs make atan2 return -π, which is mapped to +π.
+        assert chain_angles([-x, y_r, 0.0], [x, y_c, 0.0]).tolist() == [np.pi]
 
 
 class TestSimilarityChain:
