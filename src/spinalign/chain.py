@@ -113,7 +113,7 @@ def product_ground_directions(fields) -> np.ndarray:
     sqrt(1 + b²) is |b|, as it already is in floats for every |b| above
     about 1.2e8: the limit direction (-1/|b|, -sign b, 0).
     """
-    b = np.asarray(fields, dtype=float)
+    b = real_array(fields, "fields")
     with np.errstate(over="ignore"):
         s = np.sqrt(1.0 + b * b)
     s = np.where(np.isinf(s), np.abs(b), s)
@@ -131,6 +131,23 @@ def check_count(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
         raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
     return int(value)
+
+
+def real_array(value, name: str, shape: tuple[int | None, ...] | None = None) -> np.ndarray:
+    """The one real-number array check: ``value`` as a float array, not copied if it is one.
+
+    Ragged, complex, string or object input, or a shape unlike ``shape`` (None: any size), fails.
+    """
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError):  # a ragged list
+        arr = None
+    if arr is None or arr.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} must hold real numbers only")
+    if shape is not None and not (arr.ndim == len(shape) and all(
+            size in (None, got) for size, got in zip(shape, arr.shape))):
+        raise ValidationError(f"{name} must be {len(shape)}-D of shape {shape}, got {arr.shape}")
+    return arr.astype(float, copy=False)
 
 
 def _check_real(value, name: str) -> float:

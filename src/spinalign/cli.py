@@ -129,6 +129,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if cfg.d < 1:
         raise ValidationError("--d must be at least 1")
     check_count(cfg.seed, "--seed")
+    # A config file's JSON string may hold NUL, which no path can.
+    if "\0" in cfg.out:
+        raise ValidationError("--out must not contain a NUL character")
     # Run-start rules, in the order the commands' work would meet them, so
     # that a rejected run computes, prints and writes nothing.
     command = getattr(args, "command", None)

@@ -28,9 +28,9 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .chain import ChainSpec, check_count, product_ground_directions
-from .errors import QueryBudgetError, SpinAlignError, ValidationError
-from .similarity import site_array, site_cosines
+from .chain import ChainSpec, check_count, product_ground_directions, real_array
+from .errors import CapacityError, QueryBudgetError, SpinAlignError, ValidationError
+from .similarity import site_cosines
 
 # numpy's SeedSequence hash constants and pool size, and PCG64's 128-bit
 # multiplier, which target_draws replays.
@@ -105,12 +105,17 @@ def target_draws(prefix: list[int], start: int, stop: int, row_shape: tuple[int,
     2·initseq + 1, and one private Generator is re-stated per target. ValidationError, before
     any seeding, for a prefix entry that is not a non-negative integer, an id outside
     [0, 2^32) or a leading row size ``row_shape[0]`` that is not an integer >= 1;
+    CapacityError, before any seeding, for a block of more bytes than np.intp can count;
     SpinAlignError if the first target's state is not ``default_rng``'s.
     """
     if start < 0 or stop > 1 << 32:
         raise ValidationError(f"target ids must lie in [0, 2^32), got {start} to {stop - 1}")
     if not row_shape or check_count(row_shape[0], "the leading row size") < 1:
         raise ValidationError(f"the leading row size must be at least 1, got {row_shape!r}")
+    block = max(1, bound // row_shape[0])
+    # numpy raises a bare ValueError for an array of more bytes than np.intp can count.
+    if (floats := min(block, stop - start) * math.prod(row_shape)) * 8 > np.iinfo(np.intp).max:
+        raise CapacityError(f"a block of {floats} draws exceeds the addressable memory")
     words = [word for value in prefix
              for word in _uint32_words(check_count(value, "a stream seed"))]
     entropy = np.empty((STREAM_CHUNK_ROWS, len(words) + 1), dtype=np.uint32)
@@ -118,7 +123,6 @@ def target_draws(prefix: list[int], start: int, stop: int, row_shape: tuple[int,
     generator = np.random.Generator(np.random.PCG64(0))
     inner = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
-    block = max(1, bound // row_shape[0])
     for lo in range(start, stop, block):
         draws = np.empty((min(block, stop - lo), *row_shape))
         for target_id, row in enumerate(draws, lo):
@@ -246,7 +250,7 @@ class Oracle:
 
     def _cosines(self, candidate) -> np.ndarray:
         """Per-site cos θ_k of target and candidate; site_cosines checks the site count."""
-        return site_cosines(self._target_bloch, site_array(candidate))
+        return site_cosines(self._target_bloch, real_array(candidate, "the candidate", (None, 3)))
 
     def _admit(self, kind: OracleKind, candidate, count: int = 1) -> np.ndarray:
         """Check kind, then the candidate, then budget; charge ``count`` only if all pass.

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainSpec, ParameterGrid, product_ground_directions, target_field_array
+from .chain import (ChainSpec, ParameterGrid, check_count, product_ground_directions, real_array,
+                    target_field_array)
 from .errors import CapacityError, IndeterminateOptimumError, ValidationError
 from .hilbert import DENSE_SITE_CAP
 
@@ -33,7 +34,8 @@ _BUCKETS_PER_BOUNDARY = 4
 
 def global_rotation(chi: float, n_sites: int) -> np.ndarray:
     """Read-only U = exp(-i χ Σ_k Z_k): every Bloch vector rotates by +2χ about +z."""
-    if n_sites > DENSE_SITE_CAP:
+    chi = float(real_array(chi, "chi", ()))
+    if check_count(n_sites, "n_sites") > DENSE_SITE_CAP:
         raise CapacityError(f"n_sites {n_sites} exceeds dense cap {DENSE_SITE_CAP}")
     # U is diagonal, exp(-iχ(N - 2·popcount)) per basis state. bitwise_count
     # returns uint8; the float factor keeps N - 2·popcount signed.
@@ -45,15 +47,15 @@ def global_rotation(chi: float, n_sites: int) -> np.ndarray:
 
 def rotate_directions(bloch: np.ndarray, chi: float) -> np.ndarray:
     """(N, 3) site directions as U(χ) leaves them: turned counterclockwise about +z by 2χ."""
-    turn = 2.0 * float(chi)
+    turn = 2.0 * float(real_array(chi, "chi", ()))
     cos, sin = np.cos(turn), np.sin(turn)
-    x, y, z = np.transpose(bloch)
+    x, y, z = real_array(bloch, "site directions", (None, 3)).T
     return np.stack((cos * x - sin * y, sin * x + cos * y, z), axis=-1)
 
 
 def delta_f_planar(thetas, chi: float) -> float:
     """Similarity gain 2 sin χ Σ_k sin(θ_k - χ) for in-plane Bloch vectors."""
-    th = np.asarray(thetas, dtype=float)
+    th, chi = real_array(thetas, "site angles"), float(real_array(chi, "chi", ()))
     return float(2.0 * np.sin(chi) * np.sum(np.sin(th - chi)))
 
 
@@ -68,20 +70,19 @@ def delta_f_sums(sum_sin, f, sin_chi, cos_chi):
 
 def _half_angle(sum_sin, sum_cos) -> np.ndarray:
     """atan2(Σ sin θ, Σ cos θ)/2 in (-π/2, π/2], elementwise; rejects a vanishing resultant."""
-    s, c = np.asarray(sum_sin, dtype=float), np.asarray(sum_cos, dtype=float)
-    if not np.all(s * s + c * c >= _RESULTANT_FLOOR**2):  # NaN fails too
+    if not np.all(sum_sin * sum_sin + sum_cos * sum_cos >= _RESULTANT_FLOOR**2):  # NaN fails too
         raise IndeterminateOptimumError(
             "sum of sines and cosines both vanish or are NaN; no angle is optimal"
         )
-    chi = 0.5 * np.arctan2(s, c)
+    chi = 0.5 * np.arctan2(sum_sin, sum_cos)
     return np.where(chi <= -np.pi / 2, np.pi / 2, chi)
 
 
 def chi_opt(thetas) -> float:
     """Circular-mean optimal half-angle χ = atan2(Σ sin θ, Σ cos θ)/2 in (-π/2, π/2]."""
-    th = np.asarray(thetas, dtype=float)
-    if th.ndim != 1 or not th.size:
-        raise ValidationError(f"chi_opt needs a 1-D array of site angles, got shape {th.shape}")
+    th = real_array(thetas, "chi_opt's site angles", (None,))
+    if not th.size:
+        raise ValidationError("chi_opt needs a 1-D array of at least one site angle")
     return float(_half_angle(np.sum(np.sin(th)), np.sum(np.cos(th))))
 
 
@@ -117,13 +118,14 @@ class LookupTable:
     @np.errstate(over="ignore")
     def __post_init__(self):
         for name in ("target_ids", "f", "chi", "delta_f", "sum_sin"):
-            arr = np.array(getattr(self, name))
+            # Copies, so that freezing a column leaves the caller's array writable.
+            arr = getattr(self, name)
+            arr = np.array(arr if name == "target_ids" else real_array(arr, f"table column {name}"))
             if arr.ndim != 1:
                 raise ValidationError(f"table column {name} must be 1-D, got shape {arr.shape}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if not (len(self.target_ids) == len(self.f) == len(self.chi)
-                == len(self.delta_f) == len(self.sum_sin)):
+        if len({len(getattr(self, n)) for n in ("target_ids", "f", "chi", "delta_f", "sum_sin")}) > 1:
             raise ValidationError("table columns differ in length")
         if len(self.f) == 0:
             raise ValidationError("table is empty")
@@ -163,9 +165,7 @@ def target_angles(fields, candidate: ChainSpec) -> np.ndarray:
     angle π + atan b_k, and θ_k = atan b_t,k - atan b_c,k lies in (-π, π)
     for every N and J, with no eigensolve.
     """
-    thetas = np.arctan(np.asarray(fields, dtype=float))
-    if thetas.ndim != 2 or thetas.shape[1] != candidate.n_sites:
-        raise ValidationError(f"fields must be (T, {candidate.n_sites}), got {thetas.shape}")
+    thetas = np.arctan(real_array(fields, "target fields", (None, candidate.n_sites)))
     thetas -= np.arctan(candidate.fields)
     return thetas
 
@@ -293,16 +293,10 @@ def nearest_runs(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
     (see ``LookupTable``), and a query then costs a bucket guess and one or
     two compares, in O(Q) memory.
     """
-    try:
-        q = np.asarray(f_queries)
-    except (TypeError, ValueError):  # a ragged list
-        q = None
-    # A float conversion would drop an imaginary part with only a warning, and parse strings.
-    if q is None or q.dtype.kind not in "biuf":
-        raise ValidationError("F queries must be an array of real numbers")
+    q = real_array(f_queries, "F queries")
     if not np.isfinite(q).all():
         raise ValidationError("F queries must be finite")
-    return table._index.runs(q.astype(float, copy=False).ravel()).reshape(q.shape)
+    return table._index.runs(q.ravel()).reshape(q.shape)
 
 
 def nearest_rows(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .chain import real_array
 from .errors import UndefinedDirectionError, ValidationError
 from .hilbert import DensityMatrix, StateVector, partial_trace
 
@@ -42,26 +43,15 @@ def _require_directions(norms2: np.ndarray) -> None:
         )
 
 
-def site_array(bloch) -> np.ndarray:
-    """``bloch`` as an (N, 3) float array of per-site Bloch vectors; ValidationError otherwise."""
-    try:
-        # A float conversion would drop an imaginary part with only a warning.
-        out = None if np.iscomplexobj(bloch) else np.asarray(bloch, dtype=float)
-    except (TypeError, ValueError):
-        out = None
-    if out is None or out.ndim != 2 or out.shape[1] != 3:
-        raise ValidationError("expected an (N, 3) array of real site Bloch vectors")
-    return out
-
-
 def site_cosines(bloch_t: np.ndarray, bloch_c: np.ndarray) -> np.ndarray:
     """Per-site cos θ_k = r_k·c_k/(|r_k| |c_k|) between arrays of Bloch vectors, shape (..., N, 3).
 
     Leading axes broadcast, so a (T, N, 3) batch of targets is compared with
     one (N, 3) candidate in one call, each row bit-equal to its own call.
     """
-    if np.shape(bloch_t)[-2:] != np.shape(bloch_c)[-2:]:
-        raise ValidationError(f"Bloch arrays differ: {np.shape(bloch_t)} vs {np.shape(bloch_c)}")
+    bloch_t, bloch_c = real_array(bloch_t, "Bloch vectors"), real_array(bloch_c, "Bloch vectors")
+    if min(bloch_t.ndim, bloch_c.ndim) < 2 or bloch_t.shape[-2:] != bloch_c.shape[-2:]:
+        raise ValidationError(f"Bloch arrays differ in (N, 3): {bloch_t.shape}, {bloch_c.shape}")
     nt2 = np.einsum("...ij,...ij->...i", bloch_t, bloch_t)
     nc2 = np.einsum("...ij,...ij->...i", bloch_c, bloch_c)
     _require_directions(nt2)
@@ -94,7 +84,7 @@ def similarity_chain(bloch_t, bloch_c) -> tuple[float, np.ndarray]:
     Bloch vector, or its xy part, is below DIRECTION_FLOOR or not finite in
     either chain raises UndefinedDirectionError.
     """
-    bt, bc = site_array(bloch_t), site_array(bloch_c)
+    bt, bc = (real_array(b, "site Bloch vectors", (None, 3)) for b in (bloch_t, bloch_c))
     f = float(site_cosines(bt, bc).sum())
     (rx, ry), (cx, cy) = bt[:, :2].T, bc[:, :2].T
     _require_directions(np.concatenate([rx * rx + ry * ry, cx * cx + cy * cy]))

@@ -800,9 +800,43 @@ def test_sampled_studies_check_trials_and_seed_first(study, trials, seed, match)
             cli.noise_rows(table, [float(study.rsplit("-", 1)[1])], trials, seed)
 
 
+@pytest.mark.parametrize("trials", [2**62, 10**21])
+@pytest.mark.parametrize("study", ["noise", "measure"])
+def test_sampled_studies_reject_unaddressable_blocks(study, trials):
+    # A block of 2^63 or more bytes ended in numpy's bare "array is too big" or
+    # "Maximum allowed dimension exceeded" ValueError.
+    cfg = RunConfig(n=2, d=2)
+    with pytest.raises(spinalign.CapacityError, match="exceeds the addressable memory"):
+        if study == "measure":
+            cli.measure_columns(cfg.grid(), cfg.candidate(), trials, 30)
+        else:
+            cli.noise_rows(protocol.build_table(cfg.grid(), cfg.candidate()), [0.1], trials, 30)
+
+
 class TestExitCodes:
     def test_validation_error_is_one(self, tmp_path):
         assert main(["table", "--d", "0", "--out", str(tmp_path)]) == 1
+
+    def test_config_out_with_a_nul_is_one(self, tmp_path, monkeypatch, capsys):
+        # argv cannot carry a NUL, but a JSON string can; Path.mkdir raised a bare ValueError.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text('{"out": "a\\u0000b"}')
+        assert main(["table", "--n", "2", "--d", "2", "--config", "cfg.json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --out must not contain a NUL character\n"
+        assert captured.out == "" and [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--trials", str(2**62)],
+        ["measure", "--trials", str(10**21)],
+        ["noise", "--eps", "0.1", "--trials", str(10**21)],
+    ], ids=["measure-2^62", "measure-10^21", "noise-10^21"])
+    def test_unaddressable_trials_are_one(self, tmp_path, capsys, argv):
+        assert main([*argv, "--n", "2", "--d", "2", "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"error: a block of \d+ draws exceeds the addressable memory\n",
+                            captured.err)
+        assert captured.out == "" and not (tmp_path / "out").exists()
 
     def test_unknown_flag_is_one(self):
         assert main(["table", "--nonsense"]) == 1

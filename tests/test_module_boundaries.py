@@ -1,6 +1,6 @@
 """Module boundaries: no module uses another's private (``_``-prefixed) names, only the
-oracle seeds, the CLI holds no generator and draws nothing of its own, and the sampled
-commands hold no study."""
+oracle seeds, the CLI holds no generator and draws nothing of its own, the sampled
+commands hold no study, and only ``chain.real_array`` converts a real-number array."""
 
 import ast
 import inspect
@@ -112,3 +112,34 @@ def test_sampled_commands_only_write_print_and_gate(command):
     named = [f"line {node.lineno}: {name}" for node in ast.walk(body)
              for name in (getattr(node, "id", None), getattr(node, "attr", None)) if name in steps]
     assert loops == [] and named == []
+
+
+def test_only_real_array_converts_to_float():
+    # chain.real_array is the one real-number array check; elsewhere a float conversion
+    # would parse strings and drop imaginary parts. hilbert's dtype=complex is its own rule.
+    floats = {"float", "np.float64", "numpy.float64"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _tree(path)
+        allowed = {id(node) for top in tree.body
+                   if path.stem == "chain" and getattr(top, "name", None) == "real_array"
+                   for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if getattr(node, "attr", getattr(node, "id", None)) == "iscomplexobj":
+                found.append(f"{path.stem} line {node.lineno}: iscomplexobj")
+            if not isinstance(node, ast.Call):
+                continue
+            # Conversions only: allocating a new float array (np.zeros, np.empty) is not one.
+            func = ast.unparse(node.func)
+            if func in ("np.asarray", "np.array", "numpy.asarray", "numpy.array"):
+                dtypes = node.args[1:2]
+            elif func.endswith(".astype"):
+                dtypes = node.args[:1]
+            else:
+                continue
+            dtypes += [keyword.value for keyword in node.keywords if keyword.arg == "dtype"]
+            if any(ast.unparse(dtype) in floats for dtype in dtypes):
+                found.append(f"{path.stem} line {node.lineno}: {ast.unparse(node)}")
+    assert found == []

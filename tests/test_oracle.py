@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinalign import (
+    CapacityError,
     ChainSpec,
     OracleKind,
     ParameterGrid,
@@ -487,6 +488,28 @@ class TestSeededStreams:
         # (0,) ended in ZeroDivisionError from bound // row_shape[0].
         with pytest.raises(ValidationError, match="the leading row size must be"):
             next(oracle_module.target_draws([1], 0, 3, row_shape, 8))
+
+    @pytest.mark.parametrize("stop, row_shape, bound, floats", [
+        (1, (2**60,), 1, 2**60),
+        (1, (2**59, 2), 1, 2**60),
+        (2**32, (1, 2**28), 2**32, 2**60),
+        (3, (2**62, 2), 8, 2**63),
+        (4, (10**21,), 2**13, 10**21),
+    ], ids=["2^63-bytes", "2-D-rows", "many-targets-a-block", "measure-2^62", "noise-10^21"])
+    def test_unaddressable_block_is_a_capacity_error(self, stop, row_shape, bound, floats,
+                                                     monkeypatch):
+        # numpy cannot make an array of 2^63 or more bytes and raised a bare ValueError.
+        def refuse(*args):
+            raise AssertionError("streams were seeded")
+
+        monkeypatch.setattr(oracle_module, "_pcg64_seeds", refuse)
+        with pytest.raises(CapacityError, match=f"^a block of {floats} draws exceeds"):
+            next(oracle_module.target_draws([1], 0, stop, row_shape, bound))
+
+    def test_largest_addressable_block_reaches_the_allocator(self):
+        # One float below 2^63 bytes passes the check, and numpy cannot allocate it.
+        with pytest.raises(MemoryError):
+            next(oracle_module.target_draws([1], 0, 1, (2**60 - 1,), 1))
 
     def test_overwriting_a_block_leaves_later_blocks_unchanged(self):
         # 7 targets in blocks of 2, each a new array: overwriting the first in place, as

@@ -203,11 +203,12 @@ class TestSimilarityChain:
         assert np.sum(np.cos(thetas)) == pytest.approx(f, abs=1e-10)
 
     @pytest.mark.parametrize("bad", [np.ones((4, 2)), np.ones(3), [[1.0, 0.0, 0.0], [1.0]],
-                                     [["x", "y", "z"]], np.ones((4, 3)) * 1j,
-                                     StateVector(np.eye(16)[0], 4)],
-                             ids=["wrong-shape", "one-vector", "ragged", "non-numeric", "complex",
-                                  "a-state"])
+                                     [["x", "y", "z"]], [["1", "0", "0"]] * 4,
+                                     np.ones((4, 3)) * 1j, StateVector(np.eye(16)[0], 4)],
+                             ids=["wrong-shape", "one-vector", "ragged", "non-numeric",
+                                  "numeric-strings", "complex", "a-state"])
     def test_takes_site_arrays_only(self, bad):
+        # Numeric strings were parsed as the numbers they spell.
         good = product_ground_directions(np.zeros(4))
         with pytest.raises(ValidationError):
             similarity_chain(bad, good)
@@ -342,6 +343,12 @@ def test_property_batched_site_cosines_equal_per_row_calls(data):
 def test_site_cosines_rejects_differing_sites():
     with pytest.raises(ValidationError):
         site_cosines(np.ones((2, 3, 3)), np.ones((2, 3)))
+
+
+def test_site_cosines_rejects_a_single_vector():
+    # A (3,) vector has no site axis; it ended in einsum's bare ValueError.
+    with pytest.raises(ValidationError, match="Bloch arrays differ"):
+        site_cosines(np.ones(3), np.ones(3))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
