@@ -13,7 +13,6 @@ base-D integer id, site 1 in the least significant digit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -37,16 +36,9 @@ class ChainSpec:
         object.__setattr__(self, "n_sites", check_count(self.n_sites, "the number of sites"))
         if self.n_sites < 2:
             raise ValidationError("a chain needs at least 2 sites")
-        _check_real(self.coupling, "the coupling")
-        try:
-            fields = tuple(_check_real(b, "a field") for b in self.fields)
-        except TypeError:
-            raise ValidationError(f"fields must be a sequence, got {self.fields!r}") from None
-        object.__setattr__(self, "fields", fields)
-        if len(self.fields) != self.n_sites:
-            raise ValidationError(
-                f"expected {self.n_sites} field values, got {len(self.fields)}"
-            )
+        object.__setattr__(self, "coupling", float(real_array(self.coupling, "the coupling", ())))
+        fields = real_array(self.fields, "fields", (self.n_sites,))
+        object.__setattr__(self, "fields", tuple(fields.tolist()))
         if not math.isfinite(self.coupling) or not all(map(math.isfinite, self.fields)):
             raise ValidationError("coupling and fields must be finite")
 
@@ -65,8 +57,8 @@ class ParameterGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "levels", check_count(self.levels, "the number of grid levels"))
-        _check_real(self.b_min, "b_min")
-        _check_real(self.b_max, "b_max")
+        for name in ("b_min", "b_max"):
+            object.__setattr__(self, name, float(real_array(getattr(self, name), name, ())))
         if self.levels < 1:
             raise ValidationError("grid needs at least one level")
         # Also rejects a span b_max - b_min that overflows to inf.
@@ -111,9 +103,11 @@ def product_ground_directions(fields) -> np.ndarray:
     A scalar b gives one (3,) direction; a (T, N) array of target fields
     gives the (T, N, 3) site directions of T chains. Where b² overflows,
     sqrt(1 + b²) is |b|, as it already is in floats for every |b| above
-    about 1.2e8: the limit direction (-1/|b|, -sign b, 0).
+    about 1.2e8: the limit direction (-1/|b|, -sign b, 0). A NaN or infinite b fails.
     """
     b = real_array(fields, "fields")
+    if not np.all(np.isfinite(b)):
+        raise ValidationError("fields must be finite")
     with np.errstate(over="ignore"):
         s = np.sqrt(1.0 + b * b)
     s = np.where(np.isinf(s), np.abs(b), s)
@@ -134,27 +128,21 @@ def check_count(value, name: str) -> int:
 
 
 def real_array(value, name: str, shape: tuple[int | None, ...] | None = None) -> np.ndarray:
-    """The one real-number array check: ``value`` as a float array, not copied if it is one.
+    """The one real-number check: ``value``, a scalar as shape (), as float; a float array as is.
 
-    Ragged, complex, string or object input, or a shape unlike ``shape`` (None: any size), fails.
+    Ragged, bool, complex, string or object input (an int beyond uint64 is one), or a shape
+    unlike ``shape`` (None: any size), fails.
     """
     try:
         arr = np.asarray(value)
     except (TypeError, ValueError):  # a ragged list
         arr = None
-    if arr is None or arr.dtype.kind not in "biuf":
+    if arr is None or arr.dtype.kind not in "iuf":
         raise ValidationError(f"{name} must hold real numbers only")
     if shape is not None and not (arr.ndim == len(shape) and all(
             size in (None, got) for size, got in zip(shape, arr.shape))):
         raise ValidationError(f"{name} must be {len(shape)}-D of shape {shape}, got {arr.shape}")
     return arr.astype(float, copy=False)
-
-
-def _check_real(value, name: str) -> float:
-    """``value`` as a float; ValidationError unless it is a real number (bools excluded)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
-    return float(value)
 
 
 def target_count(grid: ParameterGrid, n_sites: int) -> int:

@@ -24,6 +24,7 @@ import re
 import sys
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -77,13 +78,18 @@ _FILE_TYPES = {
 }
 
 
-def _parse_eps(raw) -> tuple[float, ...]:
+def _parse_eps(raw) -> Iterator[float]:
     parts = raw if isinstance(raw, list) else [e for e in raw.split(",") if e.strip()]
-    # A config file's list holds JSON numbers only: no strings, and no
-    # true/false, which would pass as 1 and 0.
+    # Each piece is parsed here (check_epsilon parses no strings). A config file's list
+    # holds JSON numbers only: no strings, and no true/false, which would pass as 1 and 0.
     if isinstance(raw, list) and not all(type(e) in _NUMBER for e in raw):
         raise ValidationError(f"the config eps list must hold only numbers: {raw!r}")
-    return tuple(map(check_epsilon, parts))
+    for part in parts:
+        try:
+            epsilon = float(part)
+        except (ValueError, OverflowError):  # not a number, or a JSON integer beyond float
+            raise ValidationError(f"epsilon must be a number, got {part!r}") from None
+        yield check_epsilon(epsilon)
 
 
 def _load_config_file(path: str) -> dict:
@@ -94,8 +100,7 @@ def _load_config_file(path: str) -> dict:
             raise ValidationError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValidationError("config file must hold a flat JSON object")
-    unknown = set(data) - set(_FILE_TYPES)
-    if unknown:
+    if unknown := set(data) - set(_FILE_TYPES):
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     for key, value in data.items():
         if type(value) not in _FILE_TYPES[key]:
@@ -114,15 +119,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         file_values = _load_config_file(args.config)
         if "eps" in file_values:
-            file_values["eps"] = _parse_eps(file_values["eps"])
+            file_values["eps"] = tuple(_parse_eps(file_values["eps"]))
         cfg = replace(cfg, **file_values)
     overrides = {}
     for f in dataclass_fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None and value is not False:
-            overrides[f.name] = _parse_eps(value) if f.name == "eps" else value
-    if overrides:
-        cfg = replace(cfg, **overrides)
+            overrides[f.name] = tuple(_parse_eps(value)) if f.name == "eps" else value
+    cfg = replace(cfg, **overrides)
     # A chain holds n field values, so n beyond the sweep budget cannot be built.
     if not 2 <= cfg.n <= DEFAULT_SWEEP_BUDGET:
         raise ValidationError(f"--n must be between 2 and {DEFAULT_SWEEP_BUDGET}")

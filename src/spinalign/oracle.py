@@ -150,12 +150,9 @@ class OracleKind(enum.Enum):
 
 
 def check_epsilon(value) -> float:
-    """The noise width ε as a float >= 0 with a finite 2ε, -0 as +0; ValidationError otherwise."""
-    try:
-        # Adding +0.0 turns -0 into +0 and leaves every other value as it is.
-        epsilon = float(value) + 0.0
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"epsilon must be a number, got {value!r}") from None
+    """The noise width ε, one real number, as a float >= 0 with a finite 2ε and -0 as +0."""
+    # Adding +0.0 turns -0 into +0 and leaves every other value as it is.
+    epsilon = float(real_array(value, "epsilon", ())) + 0.0
     # Each noise draw spans 2·ε, which must be a finite width.
     if not (epsilon >= 0.0 and math.isfinite(2.0 * epsilon)):
         raise ValidationError(f"epsilon must be finite and non-negative, got {epsilon!r}")
@@ -215,8 +212,11 @@ class Oracle:
             raise ValidationError(f"kind must be an OracleKind, got {kind!r}")
         self._budget = check_count(budget, "budget")
         self._epsilon = check_epsilon(epsilon)
-        # Checks the seed now; the generator itself is made on the first draw.
+        # Checks the seed now; the generator itself is made on the first draw. SeedSequence
+        # would read True as 1, so a bool is refused here as every count refuses it.
         try:
+            if any(isinstance(s, bool) for s in np.ravel(np.array(seed, dtype=object))):
+                raise TypeError
             self._seed = np.random.SeedSequence(seed)
         except (TypeError, ValueError):
             raise ValidationError(f"seed must be a non-negative integer or a sequence "

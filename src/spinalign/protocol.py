@@ -32,9 +32,16 @@ _RESULTANT_FLOOR = 1e-12
 _BUCKETS_PER_BOUNDARY = 4
 
 
+def _finite_chi(chi) -> float:
+    """The rotation angle χ as a float; ValidationError unless it is one finite real number."""
+    if not math.isfinite(angle := float(real_array(chi, "chi", ()))):
+        raise ValidationError(f"chi must be finite, got {angle!r}")
+    return angle
+
+
 def global_rotation(chi: float, n_sites: int) -> np.ndarray:
     """Read-only U = exp(-i χ Σ_k Z_k): every Bloch vector rotates by +2χ about +z."""
-    chi = float(real_array(chi, "chi", ()))
+    chi = _finite_chi(chi)
     if check_count(n_sites, "n_sites") > DENSE_SITE_CAP:
         raise CapacityError(f"n_sites {n_sites} exceeds dense cap {DENSE_SITE_CAP}")
     # U is diagonal, exp(-iχ(N - 2·popcount)) per basis state. bitwise_count
@@ -47,7 +54,7 @@ def global_rotation(chi: float, n_sites: int) -> np.ndarray:
 
 def rotate_directions(bloch: np.ndarray, chi: float) -> np.ndarray:
     """(N, 3) site directions as U(χ) leaves them: turned counterclockwise about +z by 2χ."""
-    turn = 2.0 * float(real_array(chi, "chi", ()))
+    turn = 2.0 * _finite_chi(chi)
     cos, sin = np.cos(turn), np.sin(turn)
     x, y, z = real_array(bloch, "site directions", (None, 3)).T
     return np.stack((cos * x - sin * y, sin * x + cos * y, z), axis=-1)
@@ -55,7 +62,7 @@ def rotate_directions(bloch: np.ndarray, chi: float) -> np.ndarray:
 
 def delta_f_planar(thetas, chi: float) -> float:
     """Similarity gain 2 sin χ Σ_k sin(θ_k - χ) for in-plane Bloch vectors."""
-    th, chi = real_array(thetas, "site angles"), float(real_array(chi, "chi", ()))
+    th, chi = real_array(thetas, "site angles"), _finite_chi(chi)
     return float(2.0 * np.sin(chi) * np.sum(np.sin(th - chi)))
 
 

@@ -144,6 +144,13 @@ class TestProductGroundBloch:
             exact = bloch_vector(partial_trace(gs.state, 0b01))
             assert np.max(np.abs(exact - product_ground_directions(b))) < 1e-9
 
+    @pytest.mark.parametrize("fields", [np.inf, [0.0, -np.inf], np.nan, [[0.5], [np.nan]]],
+                             ids=repr)
+    def test_non_finite_fields_are_rejected(self, fields):
+        # Each returned a NaN direction, an infinite one after a RuntimeWarning.
+        with pytest.raises(ValidationError, match="^fields must be finite$"):
+            product_ground_directions(fields)
+
 
 class TestTargetEnumeration:
     def test_reference_sweep_size(self):
@@ -254,11 +261,11 @@ class TestSpecsAndGrids:
             ChainSpec(n_sites, 1.0, (0.0, 0.0))
 
     @pytest.mark.parametrize("build, match", [
-        (lambda: ChainSpec(2, "x", (0, 0)), "coupling must be a real number, got 'x'"),
-        (lambda: ChainSpec(2, None, (0, 0)), "coupling must be a real number, got None"),
-        (lambda: ChainSpec(2, 1.0, ("a", "b")), "field must be a real number, got 'a'"),
-        (lambda: ChainSpec(2, 1.0, None), "fields must be a sequence, got None"),
-        (lambda: ParameterGrid("a", 1, 2), "b_min must be a real number, got 'a'"),
+        (lambda: ChainSpec(2, "x", (0, 0)), "the coupling must hold real numbers only"),
+        (lambda: ChainSpec(2, None, (0, 0)), "the coupling must hold real numbers only"),
+        (lambda: ChainSpec(2, 1.0, ("a", "b")), "fields must hold real numbers only"),
+        (lambda: ChainSpec(2, 1.0, None), "fields must hold real numbers only"),
+        (lambda: ParameterGrid("a", 1, 2), "b_min must hold real numbers only"),
         (lambda: LookupTable(np.arange(2), np.arange(2.0)[:, None], np.zeros(2), np.zeros(2),
                              np.zeros(2), ChainSpec(2, 1.0, (0, 0))), "column f must be 1-D"),
     ], ids=["string-coupling", "no-coupling", "string-fields", "no-fields", "string-bound",

@@ -1,6 +1,6 @@
 """Module boundaries: no module uses another's private (``_``-prefixed) names, only the
 oracle seeds, the CLI holds no generator and draws nothing of its own, the sampled
-commands hold no study, and only ``chain.real_array`` converts a real-number array."""
+commands hold no study, and only ``chain.real_array`` converts a real number or array."""
 
 import ast
 import inspect
@@ -114,9 +114,30 @@ def test_sampled_commands_only_write_print_and_gate(command):
     assert loops == [] and named == []
 
 
+def _parameter_floats(tree: ast.Module, floats: set[str]) -> dict[int, str]:
+    """Each ``float(p)`` (or float64) of a function's own parameter ``p``, by node id."""
+    found = {}
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        arguments = function.args
+        parameters = {arg.arg for arg in (*arguments.posonlyargs, *arguments.args,
+                                          *arguments.kwonlyargs, arguments.vararg,
+                                          arguments.kwarg) if arg is not None}
+        for node in ast.walk(function):
+            if (isinstance(node, ast.Call) and ast.unparse(node.func) in floats
+                    and any(isinstance(arg, ast.Name) and arg.id in parameters
+                            for arg in node.args)):
+                found[id(node)] = f"line {node.lineno}: {ast.unparse(node)}"
+    return found
+
+
 def test_only_real_array_converts_to_float():
-    # chain.real_array is the one real-number array check; elsewhere a float conversion
-    # would parse strings and drop imaginary parts. hilbert's dtype=complex is its own rule.
+    # chain.real_array is the one real-number check, scalars included; elsewhere a float
+    # conversion would parse strings, read bools as numbers and drop imaginary parts, and
+    # numbers.Real would be a second rule. So no module imports numbers, and no function
+    # but real_array calls float() on its own parameter. hilbert's dtype=complex is its own
+    # rule.
     floats = {"float", "np.float64", "numpy.float64"}
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -124,11 +145,20 @@ def test_only_real_array_converts_to_float():
         allowed = {id(node) for top in tree.body
                    if path.stem == "chain" and getattr(top, "name", None) == "real_array"
                    for node in ast.walk(top)}
+        parameter_floats = _parameter_floats(tree, floats)
         for node in ast.walk(tree):
             if id(node) in allowed:
                 continue
             if getattr(node, "attr", getattr(node, "id", None)) == "iscomplexobj":
                 found.append(f"{path.stem} line {node.lineno}: iscomplexobj")
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and "numbers" in (
+                    [alias.name for alias in node.names] if isinstance(node, ast.Import)
+                    else [node.module]):
+                found.append(f"{path.stem} line {node.lineno}: imports numbers")
+            if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "numbers":
+                found.append(f"{path.stem} line {node.lineno}: {ast.unparse(node)}")
+            if id(node) in parameter_floats:
+                found.append(f"{path.stem} {parameter_floats[id(node)]}")
             if not isinstance(node, ast.Call):
                 continue
             # Conversions only: allocating a new float array (np.zeros, np.empty) is not one.

@@ -372,7 +372,7 @@ def test_make_oracle_validates_inputs():
     for epsilon in (float("nan"), float("inf"), 1e308):
         with pytest.raises(ValidationError):
             make_oracle(TARGET, OracleKind.NOISY, budget=1, epsilon=epsilon)
-    # Values float() refuses end in the same error, not a raw ValueError/TypeError.
+    # Values that are not one real number end in the same error, not a raw ValueError/TypeError.
     for epsilon in ("x", None, [1], 10**400):
         with pytest.raises(ValidationError, match="epsilon"):
             make_oracle(TARGET, OracleKind.NOISY, budget=1, epsilon=epsilon)
@@ -385,6 +385,13 @@ def test_make_oracle_validates_inputs():
     for seed in (-1, 1.5, "abc"):
         with pytest.raises(ValidationError):
             make_oracle(TARGET, OracleKind.MEASURED, budget=1, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [True, False, [True, 1], (1, False), [[True]]], ids=repr)
+def test_bool_seeds_are_refused(seed):
+    # numpy's SeedSequence reads True as 1, so each built an oracle.
+    with pytest.raises(ValidationError, match="^seed must be a non-negative integer or a seq"):
+        make_oracle(TARGET, OracleKind.MEASURED, budget=1, seed=seed)
 
 
 def test_exact_oracle_builds_no_generator(candidate_j1, monkeypatch):

@@ -1,8 +1,8 @@
 """The one real-number array rule at the public boundary: ``chain.real_array``.
 
 Every public entry that takes a real-number array rejects numeric strings, complex values,
-object arrays and ragged lists with ValidationError, and a rotation angle χ must be one
-real number.
+object arrays and ragged lists with ValidationError. A scalar argument (a rotation angle χ,
+ε, a chain's coupling, a grid bound) must be one real number, and bools are not real numbers.
 """
 
 import numpy as np
@@ -11,6 +11,7 @@ import pytest
 from spinalign import (
     ChainSpec,
     LookupTable,
+    OracleKind,
     ParameterGrid,
     ValidationError,
     build_table,
@@ -28,6 +29,7 @@ from spinalign import (
     target_angles,
 )
 from spinalign.chain import real_array
+from spinalign.oracle import check_epsilon
 
 CANDIDATE = ChainSpec(2, 1.0, (-0.5, -0.5))
 TABLE = build_table(ParameterGrid(-0.5, 0.5, 2), CANDIDATE)
@@ -91,12 +93,31 @@ def test_entry_rejects_what_is_not_real_numbers(entry, kind):
     lambda chi: global_rotation(chi, 2),
     lambda chi: delta_f_planar(ANGLES, chi),
 ], ids=["rotate_directions", "global_rotation", "delta_f_planar"])
-@pytest.mark.parametrize("chi", ["x", "0.3", 0.3 + 0j, None, [0.1, 0.2]],
-                         ids=["string", "numeric-string", "complex", "none", "two-angles"])
+@pytest.mark.parametrize("chi", ["x", "0.3", 0.3 + 0j, None, [0.1, 0.2], np.nan, np.inf, -np.inf],
+                         ids=["string", "numeric-string", "complex", "none", "two-angles", "nan",
+                              "inf", "-inf"])
 def test_rotation_angle_is_one_real_number(call, chi):
-    # Each raised a bare ValueError or TypeError, or took a complex angle.
+    # Each raised a bare ValueError or TypeError, or took a complex angle; NaN gave NaN
+    # entries, and ±inf did so after a RuntimeWarning.
     with pytest.raises(ValidationError, match="^chi must"):
         call(chi)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_epsilon(True),
+    lambda: check_epsilon(" 5e-2 "),
+    lambda: make_oracle(CANDIDATE, OracleKind.NOISY, epsilon="0.1"),
+    lambda: ChainSpec(2, 10**400, (0, 0)),
+    lambda: ChainSpec(2, 1.0, (0, 10**400)),
+    lambda: ParameterGrid(10**400, 1, 2),
+    lambda: ChainSpec(2, 1.0, {0: 1, 1: 2}),
+], ids=["epsilon-bool", "epsilon-string", "oracle-epsilon-string", "huge-coupling",
+        "huge-field", "huge-bound", "dict-fields"])
+def test_scalar_arguments_are_one_real_number(call):
+    # check_epsilon parsed strings and read True as 1.0; a 10**400 ended in a bare
+    # OverflowError; the dict's keys became the fields (0.0, 1.0).
+    with pytest.raises(ValidationError, match="must hold real numbers only$"):
+        call()
 
 
 def test_global_rotation_takes_a_site_count():
@@ -109,10 +130,17 @@ class TestRealArray:
         values = np.ones((2, 3))
         assert real_array(values, "values", (None, 3)) is values
 
-    @pytest.mark.parametrize("value", [[1, 2], np.array([True, False]), np.float32([1.5, 2])])
+    @pytest.mark.parametrize("value", [[1, 2], np.float32([1.5, 2])])
     def test_other_real_input_becomes_float64(self, value):
         out = real_array(value, "values")
         assert out.dtype == np.float64 and out.tolist() == np.asarray(value).tolist()
+
+    @pytest.mark.parametrize("value", [np.array([True, False]), [False, True], True, np.True_],
+                             ids=repr)
+    def test_bools_are_rejected(self, value):
+        # Each was taken as the float 1.0 or 0.0.
+        with pytest.raises(ValidationError, match="^values must hold real numbers only$"):
+            real_array(value, "values")
 
     @pytest.mark.parametrize("shape, value", [
         ((None, 3), np.zeros((0, 3))),
