@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, check_count, check_type, real_array
 from .hilbert import GroundState, hermitian_ground_state, site_operator
 
 DEFAULT_SWEEP_BUDGET = 1_000_000
@@ -79,7 +79,7 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
 
     The ZZ product is elementwise, since both factors are diagonal.
     """
-    n = spec.n_sites
+    n = check_type(spec, ChainSpec, "spec").n_sites
     h = sum(
         site_operator("X", k, n)
         + spec.fields[k - 1] * site_operator("Y", k, n)
@@ -105,9 +105,7 @@ def product_ground_directions(fields) -> np.ndarray:
     sqrt(1 + b²) is |b|, as it already is in floats for every |b| above
     about 1.2e8: the limit direction (-1/|b|, -sign b, 0). A NaN or infinite b fails.
     """
-    b = real_array(fields, "fields")
-    if not np.all(np.isfinite(b)):
-        raise ValidationError("fields must be finite")
+    b = real_array(fields, "fields", finite=True)
     with np.errstate(over="ignore"):
         s = np.sqrt(1.0 + b * b)
     s = np.where(np.isinf(s), np.abs(b), s)
@@ -117,41 +115,14 @@ def product_ground_directions(fields) -> np.ndarray:
     return dirs
 
 
-def check_count(value, name: str) -> int:
-    """The one count or id check: ``value`` as an int >= 0, numpy integers included.
-
-    ValidationError for bools, floats, negatives and other types.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
-    return int(value)
-
-
-def real_array(value, name: str, shape: tuple[int | None, ...] | None = None) -> np.ndarray:
-    """The one real-number check: ``value``, a scalar as shape (), as float; a float array as is.
-
-    Ragged, bool, complex, string or object input (an int beyond uint64 is one), or a shape
-    unlike ``shape`` (None: any size), fails.
-    """
-    try:
-        arr = np.asarray(value)
-    except (TypeError, ValueError):  # a ragged list
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
-        raise ValidationError(f"{name} must hold real numbers only")
-    if shape is not None and not (arr.ndim == len(shape) and all(
-            size in (None, got) for size, got in zip(shape, arr.shape))):
-        raise ValidationError(f"{name} must be {len(shape)}-D of shape {shape}, got {arr.shape}")
-    return arr.astype(float, copy=False)
-
-
 def target_count(grid: ParameterGrid, n_sites: int) -> int:
     """D^N, the number of targets on the grid; CapacityError above DEFAULT_SWEEP_BUDGET.
 
     A D^N of 2^64 or more is rejected as D^N, without building or printing the integer.
     """
-    levels = grid.levels
-    if levels > 1 and n_sites * math.log2(levels) >= 64:
+    levels = check_type(grid, ParameterGrid, "grid").levels
+    n_sites = check_count(n_sites, "n_sites")
+    if levels > 1 and n_sites >= 64 / math.log2(levels):
         raise CapacityError(f"sweep of {levels}^{n_sites} targets exceeds budget "
                             f"{DEFAULT_SWEEP_BUDGET}")
     count = levels**n_sites

@@ -28,9 +28,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .chain import (DEFAULT_SWEEP_BUDGET, ChainSpec, ParameterGrid, check_count, target_count,
-                    target_field_array)
-from .errors import SpinAlignError, ValidationError
+from .chain import DEFAULT_SWEEP_BUDGET, ChainSpec, ParameterGrid, target_count, target_field_array
+from .errors import SpinAlignError, ValidationError, check_count
 from .oracle import binomial_std, check_epsilon, noisy_replies, shot_estimates, target_draws
 from .protocol import (build_table, check_target_ids, delta_f_sums, nearest_runs, sweep_exact,
                        target_angles)

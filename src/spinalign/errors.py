@@ -1,4 +1,11 @@
-"""Exception types shared across the library."""
+"""Exception types, and the one rule per argument kind shared across the library.
+
+Counts, ids, sites and masks go through :func:`check_count`, sequences of them and seeds
+through :func:`check_counts`, real numbers and arrays of them through :func:`real_array`,
+and the library's own values (a spec, a grid, a table, a state) through :func:`check_type`.
+"""
+
+import numpy as np
 
 
 class SpinAlignError(Exception):
@@ -23,3 +30,62 @@ class IndeterminateOptimumError(SpinAlignError):
 
 class QueryBudgetError(SpinAlignError):
     """The oracle's query budget is exhausted."""
+
+
+def _is_count(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= 0
+
+
+def check_count(value, name: str) -> int:
+    """The one count or id check: ``value`` as an int >= 0, numpy integers included.
+
+    ValidationError for bools, floats, negatives and other types.
+    """
+    if not _is_count(value):
+        raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
+def check_counts(values, name: str) -> list[int]:
+    """A count, or a flat list, tuple or 1-D array of counts, as a list of ints.
+
+    A nested sequence fails, as does any entry :func:`check_count` refuses.
+    """
+    flat = isinstance(values, (list, tuple)) or getattr(values, "ndim", None) == 1
+    entries = values if flat else [values]
+    if not all(map(_is_count, entries)):
+        raise ValidationError(f"{name} must be a non-negative integer or a sequence of them, "
+                              f"got {values!r}")
+    return [int(entry) for entry in entries]
+
+
+def check_type(value, kind: type, name: str):
+    """``value`` as it is if it is a ``kind``; ValidationError otherwise."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def real_array(value, name: str, shape: tuple[int | None, ...] | None = None,
+               finite: bool = False) -> np.ndarray:
+    """The one real-number check: ``value``, a scalar as shape (), as float; a float array as is.
+
+    Ragged, bool, complex, string or object input (an int beyond uint64 is one), a bool
+    inside a list or tuple, or a shape unlike ``shape`` (None: any size), fails, and with
+    ``finite`` so does a NaN or an infinity. An ndarray is not scanned for bools: its dtype
+    says whether it holds any.
+    """
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError):  # a ragged list
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or isinstance(value, (list, tuple)) and any(
+            isinstance(entry, (bool, np.bool_)) for entry in np.array(value, object).flat):
+        raise ValidationError(f"{name} must hold real numbers only")
+    if shape is not None and not (arr.ndim == len(shape) and all(
+            size in (None, got) for size, got in zip(shape, arr.shape))):
+        raise ValidationError(f"{name} must be {len(shape)}-D of shape {shape}, got {arr.shape}")
+    arr = arr.astype(float, copy=False)
+    if finite and not np.isfinite(arr).all():
+        raise ValidationError(f"{name} must be finite")
+    return arr

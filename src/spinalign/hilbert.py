@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, check_count, check_counts, check_type
 
 # Dense matrices are capped at 2**DENSE_SITE_CAP; larger chains go through
 # the closed-form site directions in the chain module.
@@ -33,6 +33,13 @@ for _m in (_I2, _X, _Y, _Z):
 
 PAULI = {"I": _I2, "X": _X, "Y": _Y, "Z": _Z}
 
+
+def check_register(n_sites, name: str = "n_sites") -> int:
+    """The one register-size rule: a count (:func:`check_count`) up to DENSE_SITE_CAP."""
+    if check_count(n_sites, name) > DENSE_SITE_CAP:
+        raise CapacityError(f"{name} {n_sites} exceeds dense cap {DENSE_SITE_CAP}")
+    return int(n_sites)
+
 NORM_TOL = 1e-10
 DENSITY_TOL = 1e-10  # the rounding each DensityMatrix check allows
 HERMITIAN_TOL = 1e-12
@@ -42,12 +49,14 @@ DEGENERACY_GAP = 1e-8
 _PHASE_FLOOR = 1e-8
 
 
-def _as_complex_matrix(entries) -> np.ndarray:
+def _as_complex(entries, square: bool = True) -> np.ndarray:
+    """Read-only complex copy of ``entries``, which must be a square matrix if ``square``."""
     try:
         m = np.array(entries, dtype=complex)
-    except (TypeError, ValueError):  # ragged rows or non-numeric entries
-        raise ValidationError("expected a square matrix of numbers") from None
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or beyond a float
+        raise ValidationError(f"expected {'a square matrix' if square else 'amplitudes'} "
+                              f"of numbers") from None
+    if square and (m.ndim != 2 or m.shape[0] != m.shape[1]):
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     m.setflags(write=False)
     return m
@@ -68,9 +77,9 @@ class StateVector:
     n_sites: int
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex)
-        amps.setflags(write=False)
+        amps = _as_complex(self.amplitudes, square=False)
         object.__setattr__(self, "amplitudes", amps)
+        check_register(self.n_sites)
         if amps.ndim != 1 or len(amps) != 2**self.n_sites:
             raise ValidationError(
                 f"state of {self.n_sites} sites needs {2**self.n_sites} amplitudes, got {amps.shape}"
@@ -104,7 +113,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = _as_complex_matrix(self.entries)
+        m = _as_complex(self.entries)
         object.__setattr__(self, "entries", m)
         if not np.max(np.abs(m - m.conj().T)) <= DENSITY_TOL:
             raise ValidationError("density matrix is not Hermitian")
@@ -140,8 +149,9 @@ class GroundState:
 # A subset of sites is an int bitmask: bit (k-1) set means site k is included.
 
 def mask_from_sites(sites: Iterable[int], n_sites: int) -> int:
+    check_register(n_sites)
     mask = 0
-    for k in sites:
+    for k in check_counts(sites, "sites"):
         if not 1 <= k <= n_sites:
             raise ValidationError(f"site index {k} outside 1..{n_sites}")
         mask |= 1 << (k - 1)
@@ -152,12 +162,11 @@ def mask_from_sites(sites: Iterable[int], n_sites: int) -> int:
 
 def site_operator(pauli: str, site: int, n_sites: int) -> np.ndarray:
     """Read-only single-site Pauli embedded at ``site`` (1-based) in an ``n_sites`` register."""
-    if pauli not in PAULI:
+    if not isinstance(pauli, str) or pauli not in PAULI:
         raise ValidationError(f"unknown Pauli label {pauli!r}")
-    if n_sites > DENSE_SITE_CAP:
-        raise CapacityError(f"n_sites {n_sites} exceeds dense cap {DENSE_SITE_CAP}")
-    if not 1 <= site <= n_sites:
-        raise IndexError(f"site {site} outside 1..{n_sites}")
+    n_sites = check_register(n_sites)
+    if not 1 <= check_count(site, "site") <= n_sites:
+        raise ValidationError(f"site {site} outside 1..{n_sites}")
     out = np.array([[1.0 + 0j]])
     for k in range(1, n_sites + 1):
         out = np.kron(out, PAULI[pauli] if k == site else _I2)
@@ -167,7 +176,7 @@ def site_operator(pauli: str, site: int, n_sites: int) -> np.ndarray:
 
 def bloch_vector(rho: DensityMatrix) -> np.ndarray:
     """Bloch vector (tr ρX, tr ρY, tr ρZ) of a single-qubit density matrix, shape (3,)."""
-    if rho.dim != 2:
+    if check_type(rho, DensityMatrix, "rho").dim != 2:
         raise ValidationError(f"expected a 2x2 density matrix, got dim {rho.dim}")
     return np.array([np.trace(rho.entries @ PAULI[p]).real for p in "XYZ"])
 
@@ -181,7 +190,7 @@ def hermitian_ground_state(h) -> GroundState:
     such ground spaces are convention dependent and consumers must treat
     them accordingly.
     """
-    m = _as_complex_matrix(h)
+    m = _as_complex(h)
     if len(m) < 2:
         raise ValidationError("ground-state solving needs at least a 2x2 operator")
     dev = np.max(np.abs(m - m.conj().T))
@@ -208,10 +217,8 @@ def partial_trace(state: StateVector, keep: int) -> DensityMatrix:
     The traced-out sites are summed over; kept sites appear in ascending
     site order, the lowest kept site being the slow index of the result.
     """
-    n = state.n_sites
-    if isinstance(keep, bool) or not isinstance(keep, (int, np.integer)):
-        raise ValidationError(f"keep mask must be an integer, got {keep!r}")
-    if keep == 0:
+    n = check_type(state, StateVector, "state").n_sites
+    if check_count(keep, "keep mask") == 0:
         raise ValidationError("keep mask must be non-empty")
     if keep >> n:
         raise ValidationError(f"keep mask {keep:#x} references sites beyond {n}")
@@ -225,8 +232,8 @@ def partial_trace(state: StateVector, keep: int) -> DensityMatrix:
 def apply_unitary(u, state: StateVector) -> StateVector:
     """Apply the unitary matrix ``u`` to a state; ValidationError naming the operator if it is
     not unitary within UNITARY_TOL (entrywise) or moves the state's norm beyond NORM_TOL."""
-    m = _as_complex_matrix(u)
-    if len(m) != state.dim:
+    m = _as_complex(u)
+    if len(m) != check_type(state, StateVector, "state").dim:
         raise ValidationError(f"operator dim {len(m)} != state dim {state.dim}")
     dev = np.max(np.abs(m.conj().T @ m - np.eye(len(m))))
     if not dev <= UNITARY_TOL:

@@ -23,13 +23,15 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
+import sys
 from collections.abc import Iterator
 from functools import cache, cached_property
 
 import numpy as np
 
-from .chain import ChainSpec, check_count, product_ground_directions, real_array
-from .errors import CapacityError, QueryBudgetError, SpinAlignError, ValidationError
+from .chain import ChainSpec, product_ground_directions
+from .errors import (CapacityError, QueryBudgetError, SpinAlignError, ValidationError, check_count,
+                     check_counts, check_type, real_array)
 from .similarity import site_cosines
 
 # numpy's SeedSequence hash constants and pool size, and PCG64's 128-bit
@@ -208,23 +210,19 @@ class Oracle:
 
     def __init__(self, target: ChainSpec, kind: OracleKind, budget: int, seed: int,
                  epsilon: float):
-        if not isinstance(kind, OracleKind):
-            raise ValidationError(f"kind must be an OracleKind, got {kind!r}")
+        self._kind = check_type(kind, OracleKind, "kind")
         self._budget = check_count(budget, "budget")
         self._epsilon = check_epsilon(epsilon)
-        # Checks the seed now; the generator itself is made on the first draw. SeedSequence
-        # would read True as 1, so a bool is refused here as every count refuses it.
-        try:
-            if any(isinstance(s, bool) for s in np.ravel(np.array(seed, dtype=object))):
-                raise TypeError
-            self._seed = np.random.SeedSequence(seed)
-        except (TypeError, ValueError):
-            raise ValidationError(f"seed must be a non-negative integer or a sequence "
-                                  f"of them, got {seed!r}") from None
-        self._kind = kind
-        self._params = (target.n_sites, kind.value, budget, seed, self._epsilon)
+        # The generator is made on the first draw; numpy's SeedSequence reads these entries
+        # as it reads the seed itself, so the stream is the seed's.
+        self._seed = check_counts(seed, "seed")
         # Unit site directions; site_cosines ignores the Bloch length.
+        target = check_type(target, ChainSpec, "target")
         self._target_bloch = product_ground_directions(target.fields)
+        # The fingerprint's text, taken now and in full: a seed may change later, and numpy
+        # elides the middle of a long array's repr.
+        with np.printoptions(threshold=sys.maxsize):
+            self._params = repr((target.n_sites, kind.value, budget, seed, self._epsilon))
 
     @property
     def kind(self) -> OracleKind:
@@ -241,7 +239,7 @@ class Oracle:
     @cached_property
     def fingerprint(self) -> str:
         """Hash of the site count, kind, budget, seed and ε; reveals nothing about the target."""
-        return hashlib.sha256(repr(self._params).encode()).hexdigest()
+        return hashlib.sha256(self._params.encode()).hexdigest()
 
     @cached_property
     def _rng(self) -> np.random.Generator:
@@ -292,12 +290,12 @@ class Oracle:
 
 def query_exact(oracle: Oracle, candidate) -> float:
     """Exact chain similarity between the hidden target and the (N, 3) candidate."""
-    return float(oracle._admit(OracleKind.EXACT, candidate).sum())
+    return float(check_type(oracle, Oracle, "oracle")._admit(OracleKind.EXACT, candidate).sum())
 
 
 def query_noisy(oracle: Oracle, candidate) -> float:
     """Similarity plus uniform noise on (-ε, ε) from the oracle's seeded stream."""
-    f = float(oracle._admit(OracleKind.NOISY, candidate).sum())
+    f = float(check_type(oracle, Oracle, "oracle")._admit(OracleKind.NOISY, candidate).sum())
     if oracle._epsilon == 0.0:
         return f
     return float(noisy_replies(f, oracle._epsilon, oracle._rng.random(1))[0])
@@ -312,7 +310,7 @@ def query_measured(oracle: Oracle, candidate) -> tuple[float, np.ndarray]:
     coincide with physical single-copy measurement statistics in the weakly
     coupled limit where the chain state factorizes.
     """
-    cosines = oracle._admit(OracleKind.MEASURED, candidate)
+    cosines = check_type(oracle, Oracle, "oracle")._admit(OracleKind.MEASURED, candidate)
     outcomes = oracle._rng.random((1, oracle.n_sites))
     return float(shot_estimates(cosines, outcomes)[0]), outcomes[0].astype(bool)
 

@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import (ChainSpec, ParameterGrid, check_count, product_ground_directions, real_array,
-                    target_field_array)
-from .errors import CapacityError, IndeterminateOptimumError, ValidationError
-from .hilbert import DENSE_SITE_CAP
+from .chain import ChainSpec, ParameterGrid, product_ground_directions, target_field_array
+from .errors import IndeterminateOptimumError, ValidationError, check_type, real_array
+from .hilbert import check_register
 
 # Below this resultant length the gain is flat in χ and no optimum exists.
 _RESULTANT_FLOOR = 1e-12
@@ -32,22 +31,21 @@ _RESULTANT_FLOOR = 1e-12
 _BUCKETS_PER_BOUNDARY = 4
 
 
-def _finite_chi(chi) -> float:
-    """The rotation angle χ as a float; ValidationError unless it is one finite real number."""
-    if not math.isfinite(angle := float(real_array(chi, "chi", ()))):
-        raise ValidationError(f"chi must be finite, got {angle!r}")
+def _finite_chi(chi, turns: int = 2) -> float:
+    """The rotation angle χ as a float; ValidationError unless it is one finite real number
+    whose phase turns·χ (2χ for a Bloch vector, up to N·χ for a state) is finite too."""
+    if not math.isfinite(turns * (angle := float(real_array(chi, "chi", (), finite=True)))):
+        raise ValidationError(f"chi's phase {turns}·χ must be finite, got χ = {angle!r}")
     return angle
 
 
 def global_rotation(chi: float, n_sites: int) -> np.ndarray:
     """Read-only U = exp(-i χ Σ_k Z_k): every Bloch vector rotates by +2χ about +z."""
-    chi = _finite_chi(chi)
-    if check_count(n_sites, "n_sites") > DENSE_SITE_CAP:
-        raise CapacityError(f"n_sites {n_sites} exceeds dense cap {DENSE_SITE_CAP}")
+    n_sites = check_register(n_sites)
     # U is diagonal, exp(-iχ(N - 2·popcount)) per basis state. bitwise_count
     # returns uint8; the float factor keeps N - 2·popcount signed.
     weights = np.bitwise_count(np.arange(2**n_sites))
-    u = np.diag(np.exp(-1j * chi * (n_sites - 2.0 * weights)))
+    u = np.diag(np.exp(-1j * _finite_chi(chi, n_sites) * (n_sites - 2.0 * weights)))
     u.setflags(write=False)
     return u
 
@@ -62,7 +60,7 @@ def rotate_directions(bloch: np.ndarray, chi: float) -> np.ndarray:
 
 def delta_f_planar(thetas, chi: float) -> float:
     """Similarity gain 2 sin χ Σ_k sin(θ_k - χ) for in-plane Bloch vectors."""
-    th, chi = real_array(thetas, "site angles"), _finite_chi(chi)
+    th, chi = real_array(thetas, "site angles", finite=True), _finite_chi(chi)
     return float(2.0 * np.sin(chi) * np.sum(np.sin(th - chi)))
 
 
@@ -70,7 +68,8 @@ def delta_f_sums(sum_sin, f, sin_chi, cos_chi):
     """Gain 2 sin χ (S cos χ - F sin χ) of profiles with S = Σ sin θ_k and F = Σ cos θ_k.
 
     This is :func:`delta_f_planar` from the sums alone, elementwise over
-    broadcasting arrays; the angle enters as its sine and cosine.
+    broadcasting arrays; the angle enters as its sine and cosine. A kernel: its
+    callers have checked the inputs, so it checks none and ``spinalign`` does not export it.
     """
     return 2.0 * sin_chi * (sum_sin * cos_chi - f * sin_chi)
 
@@ -85,6 +84,7 @@ def _half_angle(sum_sin, sum_cos) -> np.ndarray:
     return np.where(chi <= -np.pi / 2, np.pi / 2, chi)
 
 
+@np.errstate(invalid="ignore")  # an infinite angle's sine is NaN, which _half_angle refuses
 def chi_opt(thetas) -> float:
     """Circular-mean optimal half-angle χ = atan2(Σ sin θ, Σ cos θ)/2 in (-π/2, π/2]."""
     th = real_array(thetas, "chi_opt's site angles", (None,))
@@ -124,10 +124,14 @@ class LookupTable:
     # correctly.
     @np.errstate(over="ignore")
     def __post_init__(self):
+        check_type(self.candidate, ChainSpec, "the table's candidate")
         for name in ("target_ids", "f", "chi", "delta_f", "sum_sin"):
-            # Copies, so that freezing a column leaves the caller's array writable.
+            # Copies, so that freezing a column leaves the caller's array writable; the ids
+            # are checked as reals but kept as given, for the integer check below.
             arr = getattr(self, name)
-            arr = np.array(arr if name == "target_ids" else real_array(arr, f"table column {name}"))
+            label = "table target ids" if name == "target_ids" else f"table {name} values"
+            checked = real_array(arr, label, finite=True)
+            arr = np.array(arr if name == "target_ids" else checked)
             if arr.ndim != 1:
                 raise ValidationError(f"table column {name} must be 1-D, got shape {arr.shape}")
             arr.setflags(write=False)
@@ -138,9 +142,6 @@ class LookupTable:
             raise ValidationError("table is empty")
         if self.target_ids.dtype.kind not in "iu" or self.target_ids.min() < 0:
             raise ValidationError("table target ids must be non-negative integers")
-        for name in ("f", "chi", "delta_f", "sum_sin"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValidationError(f"table {name} values must be finite")
         step_f = np.diff(self.f)
         step_id = np.diff(self.target_ids)
         if not np.all((step_f > 0) | ((step_f == 0) & (step_id > 0))):
@@ -172,7 +173,8 @@ def target_angles(fields, candidate: ChainSpec) -> np.ndarray:
     angle π + atan b_k, and θ_k = atan b_t,k - atan b_c,k lies in (-π, π)
     for every N and J, with no eigensolve.
     """
-    thetas = np.arctan(real_array(fields, "target fields", (None, candidate.n_sites)))
+    n_sites = check_type(candidate, ChainSpec, "candidate").n_sites
+    thetas = np.arctan(real_array(fields, "target fields", (None, n_sites), finite=True))
     thetas -= np.arctan(candidate.fields)
     return thetas
 
@@ -184,7 +186,8 @@ def build_table(grid: ParameterGrid, candidate: ChainSpec) -> LookupTable:
     (candidate field, target field) site pairs get bit-equal rows. The
     sorted angles and one work array are the only (T, N) arrays alive at once.
     """
-    thetas = target_angles(target_field_array(grid, candidate.n_sites), candidate)
+    n_sites = check_type(candidate, ChainSpec, "candidate").n_sites
+    thetas = target_angles(target_field_array(grid, n_sites), candidate)
     thetas.sort(axis=1)
     work = np.cos(thetas)
     f = work.sum(axis=1)
@@ -300,10 +303,8 @@ def nearest_runs(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
     (see ``LookupTable``), and a query then costs a bucket guess and one or
     two compares, in O(Q) memory.
     """
-    q = real_array(f_queries, "F queries")
-    if not np.isfinite(q).all():
-        raise ValidationError("F queries must be finite")
-    return table._index.runs(q.ravel()).reshape(q.shape)
+    q = real_array(f_queries, "F queries", finite=True)
+    return check_type(table, LookupTable, "table")._index.runs(q.ravel()).reshape(q.shape)
 
 
 def nearest_rows(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
@@ -328,7 +329,8 @@ def lookup_chi_batch(table: LookupTable, f_queries: np.ndarray) -> np.ndarray:
     Callers that read more of a row than χ call :func:`nearest_rows`, or
     :func:`nearest_runs` to index per-run arrays.
     """
-    return table.chi[nearest_rows(table, f_queries)]
+    rows = nearest_rows(table, f_queries)
+    return table.chi[rows]
 
 
 @dataclass(frozen=True)
@@ -355,8 +357,10 @@ def run_protocol(
     F_after. Target parameters and states are never read. The candidate is
     its (N, 3) closed-form site directions, turned by :func:`rotate_directions`.
     """
-    if candidate != table.candidate:
+    if candidate != check_type(table, LookupTable, "table").candidate:
         raise ValidationError("candidate spec does not match the lookup table")
+    if not all(callable(getattr(oracle, op, None)) for op in ("query", "verification_query")):
+        raise ValidationError(f"oracle must answer query and verification_query, got {oracle!r}")
     directions = product_ground_directions(candidate.fields)
     f_before = float(oracle.query(directions))
     row = int(nearest_rows(table, np.array([f_before]))[0])
@@ -374,7 +378,7 @@ def run_protocol(
 def check_target_ids(table: LookupTable) -> None:
     """ValidationError unless the ids are 0 to len(table) - 1, each once, as build_table makes."""
     # T ids below T, none of them twice: each of 0..T-1 once.
-    ids = table.target_ids
+    ids = check_type(table, LookupTable, "table").target_ids
     if ids.max() >= len(table) or np.any(np.bincount(ids.astype(np.intp)) != 1):
         raise ValidationError("table target ids must be 0 to len(table) - 1, each once")
 

@@ -18,9 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import real_array
-from .errors import UndefinedDirectionError, ValidationError
-from .hilbert import DensityMatrix, StateVector, partial_trace
+from .errors import (UndefinedDirectionError, ValidationError, check_counts, check_type,
+                     real_array)
+from .hilbert import DensityMatrix, StateVector, check_register, partial_trace
 
 # Sites whose Bloch vector is shorter than this have no usable direction;
 # the cosine metric is meaningless for (nearly) maximally mixed sites.
@@ -66,7 +66,7 @@ def cos_theta(rho_t: DensityMatrix, rho_c: DensityMatrix) -> float:
         (2 tr(ρ_t ρ_c) - 1) / sqrt(2 tr ρ_c² - 1) / sqrt(2 tr ρ_t² - 1),
     which coincides with r·c/(r c) for the two Bloch vectors.
     """
-    if rho_t.dim != 2 or rho_c.dim != 2:
+    if any(check_type(rho, DensityMatrix, "rho").dim != 2 for rho in (rho_t, rho_c)):
         raise ValidationError("cos_theta is defined for single-qubit density matrices")
     nt2 = 2.0 * rho_t.purity - 1.0
     nc2 = 2.0 * rho_c.purity - 1.0
@@ -95,15 +95,16 @@ def similarity_chain(bloch_t, bloch_c) -> tuple[float, np.ndarray]:
 
 def enumerate_bipartition_subsets(n: int) -> list[int]:
     """All non-empty proper subset masks of n sites, ascending; count is 2^n - 2."""
-    if n < 2:
+    if check_register(n, "n") < 2:
         raise ValidationError("bipartitions need at least 2 sites")
     return list(range(1, 2**n - 1))
 
 
 def purity_term(rho_t: DensityMatrix, rho_c: DensityMatrix) -> float:
     """Purity-matching score 1 - (tr ρ_t² - tr ρ_c²)², equal to 1 iff purities agree."""
-    if rho_t.dim != rho_c.dim:
-        raise ValidationError(f"dimension mismatch: {rho_t.dim} vs {rho_c.dim}")
+    dim_t, dim_c = (check_type(rho, DensityMatrix, "rho").dim for rho in (rho_t, rho_c))
+    if dim_t != dim_c:
+        raise ValidationError(f"dimension mismatch: {dim_t} vs {dim_c}")
     return 1.0 - (rho_t.purity - rho_c.purity) ** 2
 
 
@@ -114,13 +115,12 @@ def similarity_general(
     kind: SubsetFunctionKind,
 ) -> float:
     """Sum of the chosen per-subset function over reduced density matrix pairs."""
-    if state_t.n_sites != state_c.n_sites:
+    if (check_type(state_t, StateVector, "state_t").n_sites
+            != check_type(state_c, StateVector, "state_c").n_sites):
         raise ValidationError("chains differ in length")
-    if not isinstance(kind, SubsetFunctionKind):
-        raise ValidationError(f"unknown subset function kind {kind!r}")
-    cosine = kind is SubsetFunctionKind.COSINE_SINGLE_SITE
+    cosine = check_type(kind, SubsetFunctionKind, "kind") is SubsetFunctionKind.COSINE_SINGLE_SITE
     total = 0.0
-    for mask in subsets:
+    for mask in check_counts(subsets, "subsets"):
         # partial_trace checks the mask before its bits are counted.
         rho_t = partial_trace(state_t, mask)
         rho_c = partial_trace(state_c, mask)

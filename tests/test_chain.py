@@ -24,7 +24,8 @@ from spinalign import (
     PAULI,
 )
 
-from spinalign.chain import check_count, target_count, target_field_array
+from spinalign.chain import target_count, target_field_array
+from spinalign.errors import check_count
 
 from conftest import kron_hamiltonian
 

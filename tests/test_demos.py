@@ -1,5 +1,5 @@
 """Every demo script, and every Python block of the README, runs to completion
-against the current library."""
+against the current library, with every warning an error."""
 
 import os
 import re
@@ -25,7 +25,7 @@ def test_the_readme_has_python_blocks():
 @pytest.mark.parametrize("script", SCRIPTS, ids=IDS)
 def test_demo_runs(script, tmp_path):
     proc = subprocess.run(
-        [sys.executable, *script],
+        [sys.executable, "-W", "error", *script],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True, text=True, timeout=300,

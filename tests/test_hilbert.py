@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinalign import (
+    DENSE_SITE_CAP,
+    CapacityError,
     ChainSpec,
     DensityMatrix,
     PAULI,
@@ -37,8 +39,21 @@ class TestSiteOperator:
         assert abs(np.trace(site_operator("Y", 3, 4))) == 0
 
     def test_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ValidationError, match="^site 5 outside 1..4$"):
             site_operator("X", 5, 4)
+
+    @pytest.mark.parametrize("site, n_sites", [(True, 2), (1.0, 2), (1, True), (1, 2.0), ("1", 2)],
+                             ids=repr)
+    def test_site_and_register_size_are_counts(self, site, n_sites):
+        # Each returned an operator: True and 1.0 read as 1.
+        with pytest.raises(ValidationError, match="must be a non-negative integer"):
+            site_operator("X", site, n_sites)
+
+    @pytest.mark.parametrize("label", [[], {0: 1}, None])
+    def test_unknown_label_of_any_type(self, label):
+        # A list or dict label raised TypeError: unhashable type.
+        with pytest.raises(ValidationError, match="unknown Pauli label"):
+            site_operator(label, 1, 2)
 
     def test_unknown_label(self):
         with pytest.raises(ValidationError):
@@ -314,3 +329,23 @@ class TestBlochFastPath:
         assert np.array_equal(state.bloch, [[0, 0, 1], [0, 0, -1], [0, 0, 1]])
         with pytest.raises(ValueError):
             state.bloch[0, 0] = 1.0
+
+
+class TestSiteMasks:
+    @pytest.mark.parametrize("sites", [[True], [1.0], [1, [2]], 1.5, None], ids=repr)
+    def test_sites_are_counts(self, sites):
+        # [True] gave mask 1; the others raised TypeError.
+        with pytest.raises(ValidationError, match="^sites must be a non-negative integer"):
+            mask_from_sites(sites, 2)
+
+    def test_register_beyond_the_dense_cap(self):
+        with pytest.raises(CapacityError, match="dense cap"):
+            mask_from_sites([1], DENSE_SITE_CAP + 1)
+
+    def test_state_register_size_is_a_capped_count(self):
+        # True and 1.0 built a one-site state; 10**400 never finished computing 2**n.
+        for n_sites in (True, 1.0, "1"):
+            with pytest.raises(ValidationError, match="^n_sites must be a non-negative integer"):
+                StateVector([1.0, 0.0], n_sites)
+        with pytest.raises(CapacityError, match="dense cap"):
+            StateVector([1.0, 0.0], 10**400)

@@ -1,6 +1,6 @@
 """Module boundaries: no module uses another's private (``_``-prefixed) names, only the
 oracle seeds, the CLI holds no generator and draws nothing of its own, the sampled
-commands hold no study, and only ``chain.real_array`` converts a real number or array."""
+commands hold no study, and only ``errors.real_array`` converts a real number or array."""
 
 import ast
 import inspect
@@ -133,7 +133,7 @@ def _parameter_floats(tree: ast.Module, floats: set[str]) -> dict[int, str]:
 
 
 def test_only_real_array_converts_to_float():
-    # chain.real_array is the one real-number check, scalars included; elsewhere a float
+    # errors.real_array is the one real-number check, scalars included; elsewhere a float
     # conversion would parse strings, read bools as numbers and drop imaginary parts, and
     # numbers.Real would be a second rule. So no module imports numbers, and no function
     # but real_array calls float() on its own parameter. hilbert's dtype=complex is its own
@@ -143,7 +143,7 @@ def test_only_real_array_converts_to_float():
     for path in sorted(PACKAGE.glob("*.py")):
         tree = _tree(path)
         allowed = {id(node) for top in tree.body
-                   if path.stem == "chain" and getattr(top, "name", None) == "real_array"
+                   if path.stem == "errors" and getattr(top, "name", None) == "real_array"
                    for node in ast.walk(top)}
         parameter_floats = _parameter_floats(tree, floats)
         for node in ast.walk(tree):

@@ -23,6 +23,7 @@ from spinalign import (
     ground_state,
     make_oracle,
     partial_trace,
+    product_ground_directions,
     query_exact,
     query_measured,
     query_noisy,
@@ -392,6 +393,62 @@ def test_bool_seeds_are_refused(seed):
     # numpy's SeedSequence reads True as 1, so each built an oracle.
     with pytest.raises(ValidationError, match="^seed must be a non-negative integer or a seq"):
         make_oracle(TARGET, OracleKind.MEASURED, budget=1, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [None, [1, [2]], [[]], 1.0, "3", np.array([[1, 2]]), np.array(3)],
+                         ids=repr)
+def test_seeds_follow_the_count_rule(seed):
+    # A seed is a count or a flat sequence of counts. numpy's SeedSequence took None as
+    # fresh OS entropy, and it took the nested sequences too.
+    with pytest.raises(ValidationError, match="^seed must be a non-negative integer or a seq"):
+        make_oracle(TARGET, OracleKind.NOISY, budget=1, seed=seed, epsilon=0.1)
+
+
+@pytest.mark.parametrize("seed, fingerprint, reply", [
+    (0, "aa69e33658f52fc5", "0x1.98f80b09c1063p+0"),
+    (np.int64(7), "fb8d16dec56a4f96", "0x1.985c829bc5d9fp+0"),
+    (2**64, "bbcd4dcab8a69fe1", "0x1.8f5b859d8fd44p+0"),
+    ([30, 7], "24228ee1c4a6fa93", "0x1.a2a3de0c4d4a1p+0"),
+    ((1, 2), "bce4b003a9e55b74", "0x1.8f50b9d1b6684p+0"),
+    (np.array([5, 6], dtype=np.uint32), "ef7a72630f2b6587", "0x1.a0ea8a0996904p+0"),
+    ([], "bc75a22e0cfc08d2", "0x1.98f80b09c1063p+0"),
+], ids=repr)
+def test_accepted_seeds_keep_their_fingerprint_and_replies(seed, fingerprint, reply):
+    # Values of the SeedSequence-seeded oracle that the count rule replaced.
+    oracle = make_oracle(ChainSpec(2, 1.0, (0.25, -0.5)), OracleKind.NOISY, budget=2, seed=seed,
+                         epsilon=0.1)
+    assert oracle.fingerprint.startswith(fingerprint)
+    assert oracle.query(product_ground_directions(np.array([0.0, 0.5]))).hex() == reply
+
+
+@pytest.mark.parametrize("seed", [None, 0, 2**64, [30, 7], np.arange(3), []], ids=repr)
+def test_one_fingerprint_gives_one_stream(seed):
+    # Oracles are built or refused; two built with one fingerprint reply the same.
+    candidate = product_ground_directions(np.array([0.0] * 4))
+    try:
+        first, second = (make_oracle(TARGET, OracleKind.NOISY, budget=3, seed=seed,
+                                     epsilon=0.1) for _ in range(2))
+    except ValidationError:
+        return
+    assert first.fingerprint == second.fingerprint
+    assert [first.query(candidate) for _ in range(3)] == [second.query(candidate)
+                                                         for _ in range(3)]
+
+
+def test_the_fingerprint_is_the_whole_seed_at_construction():
+    # numpy elides the middle of a long array's repr, so these two seeds shared one
+    # fingerprint but drew different streams; and a seed list changed after construction
+    # changed the fingerprint, which was taken on first read, but not the stream.
+    long_seed = np.arange(2000)
+    other = long_seed.copy()
+    other[1000] = 7
+    assert len({make_oracle(TARGET, OracleKind.NOISY, seed=seed, epsilon=0.1).fingerprint
+                for seed in (long_seed, other)}) == 2
+    seed = [1, 2]
+    oracle = make_oracle(TARGET, OracleKind.NOISY, seed=seed, epsilon=0.1)
+    seed.append(3)
+    assert oracle.fingerprint == make_oracle(TARGET, OracleKind.NOISY, seed=[1, 2],
+                                             epsilon=0.1).fingerprint
 
 
 def test_exact_oracle_builds_no_generator(candidate_j1, monkeypatch):

@@ -19,7 +19,6 @@ from spinalign import (
     build_table,
     chi_opt,
     delta_f_planar,
-    delta_f_sums,
     global_rotation,
     ground_state,
     lookup_chi_batch,
@@ -30,7 +29,7 @@ from spinalign import (
     sweep_exact,
 )
 from spinalign.chain import product_ground_directions, target_field_array
-from spinalign.protocol import rotate_directions
+from spinalign.protocol import delta_f_sums, rotate_directions
 from spinalign.cli import main
 
 from conftest import CANDIDATE, GRID
@@ -135,6 +134,12 @@ class TestChiOpt:
         # s² + c² < floor² is False for NaN, so the check is written to fail it.
         with pytest.raises(IndeterminateOptimumError):
             chi_opt(np.array([np.nan, 0.1]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_angle_rejected_as_nan(self, bad):
+        # Its sine is NaN; numpy's invalid-value warning ended the call first.
+        with pytest.raises(IndeterminateOptimumError):
+            chi_opt(np.array([bad, 0.1]))
 
     def test_indeterminate_profile_rejected(self):
         with pytest.raises(IndeterminateOptimumError):

@@ -28,7 +28,7 @@ from spinalign import (
     site_cosines,
     target_angles,
 )
-from spinalign.chain import real_array
+from spinalign.errors import real_array
 from spinalign.oracle import check_epsilon
 
 CANDIDATE = ChainSpec(2, 1.0, (-0.5, -0.5))
@@ -168,3 +168,51 @@ class TestRealArray:
         table = LookupTable(**{**COLUMNS, "f": f}, candidate=CANDIDATE)
         assert f.flags.writeable and not table.f.flags.writeable
         assert not np.shares_memory(f, table.f)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ChainSpec(2, 1.0, (True, 0.5)),
+    lambda: real_array([True, 0.5], "values"),
+    lambda: real_array([[0.5], [np.True_]], "values"),
+    lambda: real_array((np.array([False]), np.array([0.5])), "values"),
+], ids=["chain-fields", "list", "nested-numpy-bool", "tuple-of-arrays"])
+def test_a_bool_inside_a_list_is_not_a_real_number(call):
+    # numpy gives such a list a float dtype, so True passed as 1.0.
+    with pytest.raises(ValidationError, match="must hold real numbers only$"):
+        call()
+
+
+def test_a_float_array_is_returned_unscanned():
+    # The bool scan is for lists and tuples; an ndarray's dtype already says what it holds.
+    values = np.array([0.25, 0.5])
+    assert real_array(values, "values") is values
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rotate_directions(DIRECTIONS, 1e308),
+    lambda: rotate_directions(DIRECTIONS, -1e308),
+    lambda: global_rotation(1e308, 2),
+    lambda: global_rotation(2e307, 10),
+], ids=["rotate", "rotate-negative", "global", "global-N-chi"])
+def test_rotation_phase_must_be_finite(call):
+    # 2χ (a Bloch vector's turn) or N·χ (the state's phase) overflowed: numpy warned of an
+    # invalid value in cos, or of an overflow in multiply.
+    with pytest.raises(ValidationError, match="^chi's phase"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda bad: delta_f_planar([bad, 0.1], 0.2),
+    lambda bad: target_angles([[bad, 0.1]], CANDIDATE),
+], ids=["delta_f_planar", "target_angles"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_angles_and_target_fields_must_be_finite(call, bad):
+    # NaN came back as NaN; delta_f_planar warned on inf, and target_angles gave π/2.
+    with pytest.raises(ValidationError, match="must be finite$"):
+        call(bad)
+
+
+def test_build_table_takes_a_grid():
+    # "grid".levels raised AttributeError.
+    with pytest.raises(ValidationError, match="^grid must be of type ParameterGrid"):
+        build_table("grid", CANDIDATE)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spinalign import (
+    CapacityError,
     ChainSpec,
     DensityMatrix,
     PAULI,
@@ -250,6 +251,17 @@ class TestBipartitions:
     def test_too_small(self):
         with pytest.raises(ValidationError):
             enumerate_bipartition_subsets(1)
+
+    @pytest.mark.parametrize("n", ["3", 1e308, 3.0, True], ids=repr)
+    def test_size_is_a_count(self, n):
+        # "3" and 3.0 raised TypeError, and 1e308 OverflowError.
+        with pytest.raises(ValidationError, match="^n must be a non-negative integer"):
+            enumerate_bipartition_subsets(n)
+
+    def test_size_beyond_the_dense_cap(self):
+        # 70 raised OverflowError from range(), after computing 2**70.
+        with pytest.raises(CapacityError, match="dense cap"):
+            enumerate_bipartition_subsets(70)
 
 
 class TestPurity:
