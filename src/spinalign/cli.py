@@ -29,7 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from .chain import DEFAULT_SWEEP_BUDGET, ChainSpec, ParameterGrid, target_count, target_field_array
-from .errors import SpinAlignError, ValidationError, check_count
+from .errors import SpinAlignError, ValidationError, check_count, check_type, real_array
 from .oracle import binomial_std, check_epsilon, noisy_replies, shot_estimates, target_draws
 from .protocol import (build_table, check_target_ids, delta_f_sums, nearest_runs, sweep_exact,
                        target_angles)
@@ -241,11 +241,11 @@ def _check_sampling(trials, seed) -> None:
 def noise_rows(table, eps, trials: int, seed: int) -> list[tuple[float, float, float]]:
     """(ε, 2·mean |χ error|, mean ΔF) per ε of ``eps``, from ``trials`` noisy lookups per target.
 
-    ``trials``, ``seed``, ``check_epsilon`` and ``check_target_ids`` check the inputs
-    before any work, also where every ε is 0 and no stream is drawn.
+    ``trials``, ``seed``, ``eps`` (1-D, each ε through ``check_epsilon``) and ``check_target_ids``
+    check the inputs before any work, also where every ε is 0 and no stream is drawn.
     """
     _check_sampling(trials, seed)
-    eps = [check_epsilon(epsilon) for epsilon in eps]
+    eps = [check_epsilon(epsilon) for epsilon in real_array(eps, "eps", (None,))]
     check_target_ids(table)
     n_targets = len(table)
     # chi/F/sum_sin keyed by target id for per-target truth values.
@@ -312,7 +312,7 @@ def cmd_noise(cfg: RunConfig) -> None:
 def measure_columns(grid: ParameterGrid, candidate: ChainSpec, trials: int, seed: int):
     """(F_exact, mean, std, binomial std) by target id of ``trials`` measured shots per target."""
     _check_sampling(trials, seed)
-    n_sites = candidate.n_sites
+    n_sites = check_type(candidate, ChainSpec, "candidate").n_sites
     n_targets = target_count(grid, n_sites)
     f_exact, binomial, means, stds = np.empty((4, n_targets))
     for start in range(0, n_targets, BLOCK_SIZE):

@@ -2,7 +2,8 @@
 
 Counts, ids, sites and masks go through :func:`check_count`, sequences of them and seeds
 through :func:`check_counts`, real numbers and arrays of them through :func:`real_array`,
-and the library's own values (a spec, a grid, a table, a state) through :func:`check_type`.
+complex arrays (a state's amplitudes, an operator) through :func:`complex_array`, and the
+library's own values (a spec, a grid, a table, a state) through :func:`check_type`.
 """
 
 import numpy as np
@@ -66,26 +67,38 @@ def check_type(value, kind: type, name: str):
     return value
 
 
-def real_array(value, name: str, shape: tuple[int | None, ...] | None = None,
-               finite: bool = False) -> np.ndarray:
-    """The one real-number check: ``value``, a scalar as shape (), as float; a float array as is.
-
-    Ragged, bool, complex, string or object input (an int beyond uint64 is one), a bool
-    inside a list or tuple, or a shape unlike ``shape`` (None: any size), fails, and with
-    ``finite`` so does a NaN or an infinity. An ndarray is not scanned for bools: its dtype
-    says whether it holds any.
-    """
+def _number_array(value, name: str, shape: tuple[int | None, ...] | None, dtype: type,
+                  copy: bool = False) -> np.ndarray:
+    """The one numeric conversion, to ``dtype``: float, or complex, which takes complex too.
+    Ragged, bool, string, bytes or object input (an int beyond uint64 is one), a bool inside a
+    list or tuple, or a shape unlike ``shape`` (None: any size) fails; an ndarray is not
+    scanned for bools, its dtype says. An array of ``dtype`` is returned as is unless ``copy``."""
     try:
         arr = np.asarray(value)
     except (TypeError, ValueError):  # a ragged list
         arr = None
-    if arr is None or arr.dtype.kind not in "iuf" or isinstance(value, (list, tuple)) and any(
+    kinds, numbers = ("iufc", "numbers") if dtype is complex else ("iuf", "real numbers")
+    if arr is None or arr.dtype.kind not in kinds or isinstance(value, (list, tuple)) and any(
             isinstance(entry, (bool, np.bool_)) for entry in np.array(value, object).flat):
-        raise ValidationError(f"{name} must hold real numbers only")
+        raise ValidationError(f"{name} must hold {numbers} only")
     if shape is not None and not (arr.ndim == len(shape) and all(
             size in (None, got) for size, got in zip(shape, arr.shape))):
         raise ValidationError(f"{name} must be {len(shape)}-D of shape {shape}, got {arr.shape}")
-    arr = arr.astype(float, copy=False)
+    return arr.astype(dtype, copy=copy)
+
+
+def real_array(value, name: str, shape: tuple[int | None, ...] | None = None,
+               finite: bool = False) -> np.ndarray:
+    """The one real-number check: ``value``, a scalar as shape (), as float; a float array as
+    is. :func:`_number_array` says what fails; with ``finite`` a NaN or an infinity does too."""
+    arr = _number_array(value, name, shape, float)
     if finite and not np.isfinite(arr).all():
         raise ValidationError(f"{name} must be finite")
+    return arr
+
+
+def complex_array(value, name: str, shape: tuple[int | None, ...] | None = None) -> np.ndarray:
+    """The one complex-number check: a read-only complex copy of ``value``, as for real_array."""
+    arr = _number_array(value, name, shape, complex, copy=True)
+    arr.setflags(write=False)
     return arr

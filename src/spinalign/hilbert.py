@@ -2,9 +2,11 @@
 
 State vectors, ground-state eigensolving and partial traces for up to
 ``DENSE_SITE_CAP`` sites. Operators are plain square complex arrays; the
-ones built here are read-only, and each function that takes one checks it
-(square, and Hermitian or unitary as it needs). No CLI path solves: the
-tests tie the closed-form site angles and directions to the states here.
+ones built here are read-only. Each state and operator taken passes one
+register-array rule before any linear algebra (numbers only, 2^n entries a
+side, n a register size), then the check it needs (Hermitian or unitary).
+No CLI path solves: the tests tie the closed-form site angles and
+directions to the states here.
 A state's per-site Bloch vectors (``StateVector.bloch``, an (N, 3) array)
 are the ``bloch_vector`` of each site's ``partial_trace``. All values are
 immutable and safe to share across threads.
@@ -18,20 +20,16 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError, check_count, check_counts, check_type
+from .errors import (CapacityError, ValidationError, check_count, check_counts, check_type,
+                     complex_array)
 
 # Dense matrices are capped at 2**DENSE_SITE_CAP; larger chains go through
 # the closed-form site directions in the chain module.
 DENSE_SITE_CAP = 10
 
-_I2 = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-for _m in (_I2, _X, _Y, _Z):
-    _m.setflags(write=False)
-
-PAULI = {"I": _I2, "X": _X, "Y": _Y, "Z": _Z}
+PAULI = {label: complex_array(m, label) for label, m in {
+    "I": [[1, 0], [0, 1]], "X": [[0, 1], [1, 0]], "Y": [[0, -1j], [1j, 0]], "Z": [[1, 0], [0, -1]],
+}.items()}
 
 
 def check_register(n_sites, name: str = "n_sites") -> int:
@@ -39,6 +37,21 @@ def check_register(n_sites, name: str = "n_sites") -> int:
     if check_count(n_sites, name) > DENSE_SITE_CAP:
         raise CapacityError(f"{name} {n_sites} exceeds dense cap {DENSE_SITE_CAP}")
     return int(n_sites)
+
+
+def _register_array(entries, name: str, n_sites=None) -> tuple[np.ndarray, int]:
+    """The one register-array rule: ``entries`` as a read-only ``complex_array`` and its
+    register size n (:func:`check_register`): with ``n_sites``, checked first, a state of
+    2^n_sites amplitudes; without, a square operator of 2^n rows."""
+    if n_sites is not None:
+        n_sites = check_register(n_sites)
+        return complex_array(entries, name, (2**n_sites,)), n_sites
+    m = complex_array(entries, name, (None, None))
+    dim = len(m)
+    if m.shape[1] != dim or not dim or dim & (dim - 1):
+        raise ValidationError(f"{name} must be a square matrix of 2^n rows, got shape {m.shape}")
+    return m, check_register(dim.bit_length() - 1, f"{name} register size")
+
 
 NORM_TOL = 1e-10
 DENSITY_TOL = 1e-10  # the rounding each DensityMatrix check allows
@@ -49,26 +62,6 @@ DEGENERACY_GAP = 1e-8
 _PHASE_FLOOR = 1e-8
 
 
-def _as_complex(entries, square: bool = True) -> np.ndarray:
-    """Read-only complex copy of ``entries``, which must be a square matrix if ``square``."""
-    try:
-        m = np.array(entries, dtype=complex)
-    except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or beyond a float
-        raise ValidationError(f"expected {'a square matrix' if square else 'amplitudes'} "
-                              f"of numbers") from None
-    if square and (m.ndim != 2 or m.shape[0] != m.shape[1]):
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    m.setflags(write=False)
-    return m
-
-
-def _n_sites_for_dim(dim: int) -> int:
-    n = int(dim).bit_length() - 1
-    if dim <= 0 or 2**n != dim:
-        raise ValidationError(f"dimension {dim} is not a power of two")
-    return n
-
-
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized pure state of ``n_sites`` qubits; site 1 is the leftmost tensor factor."""
@@ -77,13 +70,8 @@ class StateVector:
     n_sites: int
 
     def __post_init__(self):
-        amps = _as_complex(self.amplitudes, square=False)
+        amps, _ = _register_array(self.amplitudes, "amplitudes", self.n_sites)
         object.__setattr__(self, "amplitudes", amps)
-        check_register(self.n_sites)
-        if amps.ndim != 1 or len(amps) != 2**self.n_sites:
-            raise ValidationError(
-                f"state of {self.n_sites} sites needs {2**self.n_sites} amplitudes, got {amps.shape}"
-            )
         norm = np.linalg.norm(amps)
         # Written so that a NaN or inf norm fails too.
         if not abs(norm - 1.0) <= NORM_TOL:
@@ -113,7 +101,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = _as_complex(self.entries)
+        m, _ = _register_array(self.entries, "entries")
         object.__setattr__(self, "entries", m)
         if not np.max(np.abs(m - m.conj().T)) <= DENSITY_TOL:
             raise ValidationError("density matrix is not Hermitian")
@@ -169,7 +157,7 @@ def site_operator(pauli: str, site: int, n_sites: int) -> np.ndarray:
         raise ValidationError(f"site {site} outside 1..{n_sites}")
     out = np.array([[1.0 + 0j]])
     for k in range(1, n_sites + 1):
-        out = np.kron(out, PAULI[pauli] if k == site else _I2)
+        out = np.kron(out, PAULI[pauli if k == site else "I"])
     out.setflags(write=False)
     return out
 
@@ -190,15 +178,14 @@ def hermitian_ground_state(h) -> GroundState:
     such ground spaces are convention dependent and consumers must treat
     them accordingly.
     """
-    m = _as_complex(h)
+    m, n_sites = _register_array(h, "h")
     if len(m) < 2:
         raise ValidationError("ground-state solving needs at least a 2x2 operator")
     dev = np.max(np.abs(m - m.conj().T))
     if not dev < HERMITIAN_TOL:
         raise ValidationError(f"operator is not Hermitian: max |A - A†| = {dev:g}")
-    n_sites = _n_sites_for_dim(len(m))
     w, v = np.linalg.eigh(m)
-    psi = np.array(v[:, 0], dtype=complex)
+    psi = v[:, 0].copy()
     idx = int(np.argmax(np.abs(psi) > _PHASE_FLOOR))
     psi *= np.exp(-1j * np.angle(psi[idx]))
     psi /= np.linalg.norm(psi)
@@ -232,7 +219,7 @@ def partial_trace(state: StateVector, keep: int) -> DensityMatrix:
 def apply_unitary(u, state: StateVector) -> StateVector:
     """Apply the unitary matrix ``u`` to a state; ValidationError naming the operator if it is
     not unitary within UNITARY_TOL (entrywise) or moves the state's norm beyond NORM_TOL."""
-    m = _as_complex(u)
+    m, _ = _register_array(u, "u")
     if len(m) != check_type(state, StateVector, "state").dim:
         raise ValidationError(f"operator dim {len(m)} != state dim {state.dim}")
     dev = np.max(np.abs(m.conj().T @ m - np.eye(len(m))))

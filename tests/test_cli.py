@@ -415,6 +415,23 @@ class TestNoiseCommand:
         with pytest.raises(spinalign.ValidationError, match="epsilon must be finite"):
             cli.noise_rows(table, eps, 5, 0)
 
+    @pytest.mark.parametrize("eps, match", [
+        (None, "^eps must hold real numbers only$"),
+        (0.1, r"^eps must be 1-D of shape \(None,\), got \(\)$"),
+    ], ids=["none", "a-scalar"])
+    def test_noise_rows_take_eps_as_a_real_array(self, eps, match):
+        # Each raised TypeError: a scalar or None is not iterable.
+        cfg = RunConfig(n=2, d=3)
+        table = protocol.build_table(cfg.grid(), cfg.candidate())
+        with pytest.raises(spinalign.ValidationError, match=match):
+            cli.noise_rows(table, eps, 5, 0)
+
+    @pytest.mark.parametrize("candidate", ["x", None])
+    def test_measure_columns_take_a_chain_spec(self, candidate):
+        # Each raised AttributeError on candidate.n_sites.
+        with pytest.raises(spinalign.ValidationError, match="^candidate must be of type ChainSpec"):
+            cli.measure_columns(RunConfig(n=2, d=3).grid(), candidate, 5, 0)
+
     def test_zero_epsilon_makes_no_stream(self, tmp_path, monkeypatch):
         seeded = []
         original = oracle_module._pcg64_seeds

@@ -299,8 +299,67 @@ class TestDomainTypes:
         ids=["hermitian_ground_state", "DensityMatrix", "apply_unitary"],
     )
     def test_ragged_matrix_is_a_validation_error(self, entry):
-        with pytest.raises(ValidationError, match="square matrix"):
+        with pytest.raises(ValidationError, match="must hold numbers only$"):
             entry([[1, 2], [3]])
+
+
+class TestRegisterArrayRule:
+    """One rule for every state and operator taken: numbers only, 2^n entries a side, n a
+    register size, all checked before any linear algebra."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: StateVector([True, False], 1),
+        lambda: StateVector(["1", "0"], 1),
+        lambda: StateVector([b"1", b"0"], 1),
+        lambda: apply_unitary([["0", "1"], ["1", "0"]], basis_state(1, 0)),
+        lambda: apply_unitary([[False, True], [True, False]], basis_state(1, 0)),
+        lambda: DensityMatrix([["1", "0"], ["0", "0"]]),
+        lambda: hermitian_ground_state([[b"1", b"0"], [b"0", b"-1"]]),
+        lambda: hermitian_ground_state(np.array([[True, False], [False, False]])),
+        lambda: DensityMatrix(np.array([[0.5, 0], [0, 0.5]], dtype=object)),
+    ], ids=["state-bools", "state-strings", "state-bytes", "unitary-strings", "unitary-bools",
+            "density-strings", "operator-bytes", "operator-bool-array", "density-objects"])
+    def test_numbers_only(self, make):
+        # Each was taken: a state |0>, X applied, or a matrix of the numbers it spells.
+        with pytest.raises(ValidationError, match="must hold numbers only$"):
+            make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: hermitian_ground_state(np.zeros((2048, 2048))),
+        lambda: DensityMatrix(np.eye(2048) / 2048),
+    ], ids=["hermitian_ground_state", "DensityMatrix"])
+    def test_register_size_comes_before_any_solve(self, monkeypatch, make):
+        # The eigensolve ran first: 6.9 s before the cap, or 3.5 s and no cap at all.
+        def solver(*args, **kwargs):
+            raise AssertionError("solved before the register size was checked")
+
+        monkeypatch.setattr(np.linalg, "eigh", solver)
+        monkeypatch.setattr(np.linalg, "eigvalsh", solver)
+        with pytest.raises(CapacityError, match=f"register size 11 exceeds dense cap "
+                                                f"{DENSE_SITE_CAP}$"):
+            make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: DensityMatrix(np.eye(3) / 3),
+        lambda: hermitian_ground_state(np.eye(3)),
+        lambda: apply_unitary(np.eye(3), basis_state(1, 0)),
+    ], ids=["DensityMatrix", "hermitian_ground_state", "apply_unitary"])
+    def test_a_side_must_be_a_power_of_two(self, make):
+        # The 3x3 density matrix was accepted, though a register has 2^n dimensions.
+        with pytest.raises(ValidationError, match=r"must be a square matrix of 2\^n rows, "
+                                                  r"got shape \(3, 3\)$"):
+            make()
+
+    def test_a_one_dimensional_register_is_taken(self):
+        assert DensityMatrix([[1.0]]).dim == 1
+        assert StateVector([1.0], 0).dim == 1
+
+    def test_amplitudes_are_read_only_copies_with_the_same_bits(self):
+        amps = np.array([0.6, 0.8j])
+        state = StateVector(amps, 1)
+        assert not np.shares_memory(amps, state.amplitudes)
+        assert not state.amplitudes.flags.writeable and amps.flags.writeable
+        assert state.amplitudes.tobytes() == amps.tobytes()
 
 
 def _random_state(data, n_min: int, n_max: int) -> StateVector:

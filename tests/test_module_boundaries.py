@@ -1,6 +1,7 @@
 """Module boundaries: no module uses another's private (``_``-prefixed) names, only the
 oracle seeds, the CLI holds no generator and draws nothing of its own, the sampled
-commands hold no study, and only ``errors.real_array`` converts a real number or array."""
+commands hold no study, and only ``errors._number_array`` converts a number or an array
+of them, to float or complex."""
 
 import ast
 import inspect
@@ -115,7 +116,8 @@ def test_sampled_commands_only_write_print_and_gate(command):
 
 
 def _parameter_floats(tree: ast.Module, floats: set[str]) -> dict[int, str]:
-    """Each ``float(p)`` (or float64) of a function's own parameter ``p``, by node id."""
+    """Each ``float(p)`` (or another of ``floats``) of a function's own parameter ``p``, by
+    node id."""
     found = {}
     for function in ast.walk(tree):
         if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -133,17 +135,19 @@ def _parameter_floats(tree: ast.Module, floats: set[str]) -> dict[int, str]:
 
 
 def test_only_real_array_converts_to_float():
-    # errors.real_array is the one real-number check, scalars included; elsewhere a float
-    # conversion would parse strings, read bools as numbers and drop imaginary parts, and
+    # errors._number_array is the one numeric conversion, behind real_array and
+    # complex_array, scalars included; elsewhere a float or complex conversion would parse
+    # strings and read bools as numbers (a float one would drop imaginary parts too), and
     # numbers.Real would be a second rule. So no module imports numbers, and no function
-    # but real_array calls float() on its own parameter. hilbert's dtype=complex is its own
-    # rule.
-    floats = {"float", "np.float64", "numpy.float64"}
+    # but the core calls float() or complex() on its own parameter or converts with
+    # dtype=float or dtype=complex.
+    floats = {"float", "np.float64", "numpy.float64", "complex", "np.complex128",
+              "numpy.complex128"}
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = _tree(path)
         allowed = {id(node) for top in tree.body
-                   if path.stem == "errors" and getattr(top, "name", None) == "real_array"
+                   if path.stem == "errors" and getattr(top, "name", None) == "_number_array"
                    for node in ast.walk(top)}
         parameter_floats = _parameter_floats(tree, floats)
         for node in ast.walk(tree):
@@ -161,7 +165,7 @@ def test_only_real_array_converts_to_float():
                 found.append(f"{path.stem} {parameter_floats[id(node)]}")
             if not isinstance(node, ast.Call):
                 continue
-            # Conversions only: allocating a new float array (np.zeros, np.empty) is not one.
+            # Conversions only: allocating a new array (np.zeros, np.empty) is not one.
             func = ast.unparse(node.func)
             if func in ("np.asarray", "np.array", "numpy.asarray", "numpy.array"):
                 dtypes = node.args[1:2]

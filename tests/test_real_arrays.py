@@ -1,4 +1,5 @@
-"""The one real-number array rule at the public boundary: ``chain.real_array``.
+"""The one number rule at the public boundary: ``errors.real_array`` and, for complex
+arrays, ``errors.complex_array``.
 
 Every public entry that takes a real-number array rejects numeric strings, complex values,
 object arrays and ragged lists with ValidationError. A scalar argument (a rotation angle χ,
@@ -28,7 +29,7 @@ from spinalign import (
     site_cosines,
     target_angles,
 )
-from spinalign.errors import real_array
+from spinalign.errors import complex_array, real_array
 from spinalign.oracle import check_epsilon
 
 CANDIDATE = ChainSpec(2, 1.0, (-0.5, -0.5))
@@ -180,6 +181,24 @@ def test_a_bool_inside_a_list_is_not_a_real_number(call):
     # numpy gives such a list a float dtype, so True passed as 1.0.
     with pytest.raises(ValidationError, match="must hold real numbers only$"):
         call()
+
+
+class TestComplexArray:
+    """The complex entry of the same rule: the kinds it takes add complex, and it copies."""
+
+    @pytest.mark.parametrize("value", [np.array([0.5, 1j]), np.array([1.0, 0.0]), [1, 0.5j]],
+                             ids=["complex", "float", "list"])
+    def test_a_read_only_complex_copy(self, value):
+        out = complex_array(value, "values", (2,))
+        assert out.dtype == np.complex128 and not out.flags.writeable
+        assert not np.shares_memory(out, value)
+        assert out.tobytes() == np.asarray(value, complex).tobytes()
+
+    @pytest.mark.parametrize("value", [[True, 0.5j], np.array([True]), ["1"], [b"1"], "1j",
+                                       np.array([1, 2], dtype=object), [[1], [1, 2]]], ids=repr)
+    def test_numbers_only(self, value):
+        with pytest.raises(ValidationError, match="^values must hold numbers only$"):
+            complex_array(value, "values")
 
 
 def test_a_float_array_is_returned_unscanned():

@@ -2,10 +2,13 @@
 
 The surface is what ``spinalign`` imports. ``SURFACE`` gives every public attribute of the
 package a row: an entry's parameters, in call order, each with its kind and a good value,
-or the kind of non-entry the attribute is. The walk calls each entry once with its good
-arguments, then once per parameter and odd value with the other arguments good, under
-warnings as errors. Each call ends in a SpinAlignError or a return, and no call returns
-for a bool or a NaN, or for a count that is not a non-negative integer.
+or the kind of non-entry the attribute is. ``STUDIES`` adds the library studies that live in
+``cli`` and are not exported. The walk calls each entry once with its good arguments, then
+once per parameter and odd value with the other arguments good, under warnings as errors;
+a real or complex array's odd values include its good value in disguise (every number
+written as a string, as bytes, and, where each is 0 or 1, as a bool). Each call ends in a
+SpinAlignError or a return, and no call returns for a bool, a NaN, a string or bytes
+where a number belongs, or a count that is not a non-negative integer.
 """
 
 import copy
@@ -14,11 +17,12 @@ import time
 import types
 import warnings
 from collections.abc import Iterator
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
 import spinalign
+import spinalign.cli  # STUDIES' module, which spinalign does not import
 from spinalign import (
     ChainSpec,
     OracleKind,
@@ -118,6 +122,12 @@ SURFACE = {
                            ("subsets", COUNTS, [1, 2]), ("kind", ENUM, SubsetFunctionKind.PURITY)],
     "site_cosines": [("bloch_t", REALS, DIRECTIONS), ("bloch_c", REALS, DIRECTIONS)],
 }
+STUDIES = {
+    "cli.noise_rows": [("table", TABLE, TABLE_2), ("eps", REALS, [0.0, 0.1]), ("trials", COUNT, 3),
+                       ("seed", COUNT, 1)],
+    "cli.measure_columns": [("grid", GRID, GRID_2), ("candidate", SPEC, SPEC_2),
+                            ("trials", COUNT, 3), ("seed", COUNT, 1)],
+}
 
 NAN, INF = float("nan"), float("inf")
 # Values no parameter should take, or only some kinds should.
@@ -143,9 +153,23 @@ def _is_count(value) -> bool:
     return type(value) is int and value >= 0
 
 
+def _disguises(good) -> list:
+    """``good``'s numbers written as strings, as bytes and, where each is 0 or 1, as bools."""
+    numbers = np.asarray(good).tolist()
+
+    def written(form, value):
+        return [written(form, item) for item in value] if isinstance(value, list) else form(value)
+
+    forms = [str, lambda number: str(number).encode()]
+    if all(number in (0, 1) for number in _leaves(numbers)):
+        forms.append(bool)
+    return [written(form, numbers) for form in forms]
+
+
 def _must_raise(kind: str, value) -> bool:
     """Whether a call must not return with ``value`` in a parameter of ``kind``."""
     if any(isinstance(leaf, bool) or (isinstance(leaf, float) and math.isnan(leaf))
+           or (kind in (REAL, REALS, COMPLEX) and isinstance(leaf, (str, bytes)))
            for leaf in _leaves(value)):
         return True
     flat = isinstance(value, (list, tuple)) and all(map(_is_count, value))
@@ -156,7 +180,7 @@ def _call(name: str, arguments: list) -> None:
     """Call the entry with fresh copies of ``arguments``; an iterator it returns is run out."""
     fresh = [value() if isinstance(value, partial) else copy.deepcopy(value)
              for value in arguments]
-    out = getattr(spinalign, name)(*fresh)
+    out = reduce(getattr, name.split("."), spinalign)(*fresh)
     if isinstance(out, Iterator):
         list(out)
 
@@ -173,7 +197,7 @@ def test_kernels_are_not_exported():
 
 
 def test_each_entry_takes_its_good_arguments():
-    for name, row in SURFACE.items():
+    for name, row in {**SURFACE, **STUDIES}.items():
         if isinstance(row, list):
             _call(name, [good for _, _, good in row])
 
@@ -182,12 +206,12 @@ def test_no_odd_value_escapes_the_boundary():
     # Every slot of every entry gets every odd value, the other arguments good.
     escapes = []
     started = time.perf_counter()
-    for name, row in SURFACE.items():
+    for name, row in {**SURFACE, **STUDIES}.items():
         if not isinstance(row, list):
             continue
         goods = [good for _, _, good in row]
-        for slot, (parameter, kind, _) in enumerate(row):
-            for value in ODD:
+        for slot, (parameter, kind, good) in enumerate(row):
+            for value in ODD + (_disguises(good) if kind in (REALS, COMPLEX) else []):
                 call = f"{name}({parameter}={value!r})"
                 try:
                     with warnings.catch_warnings():
