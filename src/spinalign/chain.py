@@ -7,7 +7,10 @@ The chain Hamiltonian is
 The bond sum follows this formula literally: for N = 2 both k = 1 and k = 2
 wrap onto the same physical bond, so that bond is counted twice. Target
 families discretize each b_k onto a uniform grid and are enumerated by a
-base-D integer id, site 1 in the least significant digit.
+base-D integer id, site 1 in the least significant digit. The engine needs
+only the closed-form site directions and their per-site cosines
+(``site_cosines``); ``build_hamiltonian`` and ``ground_state`` are the dense
+verifier's view of the same chain.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError, check_count, check_type, real_array
+from .errors import (CapacityError, ValidationError, check_count, check_directions, check_type,
+                     real_array)
 from .hilbert import GroundState, hermitian_ground_state, site_operator
 
 DEFAULT_SWEEP_BUDGET = 1_000_000
@@ -113,6 +117,22 @@ def product_ground_directions(fields) -> np.ndarray:
     dirs[..., 0] = -1.0 / s
     dirs[..., 1] = -b / s
     return dirs
+
+
+def site_cosines(bloch_t: np.ndarray, bloch_c: np.ndarray) -> np.ndarray:
+    """Per-site cos θ_k = r_k·c_k/(|r_k| |c_k|) between arrays of Bloch vectors, shape (..., N, 3).
+
+    Leading axes broadcast, so a (T, N, 3) batch of targets is compared with
+    one (N, 3) candidate in one call, each row bit-equal to its own call.
+    """
+    bloch_t, bloch_c = real_array(bloch_t, "Bloch vectors"), real_array(bloch_c, "Bloch vectors")
+    if min(bloch_t.ndim, bloch_c.ndim) < 2 or bloch_t.shape[-2:] != bloch_c.shape[-2:]:
+        raise ValidationError(f"Bloch arrays differ in (N, 3): {bloch_t.shape}, {bloch_c.shape}")
+    nt2 = np.einsum("...ij,...ij->...i", bloch_t, bloch_t)
+    nc2 = np.einsum("...ij,...ij->...i", bloch_c, bloch_c)
+    check_directions(nt2)
+    check_directions(nc2)
+    return np.einsum("...ij,...ij->...i", bloch_t, bloch_c) / np.sqrt(nt2) / np.sqrt(nc2)
 
 
 def target_count(grid: ParameterGrid, n_sites: int) -> int:

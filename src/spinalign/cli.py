@@ -1,6 +1,6 @@
 """Command-line driver for the reference numerical study.
 
-Four subcommands emit analysis-ready CSV:
+Four commands emit analysis-ready CSV; each takes every flag, before or after it:
 
   table    precompute the (F, chi_opt) lookup statistics  -> fig2.csv
   sweep    run the single-query protocol on every target   -> fig3.csv
@@ -375,37 +375,25 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="spinalign", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("table", "write the lookup-table statistics (fig2.csv)"),
-        ("sweep", "run the single-query protocol per target (fig3.csv)"),
-        ("noise", "noisy-lookup robustness study (noise.csv)"),
-        ("measure", "projective-measurement oracle statistics (measure.csv)"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--n", type=int, help="number of chain sites (default 4)")
-        p.add_argument("--j", type=float, help="ZZ coupling strength (default 1)")
-        p.add_argument("--bmin", type=float, help="lowest field value (default -0.5)")
-        p.add_argument("--bmax", type=float, help="highest field value (default 0.5)")
-        p.add_argument("--d", type=int, help="field levels per site (default 5)")
-        p.add_argument("--seed", type=int, help="root RNG seed (default 30)")
-        p.add_argument("--eps", type=str, help="comma-separated noise widths")
-        p.add_argument("--trials", type=int,
-                       help="trials per target (noise: 200, measure: 10000)")
-        p.add_argument("--out", type=str, help="output directory (default .)")
-        p.add_argument("--threads", type=int, help="ignored; the work is serial")
-        p.add_argument("--config", type=str, help="JSON config file (flags win)")
-        p.add_argument("--check", action="store_true",
-                       help="gate reference values, exit 3 on failure")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--n", type=int, help="number of chain sites (default 4)")
+    parser.add_argument("--j", type=float, help="ZZ coupling strength (default 1)")
+    parser.add_argument("--bmin", type=float, help="lowest field value (default -0.5)")
+    parser.add_argument("--bmax", type=float, help="highest field value (default 0.5)")
+    parser.add_argument("--d", type=int, help="field levels per site (default 5)")
+    parser.add_argument("--seed", type=int, help="root RNG seed (default 30)")
+    parser.add_argument("--eps", type=str, help="comma-separated noise widths")
+    parser.add_argument("--trials", type=int,
+                        help="trials per target (noise: 200, measure: 10000)")
+    parser.add_argument("--out", type=str, help="output directory (default .)")
+    parser.add_argument("--threads", type=int, help="ignored; the work is serial")
+    parser.add_argument("--config", type=str, help="JSON config file (flags win)")
+    parser.add_argument("--check", action="store_true",
+                        help="gate reference values, exit 3 on failure")
     return parser
 
 
-COMMANDS = {
-    "table": cmd_table,
-    "sweep": cmd_sweep,
-    "noise": cmd_noise,
-    "measure": cmd_measure,
-}
+COMMANDS = {"table": cmd_table, "sweep": cmd_sweep, "noise": cmd_noise, "measure": cmd_measure}
 
 
 def main(argv: list[str] | None = None) -> int:

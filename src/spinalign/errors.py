@@ -1,12 +1,23 @@
 """Exception types, and the one rule per argument kind shared across the library.
 
 Counts, ids, sites and masks go through :func:`check_count`, sequences of them and seeds
-through :func:`check_counts`, real numbers and arrays of them through :func:`real_array`,
-complex arrays (a state's amplitudes, an operator) through :func:`complex_array`, and the
-library's own values (a spec, a grid, a table, a state) through :func:`check_type`.
+through :func:`check_counts`, a dense register's size through :func:`check_register`, real
+numbers and arrays of them through :func:`real_array`, complex arrays (a state's amplitudes,
+an operator) through :func:`complex_array`, squared Bloch lengths through
+:func:`check_directions`, and the library's own values (a spec, a grid, a table, a state)
+through :func:`check_type`.
 """
 
+import math
+
 import numpy as np
+
+# Dense matrices are capped at 2**DENSE_SITE_CAP; larger chains go through
+# the closed-form site directions in the chain module.
+DENSE_SITE_CAP = 10
+# Sites whose Bloch vector is shorter than this have no usable direction;
+# the cosine metric is meaningless for (nearly) maximally mixed sites.
+DIRECTION_FLOOR = 1e-6
 
 
 class SpinAlignError(Exception):
@@ -58,6 +69,22 @@ def check_counts(values, name: str) -> list[int]:
         raise ValidationError(f"{name} must be a non-negative integer or a sequence of them, "
                               f"got {values!r}")
     return [int(entry) for entry in entries]
+
+
+def check_register(n_sites, name: str = "n_sites") -> int:
+    """The one register-size rule: a count (:func:`check_count`) up to DENSE_SITE_CAP."""
+    if check_count(n_sites, name) > DENSE_SITE_CAP:
+        raise CapacityError(f"{name} {n_sites} exceeds dense cap {DENSE_SITE_CAP}")
+    return int(n_sites)
+
+
+def check_directions(norms2: np.ndarray) -> None:
+    """Reject a squared Bloch length below DIRECTION_FLOOR², or not finite: no defined angle."""
+    # One min and one max, with no temporary array; both carry a NaN, which fails the test.
+    if norms2.size and not DIRECTION_FLOOR**2 <= norms2.min() <= norms2.max() < math.inf:
+        raise UndefinedDirectionError(
+            "Bloch norm below direction floor or not finite; angle undefined"
+        )
 
 
 def check_type(value, kind: type, name: str):

@@ -1,10 +1,11 @@
 """Dense complex linear algebra for small qubit registers: the exact verifier.
 
 State vectors, ground-state eigensolving and partial traces for up to
-``DENSE_SITE_CAP`` sites. Operators are plain square complex arrays; the
-ones built here are read-only. Each state and operator taken passes one
+``errors.DENSE_SITE_CAP`` sites. Operators are plain square complex arrays;
+the ones built here are read-only. Each state and operator taken passes one
 register-array rule before any linear algebra (numbers only, 2^n entries a
-side, n a register size), then the check it needs (Hermitian or unitary).
+side, n a register size by ``errors.check_register``), then the check it
+needs (Hermitian or unitary).
 No CLI path solves: the tests tie the closed-form site angles and
 directions to the states here.
 A state's per-site Bloch vectors (``StateVector.bloch``, an (N, 3) array)
@@ -20,23 +21,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import (CapacityError, ValidationError, check_count, check_counts, check_type,
+from .errors import (ValidationError, check_count, check_counts, check_register, check_type,
                      complex_array)
-
-# Dense matrices are capped at 2**DENSE_SITE_CAP; larger chains go through
-# the closed-form site directions in the chain module.
-DENSE_SITE_CAP = 10
 
 PAULI = {label: complex_array(m, label) for label, m in {
     "I": [[1, 0], [0, 1]], "X": [[0, 1], [1, 0]], "Y": [[0, -1j], [1j, 0]], "Z": [[1, 0], [0, -1]],
 }.items()}
-
-
-def check_register(n_sites, name: str = "n_sites") -> int:
-    """The one register-size rule: a count (:func:`check_count`) up to DENSE_SITE_CAP."""
-    if check_count(n_sites, name) > DENSE_SITE_CAP:
-        raise CapacityError(f"{name} {n_sites} exceeds dense cap {DENSE_SITE_CAP}")
-    return int(n_sites)
 
 
 def _register_array(entries, name: str, n_sites=None) -> tuple[np.ndarray, int]:

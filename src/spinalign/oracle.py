@@ -29,10 +29,9 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .chain import ChainSpec, product_ground_directions
+from .chain import ChainSpec, product_ground_directions, site_cosines
 from .errors import (CapacityError, QueryBudgetError, SpinAlignError, ValidationError, check_count,
                      check_counts, check_type, real_array)
-from .similarity import site_cosines
 
 # numpy's SeedSequence hash constants and pool size, and PCG64's 128-bit
 # multiplier, which target_draws replays.

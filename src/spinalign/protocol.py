@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import ChainSpec, ParameterGrid, product_ground_directions, target_field_array
-from .errors import IndeterminateOptimumError, ValidationError, check_type, real_array
-from .hilbert import check_register
+from .errors import (IndeterminateOptimumError, ValidationError, check_register, check_type,
+                     real_array)
 
 # Below this resultant length the gain is flat in χ and no optimum exists.
 _RESULTANT_FLOOR = 1e-12

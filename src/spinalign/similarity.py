@@ -7,7 +7,9 @@ when every pair of vectors is aligned. Its per-site angles are measured in
 the xy plane about +z, the axis of the only control, the global rotation
 U(χ). A general subset similarity sums a per-subset comparison function
 over an arbitrary family of subsystem masks; two comparison kinds are
-provided (single-site cosine and subset purity matching).
+provided (single-site cosine and subset purity matching). The per-site
+cosines of Bloch arrays are ``chain.site_cosines``, and the direction floor
+is ``errors.check_directions``.
 """
 
 from __future__ import annotations
@@ -18,13 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (UndefinedDirectionError, ValidationError, check_counts, check_type,
+from .chain import site_cosines
+from .errors import (ValidationError, check_counts, check_directions, check_register, check_type,
                      real_array)
-from .hilbert import DensityMatrix, StateVector, check_register, partial_trace
-
-# Sites whose Bloch vector is shorter than this have no usable direction;
-# the cosine metric is meaningless for (nearly) maximally mixed sites.
-DIRECTION_FLOOR = 1e-6
+from .hilbert import DensityMatrix, StateVector, partial_trace
 
 
 class SubsetFunctionKind(enum.Enum):
@@ -32,31 +31,6 @@ class SubsetFunctionKind(enum.Enum):
 
     COSINE_SINGLE_SITE = "cosine-single-site"
     PURITY = "purity"
-
-
-def _require_directions(norms2: np.ndarray) -> None:
-    """Reject a squared Bloch length below DIRECTION_FLOOR², or not finite: no defined angle."""
-    # One min and one max, with no temporary array; both carry a NaN, which fails the test.
-    if norms2.size and not DIRECTION_FLOOR**2 <= norms2.min() <= norms2.max() < math.inf:
-        raise UndefinedDirectionError(
-            "Bloch norm below direction floor or not finite; angle undefined"
-        )
-
-
-def site_cosines(bloch_t: np.ndarray, bloch_c: np.ndarray) -> np.ndarray:
-    """Per-site cos θ_k = r_k·c_k/(|r_k| |c_k|) between arrays of Bloch vectors, shape (..., N, 3).
-
-    Leading axes broadcast, so a (T, N, 3) batch of targets is compared with
-    one (N, 3) candidate in one call, each row bit-equal to its own call.
-    """
-    bloch_t, bloch_c = real_array(bloch_t, "Bloch vectors"), real_array(bloch_c, "Bloch vectors")
-    if min(bloch_t.ndim, bloch_c.ndim) < 2 or bloch_t.shape[-2:] != bloch_c.shape[-2:]:
-        raise ValidationError(f"Bloch arrays differ in (N, 3): {bloch_t.shape}, {bloch_c.shape}")
-    nt2 = np.einsum("...ij,...ij->...i", bloch_t, bloch_t)
-    nc2 = np.einsum("...ij,...ij->...i", bloch_c, bloch_c)
-    _require_directions(nt2)
-    _require_directions(nc2)
-    return np.einsum("...ij,...ij->...i", bloch_t, bloch_c) / np.sqrt(nt2) / np.sqrt(nc2)
 
 
 def cos_theta(rho_t: DensityMatrix, rho_c: DensityMatrix) -> float:
@@ -70,7 +44,7 @@ def cos_theta(rho_t: DensityMatrix, rho_c: DensityMatrix) -> float:
         raise ValidationError("cos_theta is defined for single-qubit density matrices")
     nt2 = 2.0 * rho_t.purity - 1.0
     nc2 = 2.0 * rho_c.purity - 1.0
-    _require_directions(np.array([nt2, nc2]))
+    check_directions(np.array([nt2, nc2]))
     overlap = 2.0 * float(np.trace(rho_t.entries @ rho_c.entries).real) - 1.0
     return overlap / math.sqrt(nt2) / math.sqrt(nc2)
 
@@ -87,7 +61,7 @@ def similarity_chain(bloch_t, bloch_c) -> tuple[float, np.ndarray]:
     bt, bc = (real_array(b, "site Bloch vectors", (None, 3)) for b in (bloch_t, bloch_c))
     f = float(site_cosines(bt, bc).sum())
     (rx, ry), (cx, cy) = bt[:, :2].T, bc[:, :2].T
-    _require_directions(np.concatenate([rx * rx + ry * ry, cx * cx + cy * cy]))
+    check_directions(np.concatenate([rx * rx + ry * ry, cx * cx + cy * cy]))
     thetas = np.arctan2(cx * ry - cy * rx, cx * rx + cy * ry)
     thetas[thetas <= -np.pi] = np.pi
     return f, thetas

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import decimal
@@ -897,6 +898,58 @@ class TestExitCodes:
         code = main(["measure", "--n", "2", "--d", "2", "--trials", "30",
                      "--seed", "0", "--check", "--out", str(tmp_path)])
         assert code == 3
+
+
+FLAGS = ("--n", "--j", "--bmin", "--bmax", "--d", "--seed", "--eps", "--trials", "--out",
+         "--threads", "--config", "--check")
+
+
+def _one_subparser_per_command_error(argv) -> str:
+    """The parse error that a root parser with one subparser per command gives for argv."""
+    class Raising(argparse.ArgumentParser):
+        def error(self, message):
+            raise ValueError(message)
+
+    root = Raising(prog="spinalign")
+    sub = root.add_subparsers(dest="command", required=True)
+    for name in cli.COMMANDS:
+        sub.add_parser(name).add_argument("--n", type=int)
+    with pytest.raises(ValueError) as info:
+        root.parse_args(argv)
+    return str(info.value)
+
+
+class TestOneParser:
+    """One parser takes the command as its first positional and each flag once."""
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["fig2"], "argument command: invalid choice: "),
+        (["table", "--nonsense"], "unrecognized arguments: --nonsense"),
+        (["table", "--n", "x"], "argument --n: invalid int value: 'x'"),
+    ], ids=["no-command", "unknown-command", "unknown-flag", "bad-n"])
+    def test_errors_keep_their_text(self, capsys, argv, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {message}")
+        assert captured.err == f"error: {_one_subparser_per_command_error(argv)}\n"
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_command_help_lists_every_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert [flag for flag in FLAGS if not re.search(rf"^  {flag}\b", out, re.M)] == []
+
+    def test_flags_may_come_before_the_command(self, tmp_path, capsys):
+        assert main(["--n", "3", "--d", "2", "table", "--out", str(tmp_path / "a")]) == 0
+        assert main(["table", "--n", "3", "--d", "2", "--out", str(tmp_path / "b")]) == 0
+        out = capsys.readouterr().out.replace(str(tmp_path / "a"), str(tmp_path / "b"))
+        first, second = out.splitlines()
+        assert first == second
+        assert ((tmp_path / "a" / "fig2.csv").read_bytes()
+                == (tmp_path / "b" / "fig2.csv").read_bytes())
 
 
 class TestCheckTranscripts:

@@ -1,15 +1,20 @@
-"""Module boundaries: no module uses another's private (``_``-prefixed) names, only the
-oracle seeds, the CLI holds no generator and draws nothing of its own, the sampled
-commands hold no study, and only ``errors._number_array`` converts a number or an array
-of them, to float or complex."""
+"""Module boundaries: no module uses another's private (``_``-prefixed) names, the
+closed-form engine imports no dense verifier module, the package loads every module the
+traced benchmark wraps, only the oracle seeds, the CLI holds no generator and draws nothing
+of its own, the sampled commands hold no study, and only ``errors._number_array`` converts
+a number or an array of them, to float or complex."""
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spinalign"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "spinalign"
 
 
 def _private(name: str) -> bool:
@@ -28,6 +33,40 @@ def test_no_private_name_is_imported(path):
         for alias in node.names if _private(alias.name)
     ]
     assert imported == []
+
+
+def test_engine_imports_no_dense_verifier():
+    # The single-query protocol needs only closed-form directions, their cosines and one
+    # lookup; the dense verifier (hilbert) and the state similarities built on it
+    # (similarity) stay out of protocol, oracle and cli.
+    found = set()
+    for stem in ("protocol", "oracle", "cli"):
+        for node in ast.walk(_tree(PACKAGE / f"{stem}.py")):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [f"{node.module or ''}.{alias.name}"
+                                                 for alias in node.names]
+            else:
+                continue
+            found |= {f"{stem} → {part}" for module in modules
+                      for part in module.split(".") if part in ("hilbert", "similarity")}
+    assert sorted(found) == []
+
+
+def test_package_loads_every_traced_module():
+    # bench/spans.py wraps each TRACED function through sys.modules["spinalign.<module>"]
+    # after `import spinalign, spinalign.cli`; a module that loaded lazily would fail only
+    # inside the benchmark's own tests.
+    spans = _tree(ROOT / "bench" / "spans.py")
+    traced = next(ast.literal_eval(node.value) for node in spans.body
+                  if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED")
+    script = "import sys, spinalign, spinalign.cli; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert sorted({f"spinalign.{module}" for module, _ in traced} - loaded) == []
 
 
 @pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "oracle.py"}),
